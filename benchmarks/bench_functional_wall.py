@@ -4,7 +4,7 @@ Unlike the other benches, this one times nothing from the paper: the
 simulated machine's cycle counts are host-speed-independent (see
 ``docs/PERFORMANCE.md``).  What it measures is how long the functional
 simulation itself takes to run on the host -- the quantity the fused
-kernel, the DMA program cache and the vectorized chunk executor exist
+kernel, the DMA transfer plans and the vectorized chunk executor exist
 to improve.  It emits a machine-readable ``BENCH_functional.json`` so
 CI (and future optimization rounds) can track the host wall time and
 throughput without scraping logs.
@@ -14,7 +14,7 @@ Deck tiers:
 * ``16^3 x 1 iter`` -- always run; the CI perf smoke.  A generous
   ceiling (``BENCH_WALL_CEILING`` seconds, default 60) guards against
   order-of-magnitude regressions without flaking on slow runners.
-* ``24^3 x 1 iter`` -- always run; big enough that DMA program reuse
+* ``24^3 x 1 iter`` -- always run; big enough that transfer-plan reuse
   across k-blocks dominates.
 * ``50^3 x 12 iter`` -- the paper's full benchmark deck; minutes of
   host time, so it only runs when ``BENCH_FULL=1``.

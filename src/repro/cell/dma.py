@@ -161,6 +161,12 @@ class AddressSpace:
         return list(self._arrays.values())
 
 
+#: Bytes after which the bank pattern of an address repeats: block
+#: counts and bank histograms depend on an effective address only
+#: modulo this (16 banks of 128-byte blocks).
+BANK_INTERLEAVE_BYTES: int = constants.MEMORY_BANK_STRIDE * constants.NUM_MEMORY_BANKS
+
+
 def bank_of(ea: int) -> int:
     """Memory bank holding the 128-byte block at ``ea``."""
     return (ea // constants.MEMORY_BANK_STRIDE) % constants.NUM_MEMORY_BANKS
@@ -219,11 +225,12 @@ class DMACommand:
     def peak_rate(self) -> bool:
         return is_peak_rate(self.ea, self.ls_buffer.offset + self.ls_offset, self.size)
 
-    @cached_property
-    def cost_signature(self) -> tuple:
-        """Hashable address signature of everything the MIC timing model
-        and the MFC traffic accounting read from this command."""
-        return ("cmd", self.kind.value, self.ea, self.size)
+    @property
+    def bank_signature(self) -> tuple[int, ...]:
+        """Everything the MIC timing model reads from this command, as
+        flat integers: 0 (a list command gives its length here), then
+        the effective address modulo the bank interleave and the size."""
+        return (0, self.ea % BANK_INTERLEAVE_BYTES, self.size)
 
     def ls_regions(self) -> tuple[tuple[int, int], ...]:
         """Absolute local-store (start, size) byte ranges this command
@@ -295,16 +302,16 @@ class DMAListCommand:
     def total_bytes(self) -> int:
         return sum(size for _, size in self.elements_spec)
 
-    @cached_property
-    def cost_signature(self) -> tuple:
-        """Hashable address signature of everything the MIC timing model
-        and the MFC traffic accounting read from this command (element
-        EAs, sizes, element count, direction)."""
-        return (
-            "list",
-            self.kind.value,
-            tuple((self.host.ea_of(off), size) for off, size in self.elements_spec),
-        )
+    @property
+    def bank_signature(self) -> tuple[int, ...]:
+        """Everything the MIC timing model reads from this command, as
+        flat integers: the list length, then each element's effective
+        address modulo the bank interleave and its size."""
+        ea = self.host.ea
+        flat = [len(self.elements_spec)]
+        for off, size in self.elements_spec:
+            flat += ((ea + off) % BANK_INTERLEAVE_BYTES, size)
+        return tuple(flat)
 
     def ls_regions(self) -> tuple[tuple[int, int], ...]:
         """List elements fill the local store contiguously from
@@ -380,12 +387,6 @@ class LSToLSCommand:
     @property
     def total_bytes(self) -> int:
         return self.size
-
-    @cached_property
-    def cost_signature(self) -> tuple:
-        """Hashable signature for MIC cost memoization (LS-to-LS moves
-        touch no memory banks; only size and direction matter)."""
-        return ("lsls", self.kind.value, self.size)
 
     def ls_regions(self) -> tuple[tuple[int, int], ...]:
         """The issuing SPE's local footprint (the remote store belongs

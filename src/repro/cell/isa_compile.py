@@ -79,7 +79,7 @@ from .isa import InstructionStream, OpClass, SPUContext
 ) = range(13)
 
 #: Entry cap of the compiled-program cache (cleared wholesale on
-#: overflow, like the DMA-program cache; a miss only costs a re-trace).
+#: overflow, like the transfer-plan cache; a miss only costs a re-trace).
 PROGRAM_CACHE_MAX_ENTRIES: int = 256
 
 
@@ -693,9 +693,9 @@ def compiled_program(
 
     ``key`` must determine the emitted stream completely (for the line
     kernel: ``(it, fixup, double)`` -- the only inputs the emission code
-    branches on), exactly as the DMA-program cache keys on everything
-    ``rows_for_chunk`` reads.  The cached program embeds no run-time
-    data, so unlike DMA programs it never needs host invalidation.
+    branches on), exactly as the transfer-plan cache of
+    :mod:`repro.core.streaming` keys on everything a chunk's addresses
+    depend on.  The cached program embeds no run-time data.
     """
     program = _PROGRAM_CACHE.get(key)
     if program is not None:

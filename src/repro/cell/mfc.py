@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from ..errors import MFCError
 from ..metrics.registry import NULL_REGISTRY, spe_metric
 from ..trace.bus import NULL_BUS, spe_track
-from .dma import AnyDMACommand
+from .dma import AnyDMACommand, DMAKind, DMAListCommand
 from .mic import MemoryTimingModel, TransferCost
 from . import constants
 
@@ -54,6 +54,27 @@ class TagStats:
         )
 
 
+def batch_delta(commands: list[AnyDMACommand]) -> tuple:
+    """What one batch of commands adds to :class:`TagStats`:
+    ``(commands, list elements, bytes got, bytes put, element sizes)``."""
+    n_elements = 0
+    bytes_get = 0
+    bytes_put = 0
+    sizes: Counter = Counter()
+    for cmd in commands:
+        if isinstance(cmd, DMAListCommand):
+            n_elements += len(cmd.elements_spec)
+            for _, size in cmd.elements_spec:
+                sizes[size] += 1
+        else:
+            sizes[cmd.total_bytes] += 1
+        if cmd.kind is DMAKind.GET:
+            bytes_get += cmd.total_bytes
+        else:
+            bytes_put += cmd.total_bytes
+    return len(commands), n_elements, bytes_get, bytes_put, sizes
+
+
 class MFC:
     """One SPE's memory flow controller.
 
@@ -79,15 +100,12 @@ class MFC:
         self.trace = NULL_BUS
         #: metrics registry (chip-wide; see ``CellBE.install_metrics``)
         self.metrics = NULL_REGISTRY
-        # memo of per-batch traffic-accounting deltas keyed by the batch's
-        # address signature: replayed chunk programs (the common case, see
-        # repro.core.streaming) skip the per-command accounting loop.  The
-        # accumulated stats are identical either way.
-        self._batch_stats_cache: dict[tuple, tuple] = {}
 
     # -- queue management --------------------------------------------------
 
-    def _pending_count(self) -> int:
+    @property
+    def pending(self) -> int:
+        """Commands in flight across all tag groups."""
         return self._pending
 
     def enqueue(self, command: AnyDMACommand) -> None:
@@ -99,16 +117,25 @@ class MFC:
             )
         self._queue.setdefault(command.tag, []).append(command)
         self._pending += 1
+        if self.metrics.enabled or self.trace.enabled:
+            self.observe_enqueue(
+                command.tag, command.kind.value, command.total_bytes,
+                self._pending, command.ls_regions(),
+            )
+
+    def observe_enqueue(self, tag: int, kind: str, nbytes: int, depth: int,
+                        regions) -> None:
+        """Report one queued command of ``nbytes`` over the local-store
+        ``regions`` that left ``depth`` commands in flight."""
         if self.metrics.enabled:
             self.metrics.gauge_max(
-                spe_metric(self.spe_id, "mfc_queue_depth"), self._pending
+                spe_metric(self.spe_id, "mfc_queue_depth"), depth
             )
         if self.trace.enabled:
             self.trace.instant(
                 spe_track(self.spe_id), "DmaEnqueue",
-                tag=command.tag, kind=command.kind.value,
-                bytes=command.total_bytes, depth=self._pending,
-                regions=[list(r) for r in command.ls_regions()],
+                tag=tag, kind=kind, bytes=nbytes, depth=depth,
+                regions=[list(r) for r in regions],
             )
 
     def pending_tags(self) -> set[int]:
@@ -118,47 +145,27 @@ class MFC:
     # -- completion ---------------------------------------------------------
 
     def _drain(self, commands: list[AnyDMACommand]) -> TransferCost:
-        from .dma import DMAKind, DMAListCommand
-
-        try:
-            signature = tuple(cmd.cost_signature for cmd in commands)
-        except AttributeError:  # foreign command type without a signature
-            signature = None
-        cost = self.timing.cost(commands, signature=signature)
+        cost = self.timing.cost(commands)
         for cmd in commands:
             cmd.execute()
-        delta = (
-            self._batch_stats_cache.get(signature)
-            if signature is not None
-            else None
+        self.retire(
+            batch_delta(commands), cost, sorted({cmd.tag for cmd in commands})
         )
-        if delta is None:
-            n_elements = 0
-            bytes_get = 0
-            bytes_put = 0
-            sizes: Counter = Counter()
-            for cmd in commands:
-                if isinstance(cmd, DMAListCommand):
-                    n_elements += len(cmd.elements_spec)
-                    for _, size in cmd.elements_spec:
-                        sizes[size] += 1
-                else:
-                    sizes[cmd.total_bytes] += 1
-                if cmd.kind is DMAKind.GET:
-                    bytes_get += cmd.total_bytes
-                else:
-                    bytes_put += cmd.total_bytes
-            delta = (len(commands), n_elements, bytes_get, bytes_put, sizes)
-            if signature is not None:
-                if len(self._batch_stats_cache) >= 1 << 16:
-                    self._batch_stats_cache.clear()
-                self._batch_stats_cache[signature] = delta
-        self.stats.commands += delta[0]
-        self.stats.list_elements += delta[1]
-        self.stats.bytes_get += delta[2]
-        self.stats.bytes_put += delta[3]
-        self.stats.element_sizes.update(delta[4])
-        self.stats.cycles += cost.total_cycles
+        return cost
+
+    def retire(self, delta: tuple, cost: TransferCost, tags: list[int]) -> None:
+        """Account one completed batch: ``delta`` (see :func:`batch_delta`)
+        and ``cost`` go to :attr:`stats` and to the attached registry
+        and bus.  The replay of a transfer plan
+        (:mod:`repro.core.streaming`) ends here too, batch by batch, so
+        ``stats.cycles`` is the same float sum either way."""
+        stats = self.stats
+        stats.commands += delta[0]
+        stats.list_elements += delta[1]
+        stats.bytes_get += delta[2]
+        stats.bytes_put += delta[3]
+        stats.element_sizes.update(delta[4])
+        stats.cycles += cost.total_cycles
         if self.metrics.enabled:
             m = self.metrics
             m.add_cycles(spe_metric(self.spe_id, "dma_wait_ticks"), cost.total_cycles)
@@ -171,11 +178,10 @@ class MFC:
         if self.trace.enabled:
             self.trace.span(
                 spe_track(self.spe_id), "DmaComplete", cost.total_cycles,
-                tags=sorted({cmd.tag for cmd in commands}),
+                tags=tags,
                 commands=delta[0], bytes_get=delta[2], bytes_put=delta[3],
                 bank_factor=cost.bank_factor,
             )
-        return cost
 
     def drain_tag(self, tag: int) -> TransferCost:
         """Complete every command in one tag group (``mfc_write_tag_mask``

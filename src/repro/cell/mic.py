@@ -44,10 +44,6 @@ LIST_ELEMENT_OVERHEAD_CYCLES: int = 12
 #: 25.6 GB/s / 3.2 GHz = 8 bytes/cycle for the whole chip.
 BYTES_PER_CYCLE: float = constants.MIC_BANDWIDTH / constants.CLOCK_HZ
 
-#: Entry cap of the per-model transfer-cost memo (cleared wholesale on
-#: overflow -- correctness never depends on a hit).
-COST_CACHE_MAX_ENTRIES: int = 1 << 16
-
 
 def blocks_touched(elements: Iterable[DMAElement]) -> int:
     """Number of 128-byte memory blocks a set of transfer elements touches."""
@@ -136,46 +132,24 @@ class MemoryTimingModel:
             raise ValueError(f"bank_weight must be in [0, 1], got {bank_weight}")
         self.overlap_commands = overlap_commands
         self.bank_weight = bank_weight
-        #: trace bus (see ``CellBE.install_trace``); emission happens on
-        #: every ``cost`` call -- memo hit or miss -- so the event stream
-        #: is independent of cache warmth.
+        #: trace bus (see ``CellBE.install_trace``); fed by :meth:`observe`
+        #: once per costed batch, whether the batch was priced just now
+        #: or replayed from a transfer plan (:mod:`repro.core.streaming`),
+        #: so the event stream is independent of cache warmth.
         self.trace = NULL_BUS
-        #: metrics registry (see ``CellBE.install_metrics``); fed on
-        #: every ``cost`` call, memo hit or miss, like the trace hook.
+        #: metrics registry (see ``CellBE.install_metrics``); fed by
+        #: :meth:`observe`, like the trace hook.
         self.metrics = NULL_REGISTRY
-        # Memo of computed costs keyed by the batch's address signature.
-        # The cost is a pure function of the per-command signatures (type,
-        # element EAs and sizes), so recurring chunk programs -- the common
-        # case in a sweep, where working-set shapes repeat across angle
-        # blocks, octants and iterations -- skip the Python-level bank
-        # histogram and block walk entirely.  TransferCost is frozen, so
-        # sharing the instance is safe.
-        self._cost_cache: dict[tuple, TransferCost] = {}
 
-    def cost(
-        self,
-        commands: Sequence[AnyDMACommand],
-        signature: tuple | None = None,
-    ) -> TransferCost:
-        """Throughput cost of issuing and completing ``commands``.
+    def cost(self, commands: Sequence[AnyDMACommand]) -> TransferCost:
+        """Throughput cost of issuing and completing ``commands``,
+        reported to the attached trace bus and metrics registry."""
+        result = self.price(commands)
+        self.observe(result, len(commands))
+        return result
 
-        ``signature`` lets callers that already computed the batch's
-        address signature (the MFC drain path) skip rebuilding it.
-        """
-        if signature is not None:
-            key = signature
-        else:
-            try:
-                key = tuple(cmd.cost_signature for cmd in commands)
-            except AttributeError:  # foreign command type without a signature
-                key = None
-        result = self._cost_cache.get(key) if key is not None else None
-        if result is None:
-            result = self._cost_uncached(commands)
-            if key is not None:
-                if len(self._cost_cache) >= COST_CACHE_MAX_ENTRIES:
-                    self._cost_cache.clear()
-                self._cost_cache[key] = result
+    def observe(self, result: TransferCost, commands: int) -> None:
+        """Report one costed batch of ``commands`` commands."""
         if self.metrics.enabled:
             m = self.metrics
             m.count("mic.batches")
@@ -191,13 +165,16 @@ class MemoryTimingModel:
         if self.trace.enabled:
             self.trace.instant(
                 MIC_TRACK, "MicBankAccess",
-                commands=len(commands), payload_bytes=result.payload_bytes,
+                commands=commands, payload_bytes=result.payload_bytes,
                 touched_bytes=result.touched_bytes,
                 bank_factor=result.bank_factor,
             )
-        return result
 
-    def _cost_uncached(self, commands: Sequence[AnyDMACommand]) -> TransferCost:
+    def price(self, commands: Sequence[AnyDMACommand]) -> TransferCost:
+        """The cost of ``commands`` as a pure function of their types,
+        element sizes and effective addresses modulo the bank
+        interleave (``bank_signature`` of each command): nothing is
+        reported and nothing is remembered."""
         payload = 0
         elements: list[DMAElement] = []
         overhead = 0.0

@@ -90,13 +90,6 @@ class MachineConfig:
     #: Sec. 6 projection: coalesce DMA into larger granularity than the
     #: 512-byte row lists of the measured implementation.
     large_dma_granularity: bool = False
-    #: host-simulator optimization (no simulated-machine effect): memoize
-    #: each chunk's assembled, validated DMA command program and replay it
-    #: through the same MFC path when the identical working set recurs
-    #: across angle blocks, octants and source iterations.  Replay
-    #: enqueues the very same commands, so DMA traffic, MIC costs and
-    #: queue back-pressure are indistinguishable from a cold build.
-    cache_dma_programs: bool = True
     #: run the SPE kernel through the functional SPU ISA interpreter
     #: (:mod:`repro.cell.isa`) instead of the fused numpy reference: every
     #: line block is computed by executing the recorded instruction
@@ -127,8 +120,9 @@ class MachineConfig:
     #: machine-wide event tracing (:mod:`repro.trace`): the solver builds
     #: a TraceBus and installs it chip-wide, and every instrumented unit
     #: (MFC, MIC, mailboxes, sync, schedulers, kernel) emits typed,
-    #: timestamped events -- including on the cached DMA-program replay
-    #: path, which stays observable-transparent.  Off by default; the
+    #: timestamped events -- including when a chunk's DMA programs are
+    #: replayed from a transfer plan (:mod:`repro.core.streaming`),
+    #: which stays observable-transparent.  Off by default; the
     #: disabled hooks are single-branch no-ops.
     trace: bool = False
     #: always-cheap machine metrics (:mod:`repro.metrics`): the solver

@@ -15,16 +15,35 @@ assembles the DMA command programs in the two styles the paper compares:
 * **DMA lists** -- one list command per host array, whose elements are
   the (up to four) 512-byte rows ("lists of 512-byte DMAs (both for
   puts and gets)", Sec. 6).
+
+The simulator applies the paper's own optimisation to itself: a chunk's
+validated command programs are assembled once and *lowered* to a
+:class:`TransferPlan` -- one row-index table per host array, plus what
+each MFC batch costs and adds to the traffic statistics -- kept in a
+process-global cache keyed by value (host layout, local-store layout,
+machine parameters and the chunk's line coordinates).  A warm
+``stage_in``/``stage_out`` replays the plan: one gather or scatter per
+host array, then the same statistics, metrics and trace events the
+command path produces, in the same order.  Plans are lowered from the
+validated commands (``rows_for_chunk`` -> ``_commands``) priced by the
+MIC model; the command path proper (-> ``issue`` -> MFC -> MIC) referees
+them in the tests and still runs whenever the MFC queue is not empty on
+entry.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..cell.dma import DMACommand, DMAKind, DMAListCommand
 from ..cell.local_store import LSBuffer
+from ..cell.mfc import batch_delta
+from ..cell.mic import TransferCost
 from ..cell.spe import SPE
 from ..errors import ConfigurationError
 from ..metrics.registry import spe_metric
@@ -37,9 +56,9 @@ from .porting import HostState, RowSpec
 GET_TAGS = (2, 3)
 PUT_TAG = 5
 
-#: Entry cap of the per-SPE DMA-program cache (cleared wholesale on
-#: overflow; a miss only costs a rebuild).
-PROGRAM_CACHE_MAX_ENTRIES: int = 1 << 17
+#: Entry cap of the process-global transfer-plan cache (cleared
+#: wholesale on overflow; a miss only costs a rebuild).
+PLAN_CACHE_MAX_ENTRIES: int = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -85,6 +104,107 @@ def staged_lines_for_diagonal(
     ]
 
 
+@dataclass(frozen=True, slots=True)
+class ProgramShape:
+    """What one direction of a lowered chunk shares with every chunk of
+    as many lines under the same layout: which host array pairs with
+    which run of local-store units, and what each MFC batch (the
+    commands in flight together when their tag group is waited on)
+    enqueues and adds to the traffic statistics.  A unit is one
+    transfer element: a row, or an I-face scalar."""
+
+    #: per host array: ``((array, unit bytes), slot in the plan's
+    #: tables, (LS buffer, unit bytes, first unit, past-the-last unit))``
+    moves: tuple[tuple[tuple[str, int], int, tuple[str, int, int, int]], ...]
+    #: per batch: what it adds to ``mfc.stats``
+    #: (:func:`repro.cell.mfc.batch_delta`), and per command the
+    #: ``DmaEnqueue`` record ``(bytes, LS buffer, byte offset in it)``
+    batches: tuple[tuple[tuple, tuple[tuple[int, str, int], ...]], ...]
+
+
+@dataclass(frozen=True, slots=True)
+class TransferPlan:
+    """A chunk's GET and PUT programs, lowered: where its rows live in
+    each host array and what each batch costs.  Buffer sets differ in
+    local-store base only, so one plan serves both."""
+
+    #: the distinct unit-index tables the moves refer to by slot (the
+    #: moment arrays all index the same ``(k, j)`` rows)
+    tables: tuple[np.ndarray, ...]
+    get: ProgramShape
+    get_costs: tuple[TransferCost, ...]
+    put: ProgramShape
+    put_costs: tuple[TransferCost, ...]
+
+
+class _PlanCache:
+    """The process-global plan cache.  Keys are values, never object
+    identities, so an entry outlives the solver that built it and is
+    inherited by forked pool workers.  Plain dicts: one solve thread
+    per process fills them, and a lost race costs one rebuild."""
+
+    def __init__(self) -> None:
+        #: (layout id, chunk line coordinates) -> plan
+        self.plans: dict[tuple, TransferPlan] = {}
+        #: layout value (see ``ChunkBuffers._bind``) -> small id, so the
+        #: per-chunk key does not rehash the whole layout
+        self.layouts: dict[tuple, int] = {}
+        #: shapes interned by value
+        self.shapes: dict[tuple, ProgramShape] = {}
+        #: batch costs interned by bank signature: batches whose rows
+        #: sit in the same banks cost the same wherever the arrays are
+        self.costs: dict[tuple, TransferCost] = {}
+        self.built = 0
+        # never reset: an id handed out before clear() must not come to
+        # mean another layout while a live ChunkBuffers still holds it
+        self._ids = itertools.count()
+
+    def layout_id(self, layout: tuple) -> int:
+        found = self.layouts.get(layout)
+        if found is None:
+            found = self.layouts[layout] = next(self._ids)
+        return found
+
+    def clear(self) -> None:
+        self.plans.clear()
+        self.layouts.clear()
+        self.shapes.clear()
+        self.costs.clear()
+
+
+_CACHE = _PlanCache()
+
+#: False inside :func:`_command_path`
+_planned = True
+
+
+@contextlib.contextmanager
+def _command_path():
+    """Stage every chunk through the MFC command path and build no
+    plans -- for the tests that referee plan replay against it."""
+    global _planned
+    _planned = False
+    try:
+        yield
+    finally:
+        _planned = True
+
+
+def plan_cache_info() -> dict[str, int]:
+    """Occupancy and lifetime builds of this process's plan cache."""
+    return {
+        "entries": len(_CACHE.plans),
+        "capacity": PLAN_CACHE_MAX_ENTRIES,
+        "costs": len(_CACHE.costs),
+        "built": _CACHE.built,
+    }
+
+
+def clear_plan_cache() -> None:
+    """Drop every transfer plan (tests; never needed for correctness)."""
+    _CACHE.clear()
+
+
 class ChunkBuffers:
     """Local-store working-set buffers for one SPE.
 
@@ -124,10 +244,15 @@ class ChunkBuffers:
         # the buffers live as long as this object, so their NumPy views
         # can be built once per set and reused for every chunk.
         self._views: list[dict[str, np.ndarray] | None] = [None] * self.sets
-        # assembled, validated DMA command programs keyed by the chunk's
-        # staged-line identities + direction + buffer set; see _program().
-        self._program_cache: dict[tuple, list] = {}
-        self._program_host: HostState | None = None
+        # what plan replay moves bytes between, as (units, unit bytes)
+        # views made on first use: the arrays of the host image the
+        # plans are bound to (see _bind) and runs of each buffer set
+        self._host: HostState | None = None
+        self._layout = -1
+        self._host_units: dict[tuple, np.ndarray] = {}
+        self._ls_units: list[dict[tuple, np.ndarray]] = [
+            {} for _ in range(self.sets)
+        ]
 
     @property
     def ls_bytes(self) -> int:
@@ -171,6 +296,21 @@ class ChunkBuffers:
             return line * 8
         return line * self.row_len * 8
 
+    def _grouped(
+        self, rows: list[tuple[str, int, int, RowSpec]]
+    ) -> list[tuple[str, int, list[tuple[int, RowSpec]]]]:
+        """``rows`` gathered per host array, arrays in order of first
+        appearance: ``(buffer, moment, [(line, host row), ...])`` with
+        the lines ascending, which is the order they fill the local
+        store in."""
+        grouped: dict[tuple[str, int, str], list[tuple[int, RowSpec]]] = {}
+        for buffer, n, line, spec in rows:
+            grouped.setdefault((buffer, n, spec.host.name), []).append((line, spec))
+        return [
+            (buffer, n, sorted(entries, key=lambda e: e[0]))
+            for (buffer, n, _), entries in grouped.items()
+        ]
+
     def _commands(
         self,
         kind: DMAKind,
@@ -198,33 +338,18 @@ class ChunkBuffers:
                 )
                 for buffer, n, line, spec in rows
             ]
-        grouped: dict[tuple[str, int, str], list[tuple[int, RowSpec]]] = {}
-        order: list[tuple[str, int, str]] = []
-        for buffer, n, line, spec in rows:
-            key = (buffer, n, spec.host.name)
-            if key not in grouped:
-                grouped[key] = []
-                order.append(key)
-            grouped[key].append((line, spec))
-        commands = []
-        for key in order:
-            buffer, n, _ = key
-            entries = grouped[key]
-            lines = [line for line, _ in entries]
-            # list elements fill LS contiguously from the first row's slot
-            base_line = min(lines)
-            specs = sorted(entries, key=lambda e: e[0])
-            commands.append(
-                DMAListCommand(
-                    kind,
-                    specs[0][1].host,
-                    [(spec.byte_offset, spec.nbytes) for _, spec in specs],
-                    bufs[buffer],
-                    ls_offset=self._row_offset(buffer, n, base_line),
-                    tag=tag,
-                )
+        return [
+            DMAListCommand(
+                kind,
+                entries[0][1].host,
+                [(spec.byte_offset, spec.nbytes) for _, spec in entries],
+                bufs[buffer],
+                # list elements fill LS contiguously from the first row's slot
+                ls_offset=self._row_offset(buffer, n, entries[0][0]),
+                tag=tag,
             )
-        return commands
+            for buffer, n, entries in self._grouped(rows)
+        ]
 
     def rows_for_chunk(
         self, host: HostState, lines: list[StagedLine], direction: DMAKind
@@ -257,59 +382,185 @@ class ChunkBuffers:
         s: int,
         tag: int,
     ) -> list:
-        """The chunk's transfer program, memoized when enabled.
-
-        Chunk working-set shapes recur across angle blocks, K-blocks,
-        octants and source iterations, so the assembled, validated
-        command program is cached keyed by the staged lines' identities
-        (every coordinate :meth:`rows_for_chunk` reads), the transfer
-        direction and the buffer set.  A cached program is the *same*
-        command objects re-enqueued through the same MFC path, so queue
-        back-pressure, tag drains and traffic counters are
-        indistinguishable from a cold build.
-        """
-        if not self.config.cache_dma_programs:
-            rows = self.rows_for_chunk(host, lines, direction)
-            return self._commands(direction, rows, s, tag)
-        if host is not self._program_host:
-            # programs embed host-array addresses: a new HostState (e.g.
-            # a fresh solve sharing this SPE) invalidates them all.
-            self._program_cache.clear()
-            self._program_host = host
-        key = (
-            direction is DMAKind.GET,
-            s,
-            tuple((ln.mm, ln.kk, ln.j_o, ln.j_g, ln.k_g) for ln in lines),
+        """The chunk's validated command program, built afresh."""
+        return self._commands(
+            direction, self.rows_for_chunk(host, lines, direction), s, tag
         )
-        program = self._program_cache.get(key)
-        if program is None:
-            rows = self.rows_for_chunk(host, lines, direction)
-            program = self._commands(direction, rows, s, tag)
-            if len(self._program_cache) >= PROGRAM_CACHE_MAX_ENTRIES:
-                self._program_cache.clear()
-            self._program_cache[key] = program
-        return program
 
     def issue(self, commands: list, tag: int) -> None:
         """Enqueue a command program, draining when the MFC queue fills
         (the back-pressure real SPU code experiences with individual
-        commands)."""
-        from ..errors import MFCError
-
+        commands).  Only this program's own tag group is waited on: a
+        queue full of other tags is the caller's protocol error, and
+        ``enqueue`` says so."""
         mfc = self.spe.mfc
         for cmd in commands:
-            try:
-                mfc.enqueue(cmd)
-            except MFCError:
+            if mfc.pending >= mfc.queue_depth and tag in mfc.pending_tags():
                 mfc.drain_tag(tag)
-                mfc.enqueue(cmd)
+            mfc.enqueue(cmd)
+
+    # -- transfer plans ------------------------------------------------------------
+
+    def _bind(self, host: HostState) -> None:
+        """Point plan replay at ``host`` and resolve the layout its
+        plans are cached under: everything a program's addresses, batch
+        boundaries and costs depend on besides the chunk's lines --
+        where each host array lives (shapes fix every row stride
+        ``rows_for_chunk`` uses), where this SPE's buffers live, and
+        the machine parameters."""
+        mfc = self.spe.mfc
+        self._layout = _CACHE.layout_id((
+            tuple(
+                (a.name, a.ea, a.data.shape)
+                for a in host.chip.address_space.arrays()
+            ),
+            tuple(
+                (name, b.offset, b.nbytes)
+                for bufs in self._bufs for name, b in bufs.items()
+            ),
+            self.L, self.row_len, self.deck.nm, self.config.dma_lists,
+            mfc.queue_depth, mfc.timing.overlap_commands, mfc.timing.bank_weight,
+        ))
+        self._host = host
+        self._host_units = {}
+
+    def _lower(self, host: HostState, lines: list[StagedLine],
+               direction: DMAKind, slots: dict[tuple, int],
+               ) -> tuple[ProgramShape, tuple[TransferCost, ...]]:
+        """Assemble one direction's command program and lower it;
+        ``slots`` numbers the plan's distinct unit-index tables.
+
+        The commands are built for buffer set 0 and then dropped: what
+        remains is where the bytes go and what each batch costs.  Every
+        set holds the same buffers at offsets that are multiples of the
+        16-byte DMA quantum (the coarsest alignment a transfer is held
+        to), so a program that is valid for one set is valid for all.  Entered with an empty queue, ``issue`` fills
+        it ``queue_depth`` commands at a time and waits on the tag in
+        between, so those are the batches.
+        """
+        mfc = self.spe.mfc
+        timing = mfc.timing
+        rows = self.rows_for_chunk(host, lines, direction)
+        tag = GET_TAGS[0] if direction is DMAKind.GET else PUT_TAG
+        commands = self._commands(direction, rows, 0, tag)
+        labels = {id(b): name for name, b in self._bufs[0].items()}
+        batches = [
+            commands[i:i + mfc.queue_depth]
+            for i in range(0, len(commands), mfc.queue_depth)
+        ]
+        enqueues = tuple(
+            tuple((c.total_bytes, labels[id(c.ls_buffer)], c.ls_offset)
+                  for c in batch)
+            for batch in batches
+        )
+        moves = []
+        for buffer, n, entries in self._grouped(rows):
+            unit = entries[0][1].nbytes
+            first = self._row_offset(buffer, n, entries[0][0]) // unit
+            units = tuple(spec.byte_offset // unit for _, spec in entries)
+            moves.append((
+                (entries[0][1].host.name, unit),
+                slots.setdefault(units, len(slots)),
+                (buffer, unit, first, first + len(units)),
+            ))
+        # (lists and single commands of one element enqueue alike but
+        # count differently)
+        key = (direction, self.config.dma_lists, tuple(moves), enqueues)
+        shape = _CACHE.shapes.get(key)
+        if shape is None:
+            shape = _CACHE.shapes[key] = ProgramShape(
+                key[2], tuple(zip(map(batch_delta, batches), enqueues))
+            )
+        costs = []
+        for batch in batches:
+            # uint16 holds an address modulo the interleave, an element
+            # size (<= 16 KB) and a list length (<= 2048)
+            key = (
+                timing.overlap_commands, timing.bank_weight,
+                array("H", itertools.chain.from_iterable(
+                    c.bank_signature for c in batch
+                )).tobytes(),
+            )
+            cost = _CACHE.costs.get(key)
+            if cost is None:
+                cost = _CACHE.costs[key] = timing.price(batch)
+            costs.append(cost)
+        return shape, tuple(costs)
+
+    def _plan(self, host: HostState, lines: list[StagedLine]) -> TransferPlan:
+        """The chunk's transfer plan, from the process-global cache."""
+        if host is not self._host:
+            self._bind(host)
+        key = (
+            self._layout,
+            tuple((ln.mm, ln.kk, ln.j_o, ln.j_g, ln.k_g) for ln in lines),
+        )
+        plan = _CACHE.plans.get(key)
+        if plan is None:
+            slots: dict[tuple, int] = {}
+            get = self._lower(host, lines, DMAKind.GET, slots)
+            put = self._lower(host, lines, DMAKind.PUT, slots)
+            plan = TransferPlan(
+                tuple(np.array(units, dtype=np.intp) for units in slots),
+                *get, *put,
+            )
+            if len(_CACHE.plans) >= PLAN_CACHE_MAX_ENTRIES:
+                _CACHE.clear()
+            _CACHE.plans[key] = plan
+            _CACHE.built += 1
+        return plan
+
+    def _transfer(self, host: HostState, lines: list[StagedLine],
+                  direction: DMAKind, s: int, tag: int) -> None:
+        """Issue and complete one chunk program under ``tag``."""
+        mfc = self.spe.mfc
+        if mfc.pending or not _planned:
+            # commands of another program are in flight (or a test asked
+            # for the referee): queue depth and drain order are no longer
+            # the plan's, so take the command path
+            self.issue(self._program(host, lines, direction, s, tag), tag)
+            mfc.drain_tag(tag)
+            return
+        plan = self._plan(host, lines)
+        get = direction is DMAKind.GET
+        shape, costs = (
+            (plan.get, plan.get_costs) if get else (plan.put, plan.put_costs)
+        )
+        tables = plan.tables
+        host_units, ls_units, bufs = self._host_units, self._ls_units[s], self._bufs[s]
+        for host_key, slot, ls_key in shape.moves:
+            mem = host_units.get(host_key)
+            if mem is None:
+                name, unit = host_key
+                mem = host_units[host_key] = (
+                    host.chip.address_space[name].bytes_view().reshape(-1, unit)
+                )
+            ls = ls_units.get(ls_key)
+            if ls is None:
+                buffer, unit, first, last = ls_key
+                ls = ls_units[ls_key] = (
+                    bufs[buffer].as_bytes().reshape(-1, unit)[first:last]
+                )
+            if get:
+                # ("clip": the units were range-checked when the commands
+                # were built, and the default mode buffers ``out``)
+                mem.take(tables[slot], 0, ls, "clip")
+            else:
+                mem[tables[slot]] = ls
+        observed = mfc.trace.enabled or mfc.metrics.enabled
+        for (delta, enqueues), cost in zip(shape.batches, costs):
+            if observed:
+                for depth, (nbytes, buffer, offset) in enumerate(enqueues, 1):
+                    mfc.observe_enqueue(
+                        tag, direction.value, nbytes, depth,
+                        ((bufs[buffer].offset + offset, nbytes),),
+                    )
+                mfc.timing.observe(cost, len(enqueues))
+            mfc.retire(delta, cost, [tag])
 
     def stage_in(self, host: HostState, lines: list[StagedLine], s: int = 0) -> None:
         """Issue and complete the GET program for a chunk."""
-        if len(lines) > self.L:
-            raise ConfigurationError(
-                f"chunk of {len(lines)} lines exceeds buffer capacity {self.L}"
-            )
+        self._check_capacity(lines)
         tag = GET_TAGS[s]
         if self.spe.metrics.enabled:
             self.spe.metrics.count("stream.chunks_staged")
@@ -323,10 +574,15 @@ class ChunkBuffers:
                 lines=len(lines), sets=self.sets,
                 ls_used=self.spe.local_store.used_bytes,
             )
-        self.issue(self._program(host, lines, DMAKind.GET, s, tag), tag)
-        self.spe.mfc.drain_tag(tag)
+        self._transfer(host, lines, DMAKind.GET, s, tag)
 
     def stage_out(self, host: HostState, lines: list[StagedLine], s: int = 0) -> None:
         """Issue and complete the PUT program for a chunk."""
-        self.issue(self._program(host, lines, DMAKind.PUT, s, PUT_TAG), PUT_TAG)
-        self.spe.mfc.drain_tag(PUT_TAG)
+        self._check_capacity(lines)
+        self._transfer(host, lines, DMAKind.PUT, s, PUT_TAG)
+
+    def _check_capacity(self, lines: list[StagedLine]) -> None:
+        if len(lines) > self.L:
+            raise ConfigurationError(
+                f"chunk of {len(lines)} lines exceeds buffer capacity {self.L}"
+            )

@@ -18,7 +18,7 @@ from ..cell.dma import DMAKind
 from ..cell.mic import MemoryTimingModel, TransferCost
 from ..core.levels import MachineConfig
 from ..core.porting import HostState
-from ..core.streaming import ChunkBuffers, StagedLine
+from ..core.streaming import GET_TAGS, PUT_TAG, ChunkBuffers, StagedLine
 from ..sweep.input import InputDeck
 from ..sweep.pipelining import diagonal_sizes, num_diagonals
 from ..sweep.quadrature import Quadrature
@@ -102,10 +102,12 @@ def chunk_costs(deck: InputDeck, config: MachineConfig) -> ChunkCosts:
             )
             for l in range(size)
         ]
-        rows_get = bufs.rows_for_chunk(host, lines, DMAKind.GET)
-        rows_put = bufs.rows_for_chunk(host, lines, DMAKind.PUT)
-        get[size] = timing.cost(bufs._commands(DMAKind.GET, rows_get, 0, 2))
-        put[size] = timing.cost(bufs._commands(DMAKind.PUT, rows_put, 0, 5))
+        get[size] = timing.price(
+            bufs._program(host, lines, DMAKind.GET, 0, GET_TAGS[0])
+        )
+        put[size] = timing.price(
+            bufs._program(host, lines, DMAKind.PUT, 0, PUT_TAG)
+        )
     return ChunkCosts(get=get, put=put)
 
 

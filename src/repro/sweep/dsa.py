@@ -26,8 +26,6 @@ is paid once per deck.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ..errors import ConfigurationError
 from .input import InputDeck
@@ -37,6 +35,11 @@ class DSAAccelerator:
     """A factorized diffusion operator for one deck."""
 
     def __init__(self, deck: InputDeck) -> None:
+        # imported here, not at module level: ``import repro`` reaches
+        # this module, and only a DSA solve should pay for SciPy
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
         if deck.has_reflection:
             raise ConfigurationError(
                 "DSA with reflective boundaries is not implemented; "

@@ -1,72 +1,66 @@
-"""The DMA program cache is invisible to the simulated machine.
+"""Transfer-plan replay is invisible to the simulated machine.
 
-Cached replay re-enqueues the *same* validated command objects through
-the same MFC path, so everything the simulated Cell can observe -- the
-per-SPE command stream, the enqueue/drain ordering, the MIC traffic and
-cycle counters, and of course the flux -- must be identical whether the
-cache is on or off.  These tests run the same solve both ways under an
-instrumented MFC and compare event-for-event.
+A warm ``stage_in``/``stage_out`` replays a cached
+:class:`~repro.core.streaming.TransferPlan` instead of enqueueing
+commands, so everything the simulated Cell can observe -- the MFC
+traffic and cycle counters, the trace stream, and of course the flux --
+must be identical to the command path the plan was lowered from.  These
+tests run the same solve both ways and compare; the full configuration
+matrix lives in ``test_transfer_plan.py``.
 """
 
 from __future__ import annotations
+
+import contextlib
+import json
 
 import numpy as np
 import pytest
 
 from repro.cell.dma import DMAKind
 from repro.cell.mfc import MFC
+from repro.core import streaming
 from repro.core.levels import MachineConfig, SyncProtocol
 from repro.core.solver import CellSweep3D
-from repro.core.streaming import ChunkBuffers, StagedLine
+from repro.core.streaming import StagedLine
+from repro.sweep.geometry import Grid
 from repro.sweep.input import small_deck
 from repro.sweep.moments import build_moment_source
 
 
-def config(cache: bool, trace: bool = False) -> MachineConfig:
+def config(trace: bool = False) -> MachineConfig:
     return MachineConfig(
         aligned_rows=True, double_buffer=True, simd=True, dma_lists=True,
         bank_offsets=True, sync=SyncProtocol.LS_POKE, num_spes=3,
-        cache_dma_programs=cache, trace=trace,
+        trace=trace,
     )
 
 
-def instrumented_solve(deck, cache: bool):
-    """Full solve with every MFC enqueue/drain recorded as an event."""
-    events: list[tuple] = []
+def counted_solve(deck, planned: bool):
+    """Full solve with every MFC enqueue/drain counted."""
+    calls = {"enqueue": 0, "drain": 0}
     real_enqueue = MFC.enqueue
     real_drain_tag = MFC.drain_tag
-    real_drain_all = MFC.drain_all
 
     def enqueue(self, command):
-        events.append(("enq", self.spe_id, command.tag, command.cost_signature))
+        calls["enqueue"] += 1
         return real_enqueue(self, command)
 
     def drain_tag(self, tag):
-        events.append(("drain", self.spe_id, tag))
+        calls["drain"] += 1
         return real_drain_tag(self, tag)
 
-    def drain_all(self):
-        events.append(("drain_all", self.spe_id))
-        return real_drain_all(self)
-
-    with pytest.MonkeyPatch.context() as mp:
+    path = contextlib.nullcontext() if planned else streaming._command_path()
+    with pytest.MonkeyPatch.context() as mp, path:
         mp.setattr(MFC, "enqueue", enqueue)
         mp.setattr(MFC, "drain_tag", drain_tag)
-        mp.setattr(MFC, "drain_all", drain_all)
-        solver = CellSweep3D(deck, config(cache))
+        solver = CellSweep3D(deck, config())
         result = solver.solve()
-    stats = [
-        (
-            spe.mfc.stats.commands,
-            spe.mfc.stats.list_elements,
-            spe.mfc.stats.bytes_get,
-            spe.mfc.stats.bytes_put,
-            spe.mfc.stats.cycles,
-            dict(spe.mfc.stats.element_sizes),
-        )
-        for spe in solver.chip.spes
-    ]
-    return result, events, stats
+    return result, calls, [spe.mfc.stats for spe in solver.chip.spes]
+
+
+def line(j: int, k: int = 0) -> StagedLine:
+    return StagedLine(mm=0, kk=k, j_o=j, j_g=j, k_g=k, angle=0, reverse_i=False)
 
 
 @pytest.fixture
@@ -76,12 +70,14 @@ def deck():
 
 class TestCacheTransparency:
     def test_cached_replay_is_machine_identical(self, deck):
-        res_off, ev_off, stats_off = instrumented_solve(deck, False)
-        res_on, ev_on, stats_on = instrumented_solve(deck, True)
+        res_off, calls_off, stats_off = counted_solve(deck, planned=False)
+        res_on, calls_on, stats_on = counted_solve(deck, planned=True)
 
-        # the command stream and enqueue/drain interleaving, event for event
-        assert ev_on == ev_off
-        # accumulated per-SPE traffic and cycle counters
+        # the command path issues every command; replay issues none
+        assert calls_off["enqueue"] == sum(s.commands for s in stats_off) > 0
+        assert calls_off["drain"] > 0
+        assert calls_on == {"enqueue": 0, "drain": 0}
+        # accumulated per-SPE traffic and cycle counters, every field
         assert stats_on == stats_off
         # and the physics
         np.testing.assert_array_equal(res_on.flux, res_off.flux)
@@ -89,74 +85,85 @@ class TestCacheTransparency:
 
     def test_simulated_timing_unaffected(self, deck):
         # the calibrated TimingReport depends only on deck + config levels,
-        # never on the cache flag
-        t_off = CellSweep3D(deck, config(False)).timing()
-        t_on = CellSweep3D(deck, config(True)).timing()
+        # never on how the host stages a chunk
+        with streaming._command_path():
+            t_off = CellSweep3D(deck, config()).timing()
+        t_on = CellSweep3D(deck, config()).timing()
         assert t_on.seconds == t_off.seconds
 
     def test_trace_streams_byte_identical(self, deck):
-        """Cached replay must be invisible to the trace bus too: the full
+        """Plan replay must be invisible to the trace bus too: the full
         exported event stream -- every timestamp, duration, LS region and
         queue depth, serialized -- is byte-identical either way."""
-        import json
-
         from repro.trace.export import to_chrome_trace
         from repro.trace.sanitizer import sanitize
 
-        def traced_stream(cache: bool) -> tuple[str, list]:
-            solver = CellSweep3D(deck, config(cache, trace=True))
+        def traced_stream() -> tuple[str, list]:
+            solver = CellSweep3D(deck, config(trace=True))
             solver.solve()
             blob = json.dumps(to_chrome_trace(solver.trace), sort_keys=True)
             return blob, sanitize(solver.trace)
 
-        blob_off, hazards_off = traced_stream(False)
-        blob_on, hazards_on = traced_stream(True)
+        with streaming._command_path():
+            blob_off, hazards_off = traced_stream()
+        blob_on, hazards_on = traced_stream()
         assert blob_on == blob_off
         assert hazards_on == hazards_off == []
 
 
 class TestProgramMemoization:
     def test_repeat_chunk_reuses_program_objects(self, deck):
-        solver = CellSweep3D(deck, config(True))
-        msrc = build_moment_source(deck, np.zeros((deck.nm, *deck.grid.shape)))
-        solver.host.load_moment_source(msrc)
+        solver = CellSweep3D(deck, config())
         bufs = solver.buffers[0]
-        lines = [
-            StagedLine(mm=0, kk=0, j_o=j, j_g=j, k_g=0, angle=0, reverse_i=False)
-            for j in range(2)
-        ]
-        first = bufs._program(solver.host, lines, DMAKind.GET, 0, 2)
-        again = bufs._program(solver.host, lines, DMAKind.GET, 0, 2)
-        assert again is first
-        # distinct working sets, directions and buffer sets miss
-        other_lines = [
-            StagedLine(mm=0, kk=1, j_o=j, j_g=j, k_g=1, angle=0, reverse_i=False)
-            for j in range(2)
-        ]
-        assert bufs._program(solver.host, other_lines, DMAKind.GET, 0, 2) is not first
-        assert bufs._program(solver.host, lines, DMAKind.PUT, 0, 5) is not first
-        assert bufs._program(solver.host, lines, DMAKind.GET, 1, 3) is not first
+        lines = [line(j) for j in range(2)]
+        first = bufs._plan(solver.host, lines)
+        assert bufs._plan(solver.host, lines) is first
+        # every SPE lays its local store out alike, and a second solver
+        # of the same deck lays main memory out alike: same plan
+        assert solver.buffers[1]._plan(solver.host, lines) is first
+        again = CellSweep3D(deck, config())
+        assert again.buffers[2]._plan(again.host, lines) is first
+        # a distinct working set misses
+        other = [line(j, k=1) for j in range(2)]
+        assert bufs._plan(solver.host, other) is not first
 
     def test_cache_disabled_rebuilds(self, deck):
-        solver = CellSweep3D(deck, config(False))
+        solver = CellSweep3D(deck, config())
         bufs = solver.buffers[0]
-        lines = [
-            StagedLine(mm=0, kk=0, j_o=0, j_g=0, k_g=0, angle=0, reverse_i=False)
-        ]
+        lines = [line(0)]
+        built = streaming.plan_cache_info()["built"]
+        streaming.clear_plan_cache()
+        with streaming._command_path():
+            bufs.stage_in(solver.host, lines)
+            bufs.stage_out(solver.host, lines)
+        assert streaming.plan_cache_info()["built"] == built
+        assert streaming.plan_cache_info()["entries"] == 0
         first = bufs._program(solver.host, lines, DMAKind.GET, 0, 2)
         again = bufs._program(solver.host, lines, DMAKind.GET, 0, 2)
         assert again is not first
-        assert not bufs._program_cache
 
     def test_new_host_state_invalidates(self, deck):
-        solver = CellSweep3D(deck, config(True))
+        """A plan holds row indices, not arrays: a fresh HostState of
+        the same layout reuses it and still gets *its own* bytes, and a
+        different layout never hits it."""
+        solver = CellSweep3D(deck, config())
         bufs = solver.buffers[0]
-        lines = [
-            StagedLine(mm=0, kk=0, j_o=0, j_g=0, k_g=0, angle=0, reverse_i=False)
-        ]
-        first = bufs._program(solver.host, lines, DMAKind.GET, 0, 2)
-        # a second solve on a fresh chip brings a fresh HostState whose
-        # arrays live at different effective addresses
-        fresh_host = CellSweep3D(deck, config(True)).host
-        rebuilt = bufs._program(fresh_host, lines, DMAKind.GET, 0, 2)
-        assert rebuilt is not first
+        lines = [line(0)]
+        msrc = build_moment_source(deck, np.ones((deck.nm, *deck.grid.shape)))
+        solver.host.load_moment_source(msrc)
+        bufs.stage_in(solver.host, lines)
+        first = bufs._plan(solver.host, lines)
+        np.testing.assert_array_equal(
+            bufs.views(0)["msrc"][0, 0, : deck.grid.nx], msrc[0, :, 0, 0]
+        )
+
+        fresh = CellSweep3D(deck, config())
+        fresh.host.load_moment_source(3.0 * msrc)
+        bufs.stage_in(fresh.host, lines)
+        assert bufs._plan(fresh.host, lines) is first
+        np.testing.assert_array_equal(
+            bufs.views(0)["msrc"][0, 0, : deck.grid.nx], 3.0 * msrc[0, :, 0, 0]
+        )
+
+        taller = CellSweep3D(deck.with_(grid=Grid(8, 10, 8)), config())
+        assert taller.buffers[0]._plan(taller.host, lines) is not first

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from repro.cell.dma import DMAKind, DMAListCommand
 from repro.core.levels import MachineConfig
 from repro.core.porting import HostState
 from repro.core.streaming import ChunkBuffers, StagedLine
-from repro.errors import LocalStoreError
+from repro.errors import ConfigurationError, DMAError, LocalStoreError, MFCError
+from repro.sweep.geometry import Grid
 from repro.sweep.input import small_deck
 
 
@@ -164,8 +167,6 @@ class TestChunkBuffers:
 
     def test_oversized_chunk_rejected(self, deck):
         chip, host, bufs = setup(deck, MachineConfig(aligned_rows=True))
-        from repro.errors import ConfigurationError
-
         with pytest.raises(ConfigurationError):
             bufs.stage_in(host, lines_for(deck, 5))
 
@@ -180,3 +181,93 @@ class TestChunkBuffers:
         # per line: nm msrc + 1 sigt + nm flux rows + 2 face rows + 1 scalar
         expected_get = 2 * ((2 * deck.nm + 3) * host.row_bytes + 8)
         assert stats.bytes_get == expected_get
+
+
+@pytest.fixture(params=[True, False], ids=["planned", "command-path"])
+def path(request):
+    """Stage through plan build + replay, or through the MFC command
+    path: both must reject a bad program with the same error type."""
+    from repro.core import streaming
+
+    streaming.clear_plan_cache()
+    with contextlib.nullcontext() if request.param else streaming._command_path():
+        yield
+
+
+class TestStagingErrors:
+    """The DMA rules hold on whichever path stages the chunk."""
+
+    LISTS = MachineConfig(aligned_rows=True, dma_lists=True)
+
+    def test_unaligned_row_rejected(self, deck, path):
+        chip, host, bufs = setup(deck, self.LISTS)
+        chip.address_space["flux0"].ea += 8
+        with pytest.raises(DMAError, match="not 16-byte aligned"):
+            bufs.stage_in(host, lines_for(deck, 2))
+
+    def test_oversize_element_rejected(self, path):
+        # a 2050-cell row is 16400 bytes: past the 16 KB transfer limit
+        deck = small_deck(n=2, sn=4, nm=1, iterations=1, mk=2).with_(
+            grid=Grid(2050, 2, 2)
+        )
+        chip, host, bufs = setup(deck, MachineConfig(chunk_lines=1))
+        with pytest.raises(DMAError, match="exceeds the 16384-byte maximum"):
+            bufs.stage_in(host, lines_for(deck, 1))
+
+    def test_overlong_list_rejected(self, path):
+        deck = small_deck(n=2, sn=4, nm=1, iterations=1, mk=2)
+        chip, host, bufs = setup(
+            deck, MachineConfig(dma_lists=True, chunk_lines=2049)
+        )
+        with pytest.raises(DMAError, match="2048-element maximum"):
+            bufs.stage_in(host, lines_for(deck, 1) * 2049)
+
+    def test_tag_out_of_range_rejected(self, deck, path, monkeypatch):
+        from repro.core import streaming
+
+        monkeypatch.setattr(streaming, "PUT_TAG", 32)
+        chip, host, bufs = setup(deck, self.LISTS)
+        with pytest.raises(DMAError, match="MFC tag must be in"):
+            bufs.stage_out(host, lines_for(deck, 2))
+
+    def test_local_store_overrun_rejected(self, deck, path, monkeypatch):
+        chip, host, bufs = setup(deck, self.LISTS)
+        monkeypatch.setattr(
+            ChunkBuffers, "_row_offset",
+            lambda self, kind, n, line: bufs._bufs[0][kind].nbytes,
+        )
+        with pytest.raises(DMAError, match="overruns"):
+            bufs.stage_in(host, lines_for(deck, 2))
+
+    def test_oversized_chunk_rejected_on_the_way_out(self, deck, path):
+        chip, host, bufs = setup(deck, self.LISTS)
+        with pytest.raises(ConfigurationError, match="exceeds buffer capacity"):
+            bufs.stage_out(host, lines_for(deck, 5))
+
+    def test_queue_full_of_other_tags_is_reported_as_such(self, deck):
+        """``issue`` waits on its own tag group only: with the queue
+        full of another group's commands there is nothing of its own to
+        wait on, and the caller must see the back-pressure error, not
+        'wait on empty tag group'."""
+        from repro.core.streaming import GET_TAGS
+
+        chip, host, bufs = setup(deck, MachineConfig(aligned_rows=True))
+        mfc = chip.spes[0].mfc
+        other = bufs._program(host, lines_for(deck, 2), DMAKind.GET, 0, GET_TAGS[1])
+        for cmd in other[: mfc.queue_depth]:
+            mfc.enqueue(cmd)
+        assert mfc.pending == mfc.queue_depth
+        mine = bufs._program(host, lines_for(deck, 1), DMAKind.GET, 0, GET_TAGS[0])
+        with pytest.raises(MFCError, match="queue full"):
+            bufs.issue(mine, GET_TAGS[0])
+        assert mfc.pending_tags() == {GET_TAGS[1]}
+
+    def test_issue_drains_its_own_tag_under_back_pressure(self, deck):
+        from repro.core.streaming import GET_TAGS
+
+        chip, host, bufs = setup(deck, MachineConfig(aligned_rows=True))
+        mfc = chip.spes[0].mfc
+        program = bufs._program(host, lines_for(deck, 3), DMAKind.GET, 0, GET_TAGS[0])
+        assert len(program) > mfc.queue_depth
+        bufs.issue(program, GET_TAGS[0])
+        assert mfc.pending == len(program) - mfc.queue_depth

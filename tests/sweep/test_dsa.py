@@ -89,3 +89,33 @@ class TestAcceleratedIteration:
     def test_budget_exhaustion_raises(self, thick_scatterer):
         with pytest.raises(ConvergenceError):
             accelerated_solve(thick_scatterer, epsilon=1e-12, max_iterations=3)
+
+
+def test_importing_the_package_does_not_import_scipy():
+    """Only a DSA solve needs SciPy: every CLI run, pool worker and
+    set-up probe imports ``repro`` and should not pay for it -- and the
+    accelerated solve still works from such an interpreter."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import repro
+
+    script = (
+        "import sys\n"
+        "import repro, repro.core.solver, repro.serve, repro.parallel.pool\n"
+        "assert 'scipy' not in sys.modules, 'import repro pulled in scipy'\n"
+        "from repro.sweep import accelerated_solve, small_deck\n"
+        "deck = small_deck(n=4, sn=4, nm=1, iterations=50, mk=2)\n"
+        "flux, iterations, _ = accelerated_solve(deck, epsilon=1e-6)\n"
+        "assert 'scipy' in sys.modules and iterations < 50\n"
+        "print(float(flux[0].sum()))\n"
+    )
+    src = pathlib.Path(repro.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) > 0.0

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.levels import MachineConfig, SchedulerKind, SyncProtocol
 from repro.core.solver import CellSweep3D
+from repro.core.streaming import _command_path
 from repro.sweep.input import small_deck
 from repro.trace.bus import EVENT_NAMES, NULL_BUS, PPE_TRACK, TraceBus
 from repro.trace.export import aggregate_stats, to_chrome_trace
@@ -91,14 +92,20 @@ class TestVariants:
             dict(scheduler=SchedulerKind.DISTRIBUTED),
             dict(double_buffer=False),
             dict(dma_lists=False),
-            dict(cache_dma_programs=False),
+            None,
         ],
-        ids=["mailbox", "distributed", "single-buffer", "no-lists", "no-cache"],
+        ids=["mailbox", "distributed", "single-buffer", "no-lists",
+             "command-path"],
     )
     def test_variant_traces_clean(self, overrides):
         deck = small_deck(n=6, sn=4, nm=1, iterations=1, mk=2)
-        solver = CellSweep3D(deck, config(**overrides))
-        solver.solve()
+        if overrides is None:  # the default config, staged command by command
+            with _command_path():
+                solver = CellSweep3D(deck, config())
+                solver.solve()
+        else:
+            solver = CellSweep3D(deck, config(**overrides))
+            solver.solve()
         assert len(solver.trace) > 0
         assert sanitize(solver.trace) == []
 
