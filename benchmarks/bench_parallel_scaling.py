@@ -7,8 +7,7 @@ the verified bit-identity of every parallel result, and the host CPU
 budget the numbers were measured under.
 
 A third record is the ISA matrix: ``compile_isa`` on/off x workers in
-{1, 2, 4} (diagonal-lane granularity, the fused batched path) x pool
-keep/fresh on a small 6^3 deck -- interpreted rows run the per-element
+{1, 2, 4} x pool keep/fresh on a small 6^3 deck -- interpreted rows run the per-element
 ISA interpreter, so a deck the 16^3 rows use would take minutes per
 cell.  ``keep`` cells solve twice through one
 :class:`~repro.parallel.pool.PersistentPool` and record the warm second
@@ -154,8 +153,7 @@ def _bench_isa_matrix(n: int, label: str, force: bool) -> dict:
                         pool_before = pool.metrics.to_dict()["counters"]
                         stats_before = STATS.snapshot()
                         solver = CellSweep3D(
-                            _deck(n), config, workers=workers,
-                            granularity="diagonal", pool=pool,
+                            _deck(n), config, workers=workers, pool=pool,
                         )
                         try:
                             if solver._engine is not None:

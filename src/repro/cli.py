@@ -16,8 +16,9 @@ writing code:
 ``projections``Figure 10: planned optimizations / what-ifs
 ``processors`` Figure 11: cross-processor comparison
 ``bounds``     Sec. 6: traffic and lower bounds
-``cluster``    multi-chip Cell cluster scaling (extension); with
-               ``--transport`` a real multi-process socket solve
+``cluster``    multi-chip Cell cluster scaling model (extension); with
+               ``--transport {local,socket,mpi}`` a functional P x Q
+               solve, ranks as threads (local) or processes (socket)
 ``cluster-rank`` one cluster rank worker process (see ``docs/CLUSTER.md``)
 =============  ===========================================================
 
@@ -630,11 +631,9 @@ def cmd_cluster(args) -> int:
         return _cluster_transport_solve(args)
     if args.trace:
         print("error: cluster --trace requires --transport (the model "
-              "table and --workers paths do not run traced ranks)",
+              "table runs no ranks to trace)",
               file=sys.stderr)
         return 2
-    if args.workers:
-        return _cluster_solve(args)
     deck = _build_deck(args)
     cfg = measured_cell_config()
     print(f"{'chips':>7s} {'time':>9s} {'speedup':>8s}")
@@ -644,31 +643,6 @@ def cmd_cluster(args) -> int:
         t = cluster_time(deck, cfg, p, q)
         s = cluster_speedup(deck, cfg, p, q)
         print(f"{p:3d}x{q:<3d} {t:8.3f}s {s:8.2f}x")
-    return 0
-
-
-def _cluster_solve(args) -> int:
-    """Functional P x Q cluster solve on the host-parallel engine."""
-    import time
-
-    from .core.cluster import CellClusterSweep3D
-
-    deck = _build_deck(args)
-    if deck.grid.num_cells > 30**3:
-        print("note: the functional cluster solve is slow above ~30^3; "
-              "consider --cube 16", file=sys.stderr)
-    start = time.perf_counter()
-    with CellClusterSweep3D(deck, P=args.p, Q=args.q,
-                            workers=args.workers) as cluster:
-        result = cluster.solve()
-    wall = time.perf_counter() - start
-    phi = result.scalar_flux
-    print(f"cluster {args.p}x{args.q} deck={deck.grid.shape} S{deck.sn} "
-          f"nm={deck.nm} iters={result.iterations}")
-    print(f"scalar flux: total={phi.sum():.6f} max={phi.max():.6f} "
-          f"min={phi.min():.6f}")
-    print(f"leakage={result.tally.leakage:.6f} fixups={result.tally.fixups}")
-    print(f"host wall: {wall:.3f}s (workers={args.workers})")
     return 0
 
 
@@ -893,13 +867,11 @@ def build_parser() -> argparse.ArgumentParser:
     _deck_args(p)
     p.add_argument("-p", type=int, default=2, help="chip grid columns")
     p.add_argument("-q", type=int, default=2, help="chip grid rows")
-    p.add_argument("--workers", type=int, default=0, metavar="N",
-                   help="run a functional P x Q cluster solve on N host "
-                        "worker processes (default: print the timing model)")
     p.add_argument("--transport", choices=("local", "socket", "mpi"),
                    default=None,
-                   help="run a real multi-process cluster solve over this "
-                        "rank-to-rank transport (see docs/CLUSTER.md)")
+                   help="run a functional P x Q cluster solve over this "
+                        "rank-to-rank transport (see docs/CLUSTER.md; "
+                        "default: print the timing model)")
     p.add_argument("--engine", dest="cluster_engine",
                    choices=("cell", "tile"), default="cell",
                    help="per-rank sweep engine for --transport solves")

@@ -4,8 +4,8 @@
 OS processes (socket transport) or threads (the in-process reference
 transport), and refolds their results **in serial rank order** so the
 assembled solution reproduces :meth:`repro.mpi.wavefront.KBASweep3D`
--- and therefore the queue-DAG :class:`repro.parallel.cluster.
-ClusterEngine` -- bit for bit:
+-- and therefore the in-process :class:`repro.core.cluster.
+CellClusterSweep3D` -- bit for bit:
 
 * per-iteration convergence history: ``max`` over ranks of the local
   flux diffs/scales (``max`` is exactly order-independent, matching the
@@ -338,24 +338,32 @@ class ClusterDriver:
         self._reap()
 
     def _reap(self, force: bool = False) -> None:
+        """Join the rank processes.  Ranks ignore SIGTERM (see
+        ``rank_main``), so the only signal used here is SIGKILL: after
+        the join timeout, or up front under ``force`` (the error paths,
+        where a surviving rank sits in a face ``recv`` on a dead peer
+        until ``recv_timeout``)."""
         for chan in self._channels.values():
             chan.close()
         self._channels.clear()
         if self._listener is not None:
             self._listener.close()
             self._listener = None
+        if force:
+            for proc in self._procs:
+                proc.kill()  # Process.kill and Popen.kill: both SIGKILL
         for proc in self._procs:
             join = getattr(proc, "join", None)
             if join is not None:  # multiprocessing.Process
                 proc.join(timeout=30.0)
                 if proc.is_alive():
-                    proc.terminate()
+                    proc.kill()
                     proc.join(timeout=10.0)
             else:  # subprocess.Popen
                 try:
                     proc.wait(timeout=30.0)
                 except subprocess.TimeoutExpired:
-                    proc.terminate()
+                    proc.kill()
                     proc.wait(timeout=10.0)
         self._procs.clear()
 

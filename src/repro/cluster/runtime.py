@@ -13,10 +13,10 @@ park the whole job at one consistent iteration boundary.
 
 ``repro cluster-rank --connect HOST:PORT --rank N`` enters
 :func:`rank_main`: connect, HELLO, then serve manifests until BYE.  The
-manifest reuses the :class:`~repro.parallel.pool.PersistentPool` payload
-protocol (``{"kind": "cluster", "deck", "P", "Q", "config"}``), and the
-process survives across manifests, so recompiled ISA programs stay warm
-in the process-global cache exactly like parked pool workers.
+manifest is a plain dict (``{"kind": "cluster", "deck", "P", "Q",
+"config", "engine"}``), and the process survives across manifests, so
+compiled ISA programs stay warm in the process-global cache exactly
+like parked :class:`~repro.parallel.pool.PersistentPool` workers.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class RankManifest:
         return self.P * self.Q
 
     def to_payload(self) -> dict[str, Any]:
-        """The PersistentPool-shaped bind payload."""
+        """The manifest as it travels in the MANIFEST control frame."""
         return {
             "kind": "cluster",
             "deck": self.deck,

@@ -32,7 +32,12 @@ from .solver import CellSweep3D
 
 
 class CellClusterSweep3D:
-    """Sweep3D on a P x Q grid of simulated Cell BE chips."""
+    """Sweep3D on a P x Q grid of simulated Cell BE chips, every rank a
+    thread of this process (the threaded KBA runtime).  This is the
+    in-process referee the multi-process
+    :class:`repro.cluster.driver.ClusterDriver` is SHA-compared
+    against; to spread the ranks over host processes use the driver
+    (``repro cluster --transport socket``)."""
 
     def __init__(
         self,
@@ -40,43 +45,28 @@ class CellClusterSweep3D:
         P: int,
         Q: int,
         config: MachineConfig | None = None,
-        workers: int = 1,
-        pool: "str | object" = "fresh",
     ) -> None:
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
         self.deck = deck
-        self.workers = int(workers)
         self.config = config or MachineConfig(
             aligned_rows=True, structured_loops=True, double_buffer=True,
             simd=True, dma_lists=True, bank_offsets=True,
         )
         if not self.config.uses_spes:
             raise ConfigurationError("cluster ranks need at least one SPE")
-        self._engine = None
-        #: workers == 1: the per-rank solvers the KBA factory built, so
-        #: their metrics registries survive the threaded solve
+        #: the per-rank solvers the KBA factory built, so their metrics
+        #: registries survive the threaded solve
         self._rank_sweepers: list[CellSweep3D] = []
-        if self.workers > 1:
-            from ..parallel.cluster import ClusterEngine
-            from ..parallel.pool import resolve_pool
 
-            self._engine = ClusterEngine(
-                deck, P, Q, self.config, self.workers,
-                pool=resolve_pool(pool),
-            )
-            self._kba = self._engine._kba
-        else:
-            def _factory(local: InputDeck) -> CellSweep3D:
-                sweeper = CellSweep3D(local, self.config)
-                self._rank_sweepers.append(sweeper)
-                return sweeper
+        def _factory(local: InputDeck) -> CellSweep3D:
+            sweeper = CellSweep3D(local, self.config)
+            self._rank_sweepers.append(sweeper)
+            return sweeper
 
-            self._kba = KBASweep3D(deck, P=P, Q=Q, sweeper_factory=_factory)
-            # face sends count cluster.* into each rank's registry, so
-            # the merged aggregate matches the pooled engine's
-            # parent-side wire counts bit for bit
-            self._kba.count_wire = bool(self.config.metrics)
+        self._kba = KBASweep3D(deck, P=P, Q=Q, sweeper_factory=_factory)
+        # face sends count cluster.* into each rank's registry, so the
+        # merged aggregate carries the wire counts
+        # core/projections.cluster_projection predicts
+        self._kba.count_wire = bool(self.config.metrics)
 
     @property
     def cart(self) -> Cart2D:
@@ -86,13 +76,7 @@ class CellClusterSweep3D:
         return self._kba.plan(rank)
 
     def solve(self) -> SolveResult:
-        """Run the cluster job; every rank simulates a whole Cell BE.
-
-        With ``workers > 1`` the ranks' (octant, angle-block) units run
-        on a host process pool (:class:`repro.parallel.ClusterEngine`);
-        the result is bit-identical to the threaded runtime."""
-        if self._engine is not None:
-            return self._engine.solve()
+        """Run the cluster job; every rank simulates a whole Cell BE."""
         return self._kba.solve()
 
     def aggregate_metrics(self):
@@ -102,14 +86,12 @@ class CellClusterSweep3D:
         1's SPE3 land in the same ``spe3.*`` counters -- so the
         attribution table reads as "the average chip" of the cluster.
         All aggregates are integer ticks/counts, so the merge is
-        order-free and the result is identical for any worker count.
+        order-free.
         """
         from ..metrics.registry import NULL_REGISTRY, MetricsRegistry
 
         if not self.config.metrics:
             return NULL_REGISTRY
-        if self._engine is not None:
-            return self._engine.metrics
         merged = MetricsRegistry()
         for sweeper in self._rank_sweepers:
             merged.merge(sweeper.metrics)
@@ -126,9 +108,7 @@ class CellClusterSweep3D:
         )
 
     def close(self) -> None:
-        """Release the host worker pool (no-op for ``workers == 1``)."""
-        if self._engine is not None:
-            self._engine.close()
+        """Nothing to release (kept so ``with`` works)."""
 
     def __enter__(self) -> "CellClusterSweep3D":
         return self

@@ -36,12 +36,6 @@ class CentralizedScheduler:
     """PPE-driven dispatch: one sync round trip per chunk, serialized on
     the PPE."""
 
-    #: honors :meth:`run_diagonal`'s ``prepare=`` hook (the solver's
-    #: diagonal-batched compiled-ISA path).  Schedulers without this
-    #: attribute get the per-chunk fallback -- bit-identical, slower --
-    #: and the solver warns once (``parallel.prepare_fallback``).
-    supports_prepare = True
-
     def __init__(self, chip: CellBE, sync: MailboxSync | LSPokeSync) -> None:
         self.chip = chip
         self.sync = sync
@@ -50,8 +44,7 @@ class CentralizedScheduler:
     def run_chunk(self, chunk: Chunk, execute: ExecuteFn) -> None:
         """One chunk through the full dispatch protocol: sync round trip,
         kernel execution, completion.  The per-chunk unit of
-        :meth:`run_diagonal`, also driven directly by the host-parallel
-        lanes of :mod:`repro.parallel`."""
+        :meth:`run_diagonal`."""
         trace = self.chip.trace
         spe = self.chip.spes[chunk.spe]
         if trace.enabled:
@@ -103,9 +96,6 @@ class DistributedScheduler:
     are independent), so the *assignment* differs from the cyclic
     scheduler but the executed set is identical.
     """
-
-    #: see :attr:`CentralizedScheduler.supports_prepare`
-    supports_prepare = True
 
     def __init__(self, chip: CellBE) -> None:
         self.chip = chip

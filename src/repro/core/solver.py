@@ -20,8 +20,6 @@ configuration.  :meth:`CellSweep3D.timing` is the bridge.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from ..cell.chip import CellBE
@@ -63,7 +61,6 @@ class CellSweep3D:
         config: MachineConfig | None = None,
         chip: CellBE | None = None,
         workers: int = 1,
-        granularity: str = "block",
         pool: "str | object" = "fresh",
     ) -> None:
         self.deck = deck
@@ -108,15 +105,13 @@ class CellSweep3D:
         self._pool = None
         if self.workers > 1:
             # the engine hooks chip.host_array_factory so the host
-            # arrays its granularity shares land in shared memory;
-            # that must happen before HostState allocates them.
+            # arrays it shares land in shared memory; that must happen
+            # before HostState allocates them.
             from ..parallel.engine import ParallelEngine
             from ..parallel.pool import resolve_pool
 
             self._pool = resolve_pool(pool)
-            ParallelEngine.prepare_chip(
-                self.chip, self.config, granularity, pool=self._pool
-            )
+            ParallelEngine.prepare_chip(self.chip, pool=self._pool)
         if self.config.trace:
             from ..trace.bus import TraceBus
 
@@ -167,8 +162,8 @@ class CellSweep3D:
         )
         self._buffer_set = 0
         #: coordinates of the block/diagonal currently executing:
-        #: ``(octant, a0, na, k0, d)``, published for the host-parallel
-        #: lane scheduler (repro.parallel) to rebuild the work remotely.
+        #: ``(octant, a0, na, k0, d)``, read when a chunk's
+        #: :class:`LineBlock` is assembled.
         self._diag_ctx: tuple[int, int, int, int, int] | None = None
         #: per-diagonal batched ISA results, keyed by chunk index:
         #: ``{index: (psi_c, phi_i_out, fixups, phi_j, phi_k)}``.  Filled
@@ -176,14 +171,11 @@ class CellSweep3D:
         #: ``isa_kernel`` and ``compile_isa`` are both on; consumed (and
         #: popped) by :meth:`_execute_chunk` after staging.
         self._diag_solution: dict | None = None
-        #: one-time latch for the prepare-fallback warning (a scheduler
-        #: that cannot honor the diagonal-batched ISA hook)
-        self._prepare_fallback_warned = False
         if self.workers > 1:
             from ..parallel.engine import ParallelEngine
 
             self._engine = ParallelEngine(
-                self, self.workers, granularity, pool=self._pool
+                self, self.workers, pool=self._pool
             )
 
     # -- lifecycle -------------------------------------------------------------
@@ -266,32 +258,12 @@ class CellSweep3D:
                 self._diag_ctx = (octant, angles[0], na, k0, d)
                 prepare = None
                 if self.config.isa_kernel and self.config.compile_isa:
-                    if getattr(self.scheduler, "supports_prepare", False):
-                        prepare = lambda chunks: self._prepare_diagonal(
-                            chunks, cxs, cys, czs
-                        )
-                    elif not self._prepare_fallback_warned:
-                        # never silently: a dropped hook means every
-                        # chunk pays the per-chunk compiled path instead
-                        # of one batched call per diagonal
-                        self._prepare_fallback_warned = True
-                        self.metrics.count("parallel.prepare_fallback")
-                        warnings.warn(
-                            f"{type(self.scheduler).__name__} does not "
-                            "support the diagonal-batched ISA prepare "
-                            "hook; falling back to per-chunk compiled "
-                            "execution (bit-identical, slower)",
-                            RuntimeWarning, stacklevel=2,
-                        )
-                if prepare is not None:
-                    self.scheduler.run_diagonal(
-                        lines, self.config.chunk_lines, execute,
-                        prepare=prepare,
+                    prepare = lambda chunks: self._prepare_diagonal(
+                        chunks, cxs, cys, czs
                     )
-                else:
-                    self.scheduler.run_diagonal(
-                        lines, self.config.chunk_lines, execute
-                    )
+                self.scheduler.run_diagonal(
+                    lines, self.config.chunk_lines, execute, prepare=prepare
+                )
                 self._diag_solution = None
                 self._diag_ctx = None
                 tally.fixups += fixups[0]
@@ -490,15 +462,9 @@ class CellSweep3D:
                     phi_i=phii.copy(), phi_j=phij, phi_k=phik,
                     cx=cx, cy=cy, cz=cz, fixup=deck.fixup,
                 )
-                if self.config.compile_isa:
-                    psi_c, phi_i_out, fixups = simd_execute_blocks(
-                        [block],
-                        backend=self._isa_backend,
-                        optimize=self.config.optimize_isa,
-                        metrics=self.metrics,
-                    )[0]
-                else:
-                    psi_c, phi_i_out, fixups = simd_execute_block(block)
+                # interpreted ISA (compile_isa off); the compiled path
+                # was batch-solved per diagonal by _prepare_diagonal
+                psi_c, phi_i_out, fixups = simd_execute_block(block)
             else:
                 psi_c, phi_i_out, fixups = dd_line_block_solve(
                     src, sigma, phii.copy(), phij, phik, cx, cy, cz,
@@ -568,8 +534,7 @@ class CellSweep3D:
     def _sweep_serial(
         self, moment_source: np.ndarray, boundary=None
     ) -> tuple[np.ndarray, SweepTally, object]:
-        """The serial sweep body (also the lane-parallel body when the
-        diagonal-granularity engine has hooked the scheduler)."""
+        """The serial sweep body."""
         if boundary is None:
             from ..sweep.pipelining import VacuumBoundary
 

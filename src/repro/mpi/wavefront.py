@@ -97,9 +97,8 @@ class RankBoundary:
         self.mk = mk
         self.leakage = 0.0
         #: optional per-rank registry: face sends count as ``cluster.*``
-        #: so the threaded runtime's merged registry matches the DAG
-        #: engine's parent-side wire counts (the queue is both wire
-        #: halves at once, hence sent == recv)
+        #: (the in-process mailbox is both wire halves at once, hence
+        #: sent == recv), matching ``core/projections.cluster_projection``
         self.metrics = metrics
 
     def _count_wire(self, data) -> None:
@@ -113,8 +112,7 @@ class RankBoundary:
 
     def _tally(self, contribution: float) -> None:
         # single funnel for domain-edge leakage, one call per
-        # (send, angle); repro.parallel subclasses record the exact
-        # per-contribution chain to refold reductions bit-identically
+        # (send, angle), mirroring VacuumBoundary._tally
         self.leakage += contribution
 
     # -- direction resolution -------------------------------------------------

@@ -1,18 +1,18 @@
 """Host-parallel execution of independent simulated work units.
 
 The functional Cell solver spends its host time in numpy kernels that
-model *independent* pieces of simulated hardware: the SPE lanes of one
-chip, the ``(octant, angle-block)`` slices of one sweep, the whole chips
-of the KBA cluster grid.  This package runs those units on a
-``multiprocessing`` pool with the bulk arrays in shared memory
-(:mod:`repro.parallel.shm`) and reduces their results in the serial
-order (:mod:`repro.parallel.workunits`), so a parallel solve is
-bit-identical to the serial engine for any worker count.
+model *independent* pieces of simulated hardware: the
+``(octant, angle-block)`` slices of one chip's sweep.  This package
+runs those units on a ``multiprocessing`` pool with the bulk arrays in
+shared memory (:mod:`repro.parallel.shm`) and reduces their results in
+the serial order (:mod:`repro.parallel.workunits`), so a parallel solve
+is bit-identical to the serial engine for any worker count.  It is the
+one host-parallel protocol of a single chip; a P x Q cluster is
+host-parallelised by :mod:`repro.cluster` (ranks as processes over a
+transport), not here.
 
-Entry points: ``CellSweep3D(..., workers=N)`` for a single chip
-(:class:`ParallelEngine`), ``CellClusterSweep3D(..., workers=N)`` for
-the cluster (:class:`ClusterEngine`), and ``repro solve/cluster
---workers N`` on the command line.
+Entry points: ``CellSweep3D(..., workers=N)`` (:class:`ParallelEngine`)
+and ``repro solve --workers N`` on the command line.
 
 Worker processes and shared-memory segments can outlive any one solver
 through :class:`PersistentPool` (``pool="keep"`` / ``--pool keep``):
@@ -21,23 +21,19 @@ parked workers keep their warm compiled-ISA program caches, and the
 deck shape (:mod:`repro.parallel.pool`).
 """
 
-from .engine import GRANULARITIES, ParallelEngine
+from .engine import ParallelEngine
 from .pool import PersistentPool, global_pool, resolve_pool
 from .shm import AttachedArrays, SegmentRegistry, SharedArrayPool
 from .workunits import (
     BlockUnit,
-    RecordingRankBoundary,
     RecordingVacuumBoundary,
-    UnitComm,
     UnitResult,
     enumerate_block_units,
     replay_flux,
 )
 
 __all__ = [
-    "GRANULARITIES",
     "ParallelEngine",
-    "ClusterEngine",
     "PersistentPool",
     "global_pool",
     "resolve_pool",
@@ -46,19 +42,8 @@ __all__ = [
     "AttachedArrays",
     "BlockUnit",
     "RecordingVacuumBoundary",
-    "RecordingRankBoundary",
-    "UnitComm",
     "UnitResult",
     "enumerate_block_units",
     "replay_flux",
 ]
 
-
-def __getattr__(name: str):
-    # ClusterEngine pulls in repro.mpi; import it lazily so plain
-    # single-chip parallel solves don't pay for it.
-    if name == "ClusterEngine":
-        from .cluster import ClusterEngine
-
-        return ClusterEngine
-    raise AttributeError(name)

@@ -1,38 +1,25 @@
 """The host-parallel execution engine for one simulated Cell chip.
 
-Two work-unit granularities, both bit-identical to serial execution:
-
-* ``block`` (default) -- the unit is one ``(octant, angle-block)``
-  slice of the sweep.  Workers build their own attached solver from the
-  rebind payload (deck, config, shared-memory manifest), read the
-  moment source from shared memory, execute the unit with the complete
-  staged machinery (scheduler, sync protocol, DMA staging, kernel)
-  against their private face/flux arrays, and capture the unit's
-  angular flux into a shared ``psi`` array.  The parent then *replays*
-  the flux accumulation and refolds leakage in the serial order (see
-  :mod:`.workunits`), so the reduction is deterministic by
-  construction.  Per-unit trace-event buffers merge back into the
-  parent's :class:`~repro.trace.bus.TraceBus` in unit order, cycle
-  cursor and all, so tracing and the DMA-hazard sanitizer keep working.
-* ``diagonal`` -- the unit is one SPE lane's chunks of each jkm
-  diagonal, which the paper's Sec. 3 observation makes embarrassingly
-  parallel ("all the I-lines for each jkm value can be processed in
-  parallel").  Every host array is shared; lanes write disjoint rows,
-  so no replay is needed; two barrier crossings per diagonal keep the
-  wavefront order.  With ``compile_isa`` on, every lane -- the parent
-  included -- batch-solves its share of the diagonal through the
-  compiled executor (:meth:`~repro.core.solver.CellSweep3D.
-  _prepare_diagonal`) before dispatch: the compiled programs are
-  elementwise along the batch axis, so any partition of a diagonal's
-  lines produces the same bits as the serial whole-diagonal batch.
+The work unit is one ``(octant, angle-block)`` slice of the sweep.
+Workers build their own attached solver from the rebind payload (deck,
+config, shared-memory manifest), read the moment source from shared
+memory, execute the unit with the complete staged machinery (scheduler,
+sync protocol, DMA staging, kernel -- the diagonal-batched compiled
+executor included, when ``compile_isa`` is on) against their private
+face/flux arrays, and capture the unit's angular flux into a shared
+``psi`` array.  The parent then *replays* the flux accumulation and
+refolds leakage in the serial order (see :mod:`.workunits`), so the
+reduction is deterministic by construction.  Per-unit trace-event
+buffers merge back into the parent's :class:`~repro.trace.bus.TraceBus`
+in unit order, cycle cursor and all, so tracing and the DMA-hazard
+sanitizer keep working.
 
 Worker processes come from a :class:`~repro.parallel.pool.
-PersistentPool` and outlive the engine when the pool is kept: the sync
-objects (queues, barriers, control block) belong to the pool's
-:class:`~repro.parallel.pool.WorkerSet`, and each engine *binds* the
-set to its solver on first use.  A rebound worker keeps its warm
-per-process compiled-program cache, which is what makes the second
-solve on a kept pool recompile nothing.
+PersistentPool` and outlive the engine when the pool is kept: the task
+and result queues belong to the pool's :class:`~repro.parallel.pool.
+WorkerSet`, and each engine *binds* the set to its solver on first use.
+A rebound worker keeps its warm per-process compiled-program cache,
+which is what makes the second solve on a kept pool recompile nothing.
 
 Work distribution is a shared task queue: the parent enqueues every
 unit, workers pull, and the parent itself drains the queue between
@@ -49,7 +36,7 @@ from dataclasses import replace
 import numpy as np
 
 from ..cell.isa_compile import STATS, stats_delta
-from ..errors import ConfigurationError, ParallelError
+from ..errors import ParallelError
 from ..obs.flight import flight as _flight
 from ..sweep.flux import SweepTally
 from ..sweep.pipelining import VacuumBoundary
@@ -62,31 +49,17 @@ from .workunits import (
     replay_flux,
 )
 
-GRANULARITIES = ("block", "diagonal")
-
-#: host arrays shared under each granularity (name prefixes; everything
+#: host arrays that live in shared memory (name prefixes; everything
 #: else stays process-private in each worker's attached solver)
-_BLOCK_SHARED_PREFIXES = ("msrc",)
-_DIAGONAL_SHARED_PREFIXES = (
-    "flux", "msrc", "sigt", "phij", "phik", "phii",  # phii also matches phii_out
-)
+_SHARED_PREFIXES = ("msrc",)
 
-#: seconds a blocked queue read waits before declaring the pool dead
+#: seconds the parent waits for a result from live workers before
+#: declaring the pool hung (a *dead* worker is noticed within a second)
 _RESULT_TIMEOUT = 600.0
 
-#: control-block slots of the diagonal-granularity protocol (the block
-#: lives on the worker set, so it survives rebinds)
-_CTRL_CMD, _CTRL_OCTANT, _CTRL_A0, _CTRL_NA, _CTRL_K0, _CTRL_D, _CTRL_EPOCH, _CTRL_ERR, _CTRL_METRICS = range(9)
-_CMD_RUN, _CMD_STOP, _CMD_BIND = 1, 2, 3
-
-
-def _shared_name_predicate(granularity: str):
-    prefixes = (
-        _BLOCK_SHARED_PREFIXES
-        if granularity == "block"
-        else _DIAGONAL_SHARED_PREFIXES
-    )
-    return lambda name: name.startswith(prefixes)
+#: seconds between worker-liveness checks while the parent is blocked
+#: on the result queue
+_HEALTH_POLL = 1.0
 
 
 class ParallelEngine:
@@ -94,101 +67,44 @@ class ParallelEngine:
     pool of forked worker processes."""
 
     @staticmethod
-    def prepare_chip(chip, config, granularity: str, pool=None) -> None:
+    def prepare_chip(chip, pool=None) -> None:
         """Install the shared-memory allocator on ``chip`` *before* the
         solver builds its :class:`~repro.core.porting.HostState`, so the
-        granularity's shared arrays land in shared memory (leased from
-        ``pool``'s segment registry when one is given).  Also the spot
-        where unsupported configurations are rejected, before anything
-        is allocated."""
-        if granularity not in GRANULARITIES:
-            raise ConfigurationError(
-                f"granularity must be one of {GRANULARITIES}, got {granularity!r}"
-            )
-        if granularity == "diagonal":
-            from ..core.levels import SchedulerKind
-
-            if config.trace:
-                raise ConfigurationError(
-                    "tracing needs granularity='block' (diagonal lanes "
-                    "run in processes whose buses cannot interleave "
-                    "mid-diagonal)"
-                )
-            if config.scheduler is SchedulerKind.DISTRIBUTED:
-                raise ConfigurationError(
-                    "granularity='diagonal' needs the centralized "
-                    "scheduler (the distributed claim protocol is "
-                    "inherently one sequential stream)"
-                )
+        shared arrays land in shared memory (leased from ``pool``'s
+        segment registry when one is given)."""
         registry = pool.segments if pool is not None else None
         shm = SharedArrayPool(registry=registry)
         chip.host_array_factory = shm.factory(
-            _shared_name_predicate(granularity)
+            lambda name: name.startswith(_SHARED_PREFIXES)
         )
         chip._parallel_pool = shm
 
-    def __init__(self, solver, workers: int, granularity: str, pool=None) -> None:
+    def __init__(self, solver, workers: int, pool=None) -> None:
         from .pool import PersistentPool
 
         self.solver = solver
         self.workers = int(workers)
-        self.granularity = granularity
         self.pool = pool if pool is not None else PersistentPool()
         self.shm: SharedArrayPool = solver.chip._parallel_pool
         self._ws = None
         self._closed = False
         self._dirty = False  # an aborted sweep poisons queues/segments
-        deck = solver.deck
-        g = deck.grid
-        if granularity == "block":
-            self.units: list[BlockUnit] = enumerate_block_units(deck, solver.quad)
-            num_angles = 8 * solver.quad.per_octant
-            self.psi = self.shm.alloc(
-                "parallel-psi", (num_angles, g.nz, g.ny, solver.host.row_len)
-            )
-        else:
-            from ..core.scheduler import CentralizedScheduler
-
-            if not isinstance(solver.scheduler, CentralizedScheduler):
-                raise ConfigurationError(
-                    "granularity='diagonal' needs the centralized "
-                    "scheduler (the distributed claim protocol is "
-                    "inherently one sequential stream)"
-                )
-            solver.scheduler = _LaneScheduler(self, solver.scheduler)
+        g = solver.deck.grid
+        self.units: list[BlockUnit] = enumerate_block_units(
+            solver.deck, solver.quad
+        )
+        num_angles = 8 * solver.quad.per_octant
+        self.psi = self.shm.alloc(
+            "parallel-psi", (num_angles, g.nz, g.ny, solver.host.row_len)
+        )
 
     # -- worker-set plumbing ---------------------------------------------------
-
-    @property
-    def _tasks(self):
-        return self._ws.tasks
-
-    @property
-    def _results(self):
-        return self._ws.results
-
-    @property
-    def _ctrl(self):
-        return self._ws.ctrl
-
-    @property
-    def _barrier(self):
-        return self._ws.barrier
-
-    @property
-    def _lane_fixups(self):
-        return self._ws.fixups
-
-    @property
-    def _metrics_queue(self):
-        return self._ws.metrics_queue if self.solver.config.metrics else None
 
     def _bind_payload(self) -> dict:
         from ..obs.context import current_context
 
         ctx = current_context()
         return {
-            "kind": "block" if self.granularity == "block" else "diagonal",
             "deck": self.solver.deck,
             "config": self.solver.config,
             "manifest": self.shm.manifest(),
@@ -205,13 +121,8 @@ class ParallelEngine:
             return
         if self._closed:
             raise ParallelError("engine already closed")
-        kind = "queue" if self.granularity == "block" else "diagonal"
-        ws = self.pool.acquire(kind, self.workers)
+        ws = self.pool.acquire(self.workers)
         try:
-            if kind == "diagonal":
-                ws.ctrl[_CTRL_ERR] = 0
-                ws.ctrl[_CTRL_METRICS] = 1 if self.solver.config.metrics else 0
-                ws.compile_counts[...] = 0
             ws.bind(self._bind_payload())
             self.pool.count_bind()
         except BaseException:
@@ -230,10 +141,6 @@ class ParallelEngine:
         if self._ws is not None:
             self.pool.release(self._ws, discard=self._dirty)
             self._ws = None
-        if self.granularity == "diagonal":
-            lane = self.solver.scheduler
-            if isinstance(lane, _LaneScheduler):
-                self.solver.scheduler = lane.inner
         self.shm.close(park=keep)
         if not self.pool.persistent:
             self.pool.shutdown()
@@ -242,26 +149,16 @@ class ParallelEngine:
 
     def sweep(self, moment_source: np.ndarray, boundary):
         """One parallel sweep, or ``None`` to make the solver fall back
-        to its serial path (block granularity with a caller-supplied
-        boundary: the unit decomposition owns the boundary protocol)."""
-        if self.granularity == "diagonal":
-            return self._sweep_diagonal(moment_source, boundary)
+        to its serial path (a caller-supplied boundary: the unit
+        decomposition owns the boundary protocol)."""
         if boundary is not None:
             return None
-        return self._sweep_blocks(moment_source)
-
-    # -- block granularity -----------------------------------------------------
-
-    def _execute_unit(self, index: int, payload) -> UnitResult:
-        return _execute_block_unit(self.solver, self.units[index], self.psi)
-
-    def _sweep_blocks(self, moment_source: np.ndarray):
         solver = self.solver
         self._ensure_started()
         solver.host.load_moment_source(moment_source)
         seq = self._ws.next_seq()
         for unit in self.units:
-            self._tasks.put(("unit", seq, unit.index, None))
+            self._ws.tasks.put(("unit", seq, unit.index))
         bus = solver.trace
         base_idx = len(bus.events) if bus.enabled else 0
         base_now = bus.now
@@ -273,7 +170,7 @@ class ParallelEngine:
             if fl.enabled:
                 fl.note(
                     "parallel-error", error=str(exc), units=len(self.units),
-                    workers=self.workers, granularity=self.granularity,
+                    workers=self.workers,
                 )
                 fl.attach_bus(bus)
                 fl.dump_to_file("parallel-error")
@@ -318,111 +215,6 @@ class ParallelEngine:
         tally.leakage = boundary.leakage
         return solver.host.flux_logical(), tally, boundary
 
-    def _on_unit_done(self, seq: int, index: int, results: dict) -> None:
-        """Completion hook (the cluster engine schedules dependents here)."""
-        self.solver._progress_tick()
-
-    # -- diagonal granularity --------------------------------------------------
-
-    def _sweep_diagonal(self, moment_source: np.ndarray, boundary):
-        solver = self.solver
-        self._ensure_started()
-        self._lane_fixups[:] = 0
-        before = STATS.snapshot()
-        flux, tally, bnd = solver._sweep_serial(moment_source, boundary)
-        # the parent lane's compile traffic, plus what the other lanes
-        # tallied into the worker set's shared counters
-        self.pool.count_compile(stats_delta(before))
-        self._drain_lane_compile()
-        # lanes 1..W-1 tallied their fixup counts in shared memory;
-        # integer addition commutes, so the total is exact
-        tally.fixups += int(self._lane_fixups.sum())
-        return flux, tally, bnd
-
-    def _drain_lane_compile(self) -> None:
-        """Fold the worker lanes' compile-stats tallies (written before
-        the end-of-diagonal barrier, so quiescent here) into the pool
-        registry."""
-        from .pool import COMPILE_KEYS
-
-        counts = self._ws.compile_counts
-        totals = counts[1:].sum(axis=0)
-        if totals.any():
-            self.pool.count_compile(
-                {key: int(v) for key, v in zip(COMPILE_KEYS, totals)}
-            )
-        counts[...] = 0
-
-
-class _LaneScheduler:
-    """``run_diagonal`` facade the diagonal granularity installs on the
-    solver: publish the diagonal's coordinates, release the lanes,
-    execute the parent lane's chunks, wait for the others."""
-
-    #: honors the solver's diagonal-batched ``prepare=`` hook (each
-    #: lane batch-solves its own share; see module docstring)
-    supports_prepare = True
-
-    def __init__(self, engine: ParallelEngine, inner) -> None:
-        self.engine = engine
-        self.inner = inner
-
-    @property
-    def chunks_dispatched(self) -> int:
-        return self.inner.chunks_dispatched
-
-    def run_diagonal(self, lines, chunk_lines, execute, prepare=None):
-        from ..core.worklist import assign_cyclic
-
-        engine = self.engine
-        solver = engine.solver
-        ctx = solver._diag_ctx
-        ctrl = engine._ctrl
-        ctrl[_CTRL_OCTANT:_CTRL_D + 1] = ctx
-        ctrl[_CTRL_EPOCH] += 1
-        ctrl[_CTRL_CMD] = _CMD_RUN
-        try:
-            engine._barrier.wait(timeout=_RESULT_TIMEOUT)  # release the lanes
-        except Exception:  # pragma: no cover - dead lanes
-            engine._dirty = True
-            raise ParallelError("diagonal lanes did not reach the release "
-                                "barrier") from None
-        chunks = assign_cyclic(lines, chunk_lines, len(solver.chip.spes))
-        own = [c for c in chunks if c.spe % engine.workers == 0]
-        if prepare is not None:
-            # batch-solve the parent lane's share of the diagonal in one
-            # compiled call; the other lanes do the same for theirs.
-            # Safe against their concurrent stage_out: a diagonal's
-            # lines never alias, and this reads only its own lines' rows.
-            prepare(own)
-        for chunk in own:
-            self.inner.run_chunk(chunk, execute)
-        try:
-            engine._barrier.wait(timeout=_RESULT_TIMEOUT)  # diagonal barrier
-        except Exception:  # pragma: no cover - dead lanes
-            engine._dirty = True
-            raise ParallelError("diagonal lanes did not reach the diagonal "
-                                "barrier") from None
-        if engine._metrics_queue is not None:
-            # the parent lane fed solver.metrics directly; fold in the
-            # other lanes' deltas (queue order is irrelevant: integer
-            # aggregates merge exactly in any order)
-            for _ in range(engine.workers - 1):
-                try:
-                    delta = engine._metrics_queue.get(timeout=_RESULT_TIMEOUT)
-                except queue.Empty:  # pragma: no cover - dead lane
-                    engine._dirty = True
-                    raise ParallelError(
-                        "missing a lane's metrics delta after the diagonal"
-                    ) from None
-                solver.metrics.merge(delta)
-        if ctrl[_CTRL_ERR]:
-            engine._dirty = True
-            raise ParallelError(
-                "a diagonal lane failed; see the worker's stderr"
-            )
-        return chunks
-
 
 # -- worker-side solver construction (runs in pool worker processes) ----------
 
@@ -438,7 +230,8 @@ def _attach_solver(deck, config, attached: AttachedArrays):
 
 
 class _BoundBlockState:
-    """A queue worker's execution context for ``block`` payloads."""
+    """A pool worker's execution context: its own solver attached to
+    the parent's shared arrays."""
 
     def __init__(self, payload: dict) -> None:
         self.attached = AttachedArrays(payload["manifest"])
@@ -448,38 +241,11 @@ class _BoundBlockState:
         self.units = enumerate_block_units(self.solver.deck, self.solver.quad)
         self.psi = self.attached.get("parallel-psi")
 
-    def execute(self, index: int, payload) -> UnitResult:
+    def execute(self, index: int) -> UnitResult:
         return _execute_block_unit(self.solver, self.units[index], self.psi)
 
     def close(self) -> None:
         self.attached.close()
-
-
-class _BoundDiagonalState:
-    """A diagonal lane's execution context: an attached solver whose
-    host arrays *are* the parent's."""
-
-    def __init__(self, payload: dict) -> None:
-        self.attached = AttachedArrays(payload["manifest"])
-        self.solver = _attach_solver(
-            payload["deck"], payload["config"], self.attached
-        )
-
-    def close(self) -> None:
-        self.attached.close()
-
-
-def _build_bound_state(payload: dict):
-    kind = payload["kind"]
-    if kind == "block":
-        return _BoundBlockState(payload)
-    if kind == "diagonal":
-        return _BoundDiagonalState(payload)
-    if kind == "cluster":
-        from .cluster import _BoundClusterState
-
-        return _BoundClusterState(payload)
-    raise ParallelError(f"unknown bind payload kind {kind!r}")
 
 
 # -- work-unit execution (parent or worker) -----------------------------------
@@ -541,38 +307,55 @@ def release_unit_metrics(solver, prev) -> dict | None:
 
 def drive_units(engine, seq: int, total: int) -> dict[int, UnitResult]:
     """The parent's participation loop: execute queued units inline when
-    the task queue has work, otherwise collect worker results."""
+    the task queue has work, otherwise collect worker results.
+
+    The blocking wait is sliced so a worker that died (OOM kill, stray
+    signal) fails the sweep within about a second; only live-but-silent
+    workers get the full :data:`_RESULT_TIMEOUT`."""
+    ws = engine._ws
+    solver = engine.solver
     results: dict[int, UnitResult] = {}
+    waited = 0.0
     while len(results) < total:
         task = None
         try:
-            task = engine._tasks.get_nowait()
+            task = ws.tasks.get_nowait()
         except queue.Empty:
             pass
         if task is not None:
             if task[0] != "unit":  # pragma: no cover - stale bind/stop
                 continue
-            _, tseq, index, payload = task
+            _, tseq, index = task
             if tseq != seq:  # pragma: no cover - stale after an abort
                 continue
-            results[index] = engine._execute_unit(index, payload)
-            engine._on_unit_done(seq, index, results)
+            results[index] = _execute_block_unit(
+                solver, engine.units[index], engine.psi
+            )
+            solver._progress_tick()
             continue
         try:
-            kind, rseq, index, payload = engine._results.get(
-                timeout=_RESULT_TIMEOUT
-            )
-        except queue.Empty:  # pragma: no cover - dead pool
-            raise ParallelError(
-                f"no worker result within {_RESULT_TIMEOUT:.0f}s "
-                f"({len(results)}/{total} units done)"
-            ) from None
+            kind, rseq, index, payload = ws.results.get(timeout=_HEALTH_POLL)
+        except queue.Empty:
+            dead = [p.name for p in ws.procs if not p.is_alive()]
+            if dead:
+                raise ParallelError(
+                    f"pool worker died mid-sweep: {', '.join(dead)} "
+                    f"({len(results)}/{total} units done)"
+                ) from None
+            waited += _HEALTH_POLL
+            if waited >= _RESULT_TIMEOUT:  # pragma: no cover - hung pool
+                raise ParallelError(
+                    f"no worker result within {_RESULT_TIMEOUT:.0f}s "
+                    f"({len(results)}/{total} units done)"
+                ) from None
+            continue
+        waited = 0.0
         if rseq != seq:  # pragma: no cover - stale after an abort
             continue
         if kind == "err":
             raise ParallelError(f"worker unit failed:\n{payload}")
         results[index] = payload
-        engine._on_unit_done(seq, index, results)
+        solver._progress_tick()
     return results
 
 
@@ -589,9 +372,9 @@ def _adopt_bind_context(payload: dict, lane: int) -> None:
 
 
 def _queue_pool_worker(ws, lane: int) -> None:
-    """Queue-protocol worker loop (block and cluster engines): take
-    bind payloads and unit indices from the shared task queue, execute
-    against the currently bound state, return scalars."""
+    """Pool worker loop: take bind payloads and unit indices from the
+    shared task queue, execute against the currently bound state,
+    return scalars."""
     state = None
     try:
         while True:
@@ -604,7 +387,7 @@ def _queue_pool_worker(ws, lane: int) -> None:
                     state = None
                 _adopt_bind_context(task[1], lane)
                 try:
-                    state = _build_bound_state(task[1])
+                    state = _BoundBlockState(task[1])
                 except BaseException:  # pragma: no cover - surfaced per unit
                     traceback.print_exc()
                 try:
@@ -612,116 +395,13 @@ def _queue_pool_worker(ws, lane: int) -> None:
                 except Exception:  # pragma: no cover - parent died
                     break
                 continue
-            _, seq, index, payload = task
+            _, seq, index = task
             try:
                 if state is None:
                     raise ParallelError("worker has no bound solver")
-                result = state.execute(index, payload)
-                ws.results.put(("ok", seq, index, result))
+                ws.results.put(("ok", seq, index, state.execute(index)))
             except BaseException:
                 ws.results.put(("err", seq, index, traceback.format_exc()))
-    finally:
-        if state is not None:
-            state.close()
-
-
-def _diagonal_pool_worker(ws, lane: int) -> None:
-    """Diagonal-lane worker loop: on each barrier release, rebuild the
-    published diagonal's chunks, batch-solve the cyclically-owned
-    subset through the compiled executor when the config asks for it,
-    and execute it against the shared host arrays."""
-    from ..core.streaming import staged_lines_for_diagonal
-    from ..core.worklist import assign_cyclic
-    from .pool import COMPILE_KEYS
-
-    state = None
-    try:
-        while True:
-            try:
-                ws.barrier.wait()  # parked here between commands
-            except Exception:  # pragma: no cover - parent died
-                break
-            cmd = int(ws.ctrl[_CTRL_CMD])
-            if cmd == _CMD_STOP:
-                break
-            if cmd == _CMD_BIND:
-                if state is not None:
-                    state.close()
-                    state = None
-                try:
-                    payload = ws.bind_queue.get(timeout=_RESULT_TIMEOUT)
-                    _adopt_bind_context(payload, lane)
-                    state = _build_bound_state(payload)
-                except BaseException:  # pragma: no cover - surfaced via ctrl
-                    traceback.print_exc()
-                try:
-                    ws.barrier.wait()
-                except Exception:  # pragma: no cover - parent died
-                    break
-                continue
-            # _CMD_RUN: one diagonal
-            solver = state.solver if state is not None else None
-            metrics_on = bool(ws.ctrl[_CTRL_METRICS])
-            prev_metrics = (
-                capture_unit_metrics(solver)
-                if metrics_on and solver is not None
-                else None
-            )
-            compile_before = STATS.snapshot()
-            try:
-                if solver is None:
-                    raise ParallelError("lane has no bound solver")
-                deck = solver.deck
-                quad = solver.quad
-                g = deck.grid
-                octant, a0, na, k0, d = (
-                    int(x) for x in ws.ctrl[_CTRL_OCTANT:_CTRL_D + 1]
-                )
-                base = octant * quad.per_octant
-                globals_ = [base + a for a in range(a0, a0 + na)]
-                cxs = np.abs(quad.mu[globals_]) / g.dx
-                cys = np.abs(quad.eta[globals_]) / g.dy
-                czs = np.abs(quad.xi[globals_]) / g.dz
-                lines = staged_lines_for_diagonal(deck, octant, globals_, k0, d)
-                chunks = assign_cyclic(
-                    lines, solver.config.chunk_lines, len(solver.chip.spes)
-                )
-                own = [c for c in chunks if c.spe % ws.workers == lane]
-                fixups = [0]
-
-                def execute(chunk):
-                    fixups[0] += solver._execute_chunk(chunk, cxs, cys, czs)
-
-                solver._diag_ctx = (octant, a0, na, k0, d)
-                if solver.config.isa_kernel and solver.config.compile_isa and own:
-                    # this lane's share of the diagonal through the
-                    # compiled batch executor -- the fused path.
-                    # Elementwise along the batch axis, so the partition
-                    # never changes bits.
-                    solver._prepare_diagonal(own, cxs, cys, czs)
-                for chunk in own:
-                    solver.scheduler.run_chunk(chunk, execute)
-                solver._diag_solution = None
-                solver._diag_ctx = None
-                ws.fixups[lane] += fixups[0]
-            except BaseException:  # pragma: no cover - surfaced via ctrl
-                traceback.print_exc()
-                ws.ctrl[_CTRL_ERR] = 1
-            delta = stats_delta(compile_before)
-            ws.compile_counts[lane] += [delta[key] for key in COMPILE_KEYS]
-            if metrics_on:
-                # always ship exactly one delta per lane per diagonal, so
-                # the parent's drain count is fixed even on a lane error
-                mdelta = (
-                    release_unit_metrics(solver, prev_metrics)
-                    if solver is not None
-                    else None
-                )
-                ws.metrics_queue.put(mdelta if mdelta is not None else {})
-            try:
-                ws.barrier.wait(timeout=_RESULT_TIMEOUT)
-            except Exception:  # pragma: no cover - parent died
-                break
     finally:
         if state is not None:
             state.close()

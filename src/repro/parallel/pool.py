@@ -7,18 +7,17 @@ compiled-ISA solve re-traces its kernels in every lane of every solve.
 This module keeps both hot:
 
 * :class:`WorkerSet` -- a set of forked worker processes plus the
-  synchronization objects they were born with (queues for the
-  block/cluster unit protocol, barrier + control block for the
-  diagonal lane protocol).  ``multiprocessing`` barriers can only be
+  synchronization objects they were born with (task/result queues and
+  the rebind barrier).  ``multiprocessing`` barriers can only be
   shared by inheritance, so the set owns them from fork time; solvers
   come and go via *rebind* messages carrying ``(deck, config, shared-
   memory manifest)``, from which each worker builds its own attached
-  solver (:func:`repro.parallel.engine._build_bound_state`).  A worker
+  solver (:class:`repro.parallel.engine._BoundBlockState`).  A worker
   process that survives a rebind keeps its warm per-process
   ``CompiledProgram`` cache -- that is the whole point.
-* :class:`PersistentPool` -- hands out worker sets keyed by
-  ``(protocol kind, worker count)`` and parks them on release instead
-  of stopping them; owns the :class:`~repro.parallel.shm.SegmentRegistry`
+* :class:`PersistentPool` -- hands out worker sets keyed by worker
+  count and parks them on release instead of stopping them; owns the
+  :class:`~repro.parallel.shm.SegmentRegistry`
   shared-memory parking lot; aggregates pool-side observability
   (worker reuse, segment reuse, ISA compile hits/misses) in its own
   :class:`~repro.metrics.registry.MetricsRegistry` -- *not* the
@@ -38,28 +37,20 @@ import contextlib
 import multiprocessing as mp
 import threading
 
-import numpy as np
-
 from ..errors import ConfigurationError, ParallelError
 from ..metrics.registry import MetricsRegistry
 from ..obs.log import get_logger, log_event
-from .shm import SegmentRegistry, SharedArrayPool
+from .shm import SegmentRegistry
 
 import logging
 
 #: structured lifecycle log (silent until obs.log.configure_logging)
 _log = get_logger("pool")
 
-#: worker-set protocol kinds: ``queue`` serves the block and cluster
-#: engines (shared task/result queues), ``diagonal`` the lane protocol
-#: (barrier + shared control block)
-WORKER_KINDS = ("queue", "diagonal")
-
 #: seconds the parent waits for workers to acknowledge a rebind
 _BIND_TIMEOUT = 120.0
 
-#: CompileStats fields folded into the pool registry, in shared-counter
-#: slot order (the diagonal lanes tally deltas into an int64 array)
+#: CompileStats fields folded into the pool registry
 COMPILE_KEYS = (
     "streams_compiled", "cache_hits", "batched_calls",
     "batched_blocks", "batched_lines",
@@ -70,45 +61,22 @@ COMPILE_KEYS = (
 class WorkerSet:
     """Forked worker processes plus their fork-inherited sync objects."""
 
-    def __init__(self, kind: str, workers: int) -> None:
-        if kind not in WORKER_KINDS:
-            raise ParallelError(f"unknown worker-set kind {kind!r}")
-        self.kind = kind
+    def __init__(self, workers: int) -> None:
         self.workers = int(workers)
         self.ctx = mp.get_context("fork")
         self.procs: list = []
         self._seq = 0
         self._stopped = False
+        self.tasks = self.ctx.Queue()
+        self.results = self.ctx.Queue()
+        self.bind_barrier = self.ctx.Barrier(self.workers)
         # lazy import: engine.py imports this module for PersistentPool
         from . import engine as _engine
 
-        if kind == "diagonal":
-            # the lane protocol's shared state is owned here, not by an
-            # engine, so it survives rebinds: a 16-slot control block, a
-            # per-lane fixup tally and a per-lane compile-stats tally
-            self.shm = SharedArrayPool()
-            self.ctrl = self.shm.alloc("pool-ctrl", (16,), dtype=np.int64)
-            self.fixups = self.shm.alloc(
-                "pool-fixups", (self.workers,), dtype=np.int64
-            )
-            self.compile_counts = self.shm.alloc(
-                "pool-compile", (self.workers, len(COMPILE_KEYS)),
-                dtype=np.int64,
-            )
-            self.barrier = self.ctx.Barrier(self.workers)
-            self.bind_queue = self.ctx.Queue()
-            self.metrics_queue = self.ctx.Queue()
-            target = _engine._diagonal_pool_worker
-        else:
-            self.shm = None
-            self.tasks = self.ctx.Queue()
-            self.results = self.ctx.Queue()
-            self.bind_barrier = self.ctx.Barrier(self.workers)
-            target = _engine._queue_pool_worker
         for lane in range(1, self.workers):
             p = self.ctx.Process(
-                target=target, args=(self, lane), daemon=True,
-                name=f"repro-pool-{kind}-lane{lane}",
+                target=_engine._queue_pool_worker, args=(self, lane),
+                daemon=True, name=f"repro-pool-queue-lane{lane}",
             )
             p.start()
             self.procs.append(p)
@@ -124,8 +92,8 @@ class WorkerSet:
     def bind(self, payload: dict) -> None:
         """Point every worker at a new solver.
 
-        ``payload`` carries ``(kind, deck, config, shared-memory
-        manifests)``; each worker builds its own attached solver from
+        ``payload`` carries ``(deck, config, shared-memory
+        manifest)``; each worker builds its own attached solver from
         it and acknowledges through the bind barrier, so when this
         returns no worker still touches the previous solver's state.
         """
@@ -133,19 +101,10 @@ class WorkerSet:
             raise ParallelError("worker set already stopped")
         if self.workers == 1:
             return
-        from . import engine as _engine
-
         try:
-            if self.kind == "diagonal":
-                for _ in range(self.workers - 1):
-                    self.bind_queue.put(payload)
-                self.ctrl[_engine._CTRL_CMD] = _engine._CMD_BIND
-                self.barrier.wait(timeout=_BIND_TIMEOUT)  # release lanes
-                self.barrier.wait(timeout=_BIND_TIMEOUT)  # lanes rebound
-            else:
-                for _ in range(self.workers - 1):
-                    self.tasks.put(("bind", payload))
-                self.bind_barrier.wait(timeout=_BIND_TIMEOUT)
+            for _ in range(self.workers - 1):
+                self.tasks.put(("bind", payload))
+            self.bind_barrier.wait(timeout=_BIND_TIMEOUT)
         except ParallelError:
             raise
         except Exception as exc:  # pragma: no cover - dead/hung worker
@@ -160,30 +119,18 @@ class WorkerSet:
         return not self._stopped and all(p.is_alive() for p in self.procs)
 
     def stop(self) -> None:
-        """Terminate the workers and release the set's own shared state."""
+        """Terminate the workers."""
         if self._stopped:
             return
         self._stopped = True
-        from . import engine as _engine
-
-        if self.procs:
-            if self.kind == "diagonal":
-                self.ctrl[_engine._CTRL_CMD] = _engine._CMD_STOP
-                try:
-                    self.barrier.wait(timeout=5.0)
-                except Exception:  # pragma: no cover - dead lanes
-                    pass
-            else:
-                for _ in self.procs:
-                    self.tasks.put(("stop",))
+        for _ in self.procs:
+            self.tasks.put(("stop",))
         for p in self.procs:
             p.join(timeout=5.0)
             if p.is_alive():  # pragma: no cover - hung worker
                 p.terminate()
                 p.join(timeout=5.0)
         self.procs = []
-        if self.shm is not None:
-            self.shm.close()
 
 
 class PersistentPool:
@@ -216,40 +163,40 @@ class PersistentPool:
                 f"parallel.shm.{event}", n
             )
         )
-        self._parked: dict[tuple[str, int], WorkerSet] = {}
+        self._parked: dict[int, WorkerSet] = {}
         self._closed = False
         self._active_leases = 0
         #: serializes park/unpark/shutdown across threads: the solve
         #: server leases one pool to several solver threads at once,
-        #: and two threads acquiring the same (kind, workers) key must
+        #: and two threads acquiring the same worker count must
         #: not both pop the same parked set or double-park on release.
         self._lock = threading.RLock()
         atexit.register(self.shutdown)
 
     # -- worker sets -----------------------------------------------------------
 
-    def acquire(self, kind: str, workers: int) -> WorkerSet:
-        """A worker set for ``(kind, workers)``: a parked healthy one
-        when available, a freshly forked one otherwise."""
+    def acquire(self, workers: int) -> WorkerSet:
+        """A worker set of ``workers`` lanes: a parked healthy one when
+        available, a freshly forked one otherwise."""
         with self._lock:
             if self._closed:
                 raise ParallelError("persistent pool already shut down")
-            ws = self._parked.pop((kind, int(workers)), None)
+            ws = self._parked.pop(int(workers), None)
             if ws is not None:
                 if ws.healthy():
                     self.metrics.count("parallel.pool.workers.reused")
                     log_event(
                         _log, logging.INFO, "worker set reused",
-                        kind=kind, workers=int(workers),
+                        workers=int(workers),
                     )
                     return ws
                 ws.stop()  # pragma: no cover - a parked set lost a process
             self.metrics.count("parallel.pool.workers.forked")
             log_event(
                 _log, logging.INFO, "worker set forked",
-                kind=kind, workers=int(workers),
+                workers=int(workers),
             )
-            return WorkerSet(kind, workers)
+            return WorkerSet(workers)
 
     def release(self, ws: WorkerSet, discard: bool = False) -> None:
         """Park ``ws`` for reuse (persistent pools, healthy sets) or
@@ -257,7 +204,7 @@ class PersistentPool:
         sweep may have left stale items in the set's queues, so its
         workers must not serve another solver."""
         with self._lock:
-            key = (ws.kind, ws.workers)
+            key = ws.workers
             if (
                 not discard
                 and self.persistent
@@ -269,14 +216,14 @@ class PersistentPool:
                 self.metrics.count("parallel.pool.workers.parked")
                 log_event(
                     _log, logging.INFO, "worker set parked",
-                    kind=ws.kind, workers=ws.workers,
+                    workers=ws.workers,
                 )
             else:
                 ws.stop()
                 self.metrics.count("parallel.pool.workers.stopped")
                 log_event(
                     _log, logging.INFO, "worker set stopped",
-                    kind=ws.kind, workers=ws.workers, discarded=bool(discard),
+                    workers=ws.workers, discarded=bool(discard),
                 )
 
     @contextlib.contextmanager

@@ -13,7 +13,7 @@ facts about the staged solver:
   exact multiply-add chain the serial solver performed, so the result
   is bit-identical -- not merely close -- for any worker count;
 * floating-point leakage is a ``+=`` chain whose order matters, so the
-  recording boundaries below capture every per-(send, angle)
+  recording boundary below captures every per-(send, angle)
   contribution in execution order and the parent refolds them through
   the same ``_tally`` funnel, again in the serial order.
 
@@ -22,11 +22,10 @@ Fixup counts are integers; their sum is order-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..mpi.wavefront import RankBoundary
 from ..sweep.input import InputDeck
 from ..sweep.pipelining import VacuumBoundary, angle_blocks
 from ..sweep.quadrature import Quadrature
@@ -57,13 +56,11 @@ class UnitResult:
     index: int
     fixups: int
     leak_records: list[float]
-    #: cluster units: (dest_rank, tag, face_array) messages to forward
-    outbox: list = field(default_factory=list)
     #: trace capture (block units under MachineConfig.trace)
     events: list | None = None
     start: float = 0.0
     span: float = 0.0
-    #: metrics capture (block/cluster units under MachineConfig.metrics):
+    #: metrics capture (block units under MachineConfig.metrics):
     #: the unit's registry delta as a ``MetricsRegistry.to_dict()``
     #: snapshot.  All-integer aggregates, so the parent's merge in
     #: serial unit order reproduces the serial registry bit for bit.
@@ -80,37 +77,6 @@ class RecordingVacuumBoundary(VacuumBoundary):
 
     def __init__(self, deck: InputDeck, quadrature: Quadrature) -> None:
         super().__init__(deck, quadrature)
-        self.records: list[float] = []
-
-    def _tally(self, contribution: float) -> None:
-        self.records.append(contribution)
-        super()._tally(contribution)
-
-
-class UnitComm:
-    """The communicator face a :class:`RankBoundary` needs, detached
-    from the live MPI runtime: receives come from an inbox the
-    scheduler filled before dispatch (every upstream unit has already
-    finished), sends accumulate in an outbox the parent routes."""
-
-    def __init__(self, rank: int, inbox: dict) -> None:
-        self.rank = rank
-        self._inbox = inbox
-        self.outbox: list[tuple[int, int, np.ndarray]] = []
-
-    def recv(self, src: int, tag: int) -> np.ndarray:
-        return self._inbox.pop((src, tag))
-
-    def send(self, data: np.ndarray, dest: int, tag: int) -> None:
-        self.outbox.append((dest, tag, data))
-
-
-class RecordingRankBoundary(RankBoundary):
-    """Rank boundary over a :class:`UnitComm`, recording domain-edge
-    leakage contributions in order for the deterministic refold."""
-
-    def __init__(self, deck, quad, comm, cart, mmi, mk) -> None:
-        super().__init__(deck, quad, comm, cart, mmi, mk)
         self.records: list[float] = []
 
     def _tally(self, contribution: float) -> None:

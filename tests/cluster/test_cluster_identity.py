@@ -1,11 +1,13 @@
-"""The cluster acceptance matrix: socket flux is bit-identical.
+"""The cluster acceptance matrix: driver flux is bit-identical.
 
-A multi-process socket solve must produce the byte-for-byte same flux
-(SHA-256 of the float64 array) as the single-host queue-DAG path
-(:class:`repro.core.cluster.CellClusterSweep3D`) at every P x Q grid
-and worker count -- payloads travel as raw float64 bytes, each rank
-computes serially, and the driver refolds in serial rank order, so
-there is no tolerance anywhere in the chain.
+A :class:`~repro.cluster.driver.ClusterDriver` solve -- rank processes
+over sockets, or rank threads over the local fabric -- must produce the
+byte-for-byte same flux (SHA-256 of the float64 array) as the
+in-process threaded referee
+(:class:`repro.core.cluster.CellClusterSweep3D`) at every P x Q grid --
+payloads travel as raw float64 bytes, each rank computes serially, and
+the driver refolds in serial rank order, so there is no tolerance
+anywhere in the chain.
 """
 
 from __future__ import annotations
@@ -13,14 +15,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster.driver import flux_sha256, run_cluster_solve
+from repro.cluster.driver import (
+    default_cluster_config,
+    flux_sha256,
+    run_cluster_solve,
+)
 from repro.core.cluster import CellClusterSweep3D
+from repro.core.projections import cluster_projection
 from repro.errors import ConfigurationError
 from repro.mpi.wavefront import KBASweep3D
 from repro.sweep.input import small_deck
 
 GRIDS = ((1, 2), (2, 2), (2, 4))
-WORKERS = (1, 2)
+TRANSPORTS = ("local", "socket")
 
 
 def make_deck():
@@ -28,26 +35,28 @@ def make_deck():
 
 
 @pytest.fixture(scope="module", params=GRIDS, ids=lambda g: f"{g[0]}x{g[1]}")
-def grid_digests(request):
-    """One socket solve per grid, reused across the worker matrix."""
+def grid_reference(request):
+    """One in-process referee solve per grid, reused across transports."""
     p, q = request.param
+    return (p, q), CellClusterSweep3D(make_deck(), P=p, Q=q).solve()
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_driver_matches_in_process_cluster(grid_reference, transport):
+    (p, q), ref = grid_reference
     report = run_cluster_solve(
-        make_deck(), p, q, transport="socket", engine="cell", spawn="fork"
+        make_deck(), p, q, transport=transport, engine="cell", spawn="fork"
     )
-    return (p, q), report
-
-
-@pytest.mark.parametrize("workers", WORKERS)
-def test_socket_matches_queue_dag(grid_digests, workers):
-    (p, q), report = grid_digests
-    with CellClusterSweep3D(make_deck(), P=p, Q=q, workers=workers) as dag:
-        ref = dag.solve()
     assert report.flux_digest == flux_sha256(ref.flux)
     np.testing.assert_array_equal(ref.flux, report.result.flux)
     assert ref.tally.leakage == report.result.tally.leakage
     assert ref.tally.fixups == report.result.tally.fixups
     assert ref.history == report.result.history
     assert ref.iterations == report.result.iterations
+    # and the wire carried exactly what the analytic model predicts
+    projection = cluster_projection(make_deck(), default_cluster_config(), p, q)
+    assert report.msgs_sent == projection.msgs_per_solve
+    assert report.bytes_sent == projection.bytes_per_solve
 
 
 def test_local_transport_matches_kba_tile():
@@ -72,9 +81,6 @@ def test_local_and_socket_agree():
 
 def test_message_counts_match_model():
     """Measured face messages equal the analytic projection exactly."""
-    from repro.cluster.driver import default_cluster_config
-    from repro.core.projections import cluster_projection
-
     deck = make_deck()
     report = run_cluster_solve(deck, 2, 2, transport="local", engine="tile")
     projection = cluster_projection(deck, default_cluster_config(), 2, 2)

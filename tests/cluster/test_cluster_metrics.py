@@ -91,9 +91,9 @@ def test_cluster_solve_feeds_registry():
     assert att.total_ticks > 0
 
 
-def test_queue_dag_cluster_counts_messages():
-    """The single-host DAG engine counts the same cluster.* registry
-    names, and identically for any worker count."""
+def test_threaded_cluster_counts_messages():
+    """The in-process threaded runtime counts the same cluster.*
+    registry names, and exactly what the analytic projection predicts."""
     from repro.core.cluster import CellClusterSweep3D
     from repro.core.projections import cluster_projection
     from repro.cluster.driver import default_cluster_config
@@ -101,18 +101,12 @@ def test_queue_dag_cluster_counts_messages():
 
     deck = small_deck(n=8, sn=4, nm=2, iterations=2)
     cfg = default_cluster_config().with_(metrics=True)
-    counts = {}
-    for workers in (1, 2, 3):  # 1 = threaded runtime, >1 = queue DAG
-        with CellClusterSweep3D(
-            deck, P=2, Q=2, config=cfg, workers=workers
-        ) as dag:
-            dag.solve()
-            counts[workers] = {
-                k: v
-                for k, v in dag.aggregate_metrics().to_dict()["counters"].items()
-                if k.startswith("cluster.")
-            }
-    assert counts[1] == counts[2] == counts[3]
+    with CellClusterSweep3D(deck, P=2, Q=2, config=cfg) as cluster:
+        cluster.solve()
+        counts = cluster.aggregate_metrics().to_dict()["counters"]
+        cluster.cycle_attribution().verify()
     projection = cluster_projection(deck, default_cluster_config(), 2, 2)
-    assert counts[2]["cluster.msgs_sent"] == projection.msgs_per_solve
-    assert counts[2]["cluster.bytes_sent"] == projection.bytes_per_solve
+    assert counts["cluster.msgs_sent"] == projection.msgs_per_solve
+    assert counts["cluster.msgs_recv"] == projection.msgs_per_solve
+    assert counts["cluster.bytes_sent"] == projection.bytes_per_solve
+    assert counts["cluster.bytes_recv"] == projection.bytes_per_solve

@@ -16,6 +16,7 @@ import pytest
 from repro.cell import dma, mfc, mic
 from repro.core import scheduler, solver, streaming
 from repro.core.levels import MachineConfig, SyncProtocol
+from repro.parallel import engine, pool, shm
 from repro.sweep.input import small_deck
 
 SEAMS = [
@@ -29,6 +30,13 @@ SEAMS = [
     (solver, ("dd_line_block_solve", "simd_execute_blocks")),
     (scheduler.CentralizedScheduler, ("run_diagonal", "run_chunk")),
     (scheduler.DistributedScheduler, ("run_diagonal",)),
+    (engine.ParallelEngine, ("sweep", "close")),
+    # the tracer patches the name as bound in the engine module
+    (engine, ("replay_flux",)),
+    (pool.PersistentPool, ("lease", "acquire", "release")),
+    (pool.WorkerSet, ("__init__", "bind")),
+    (shm.SharedArrayPool, ("alloc", "close")),
+    (shm.SegmentRegistry, ("lease", "park")),
 ]
 
 
@@ -39,6 +47,16 @@ SEAMS = [
 )
 def test_seam_resolves_in_its_owner(owner, attr):
     assert callable(owner.__dict__[attr])
+
+
+def test_engine_exposes_what_the_tracer_reads_after_sweep():
+    """``parallel.engine.lane_seconds`` and ``.units`` come from the
+    engine's ``workers`` and ``units`` attributes."""
+    deck = small_deck(n=6, sn=4, nm=2, iterations=1, mk=3)
+    with solver.CellSweep3D(deck, workers=2) as cell:
+        cell.solve()
+        assert cell._engine.workers == 2
+        assert len(cell._engine.units) == cell.units_per_sweep() > 0
 
 
 def test_traffic_statistics_are_current_at_close(monkeypatch):

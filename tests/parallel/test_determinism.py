@@ -2,8 +2,8 @@
 
 The whole value of :mod:`repro.parallel` rests on one promise: for any
 worker count, a parallel solve returns the *same bits* as the serial
-solve -- flux, leakage, fixups, history.  These tests pin that promise
-for both work-unit granularities and for the cluster engine.
+solve -- flux, leakage, fixups, history -- and the same merged metrics
+registry and trace bytes.  These tests pin that promise.
 """
 
 from __future__ import annotations
@@ -35,17 +35,6 @@ def serial_result():
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_block_granularity_bit_identical(serial_result, workers):
     with CellSweep3D(make_deck(), CFG, workers=workers) as solver:
-        result = solver.solve()
-    np.testing.assert_array_equal(serial_result.flux, result.flux)
-    assert serial_result.tally.leakage == result.tally.leakage
-    assert serial_result.tally.fixups == result.tally.fixups
-    assert serial_result.history == result.history
-
-
-def test_diagonal_granularity_bit_identical(serial_result):
-    with CellSweep3D(
-        make_deck(), CFG, workers=2, granularity="diagonal"
-    ) as solver:
         result = solver.solve()
     np.testing.assert_array_equal(serial_result.flux, result.flux)
     assert serial_result.tally.leakage == result.tally.leakage
@@ -101,19 +90,6 @@ def test_bad_worker_count_rejected():
         CellSweep3D(make_deck(), CFG, workers=0)
 
 
-def test_bad_granularity_rejected():
-    with pytest.raises(ConfigurationError):
-        CellSweep3D(make_deck(), CFG, workers=2, granularity="line")
-
-
-def test_diagonal_granularity_rejects_trace():
-    with pytest.raises(ConfigurationError):
-        CellSweep3D(
-            make_deck(), CFG.with_(trace=True), workers=2,
-            granularity="diagonal",
-        )
-
-
 # -- metrics determinism ------------------------------------------------------
 
 MCFG = CFG.with_(metrics=True)
@@ -136,16 +112,6 @@ def test_metrics_registry_identical_across_workers(serial_metrics, workers):
         assert solver.metrics.to_dict() == serial_metrics
 
 
-def test_metrics_registry_identical_diagonal(serial_metrics):
-    """Diagonal granularity ships per-lane registry deltas through its
-    own queue; the merged result must still match the serial registry."""
-    with CellSweep3D(
-        make_deck(), MCFG, workers=2, granularity="diagonal"
-    ) as solver:
-        solver.solve()
-        assert solver.metrics.to_dict() == serial_metrics
-
-
 @pytest.mark.parametrize("workers", [1, 2])
 def test_metrics_attribution_exact_across_workers(workers):
     """Cycle attribution buckets sum exactly -- in integer ticks -- to
@@ -161,9 +127,9 @@ def test_metrics_attribution_exact_across_workers(workers):
 # -- compiled-ISA determinism -------------------------------------------------
 #
 # The fused path of the persistent-pool engine: with ``isa_kernel`` +
-# ``compile_isa`` on, every lane (diagonal granularity) and every worker
-# (block granularity) routes its share of the work through the compiled
-# batch executor, pooled or fresh -- and the bits must never move.
+# ``compile_isa`` on, the parent and every worker route their units'
+# diagonals through the compiled batch executor, pooled or fresh -- and
+# the bits must never move.
 
 ICFG = CFG.with_(isa_kernel=True)
 IMCFG = ICFG.with_(metrics=True)
@@ -183,16 +149,10 @@ def isa_pool():
 
 
 @pytest.mark.parametrize("pooled", [False, True], ids=["fresh", "pooled"])
-@pytest.mark.parametrize("granularity", ["block", "diagonal"])
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_compiled_isa_bit_identical(
-    serial_isa, isa_pool, workers, granularity, pooled
-):
+@pytest.mark.parametrize("workers", [1, 2, 4], ids="{}-block".format)
+def test_compiled_isa_bit_identical(serial_isa, isa_pool, workers, pooled):
     pool = isa_pool if pooled else "fresh"
-    with CellSweep3D(
-        make_deck(), ICFG, workers=workers, granularity=granularity,
-        pool=pool,
-    ) as solver:
+    with CellSweep3D(make_deck(), ICFG, workers=workers, pool=pool) as solver:
         result = solver.solve()
     np.testing.assert_array_equal(serial_isa.flux, result.flux)
     assert serial_isa.tally.leakage == result.tally.leakage
@@ -201,20 +161,19 @@ def test_compiled_isa_bit_identical(
 
 
 def test_compiled_isa_diagonal_uses_batch_executor(isa_pool):
-    """Tentpole acceptance: parallel diagonal lanes go through the
-    compiled batch executor, not the per-chunk interpreter fallback."""
+    """Block units batch-solve every jkm diagonal through the compiled
+    executor, in the parent and in the workers alike -- never line by
+    line through the interpreter."""
     before = isa_pool.metrics.to_dict()["counters"]
-    with CellSweep3D(
-        make_deck(), ICFG, workers=2, granularity="diagonal", pool=isa_pool
-    ) as solver:
+    with CellSweep3D(make_deck(), ICFG, workers=2, pool=isa_pool) as solver:
         solver.solve()
     after = isa_pool.metrics.to_dict()["counters"]
     batched = after.get("parallel.isa.batched_lines", 0) - before.get(
         "parallel.isa.batched_lines", 0
     )
     assert batched > 0
-    # every staged line of the sweep was batch-solved (parent lane and
-    # worker lanes combined); nothing fell back to per-chunk execution
+    # every staged line of the sweep was batch-solved (parent and
+    # workers combined)
     deck = make_deck()
     quad = deck.quadrature()
     lines_per_sweep = 8 * quad.per_octant * deck.grid.ny * deck.grid.nz
@@ -228,16 +187,12 @@ def serial_isa_metrics():
     return solver.metrics.to_dict()
 
 
-@pytest.mark.parametrize("granularity", ["block", "diagonal"])
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_compiled_isa_metrics_identical(
-    serial_isa_metrics, isa_pool, workers, granularity
-):
+@pytest.mark.parametrize("workers", [1, 2, 4], ids="{}-block".format)
+def test_compiled_isa_metrics_identical(serial_isa_metrics, isa_pool, workers):
     """Pool-side compile counters stay out of the solver registry: the
     merged metrics match serial bit for bit, pooled, for any workers."""
     with CellSweep3D(
-        make_deck(), IMCFG, workers=workers, granularity=granularity,
-        pool=isa_pool,
+        make_deck(), IMCFG, workers=workers, pool=isa_pool
     ) as solver:
         solver.solve()
         assert solver.metrics.to_dict() == serial_isa_metrics
@@ -245,8 +200,7 @@ def test_compiled_isa_metrics_identical(
 
 def test_compiled_isa_trace_stream_identical(isa_pool):
     """Trace byte-stream (track, name, dur, args) is unchanged by
-    pooled compiled-ISA execution (block granularity; diagonal rejects
-    tracing by design)."""
+    pooled compiled-ISA execution."""
     tcfg = ICFG.with_(trace=True)
     serial = CellSweep3D(make_deck(), tcfg)
     serial.solve()
@@ -301,44 +255,3 @@ def test_compiled_isa_chrome_trace_byte_identical(isa_pool):
     ) as solver:
         solver.solve()
         assert _trace_bytes(solver.trace) == expected
-
-
-def test_prepare_fallback_warns_once():
-    """A scheduler that cannot honor the diagonal-batched prepare hook
-    triggers one warning and the ``parallel.prepare_fallback`` counter
-    -- never a silent drop."""
-
-    class LegacyScheduler:
-        # deliberately no ``supports_prepare`` and no ``prepare=`` kwarg
-        def __init__(self, inner):
-            self.inner = inner
-            self.chunks_dispatched = 0
-
-        def run_diagonal(self, lines, chunk_lines, execute):
-            return self.inner.run_diagonal(lines, chunk_lines, execute)
-
-    solver = CellSweep3D(make_deck(), IMCFG)
-    solver.scheduler = LegacyScheduler(solver.scheduler)
-    with pytest.warns(RuntimeWarning, match="prepare"):
-        result = solver.solve()
-    assert solver.metrics.get("parallel.prepare_fallback") == 1
-    # the per-chunk compiled fallback is still bit-identical
-    reference = CellSweep3D(make_deck(), ICFG).solve()
-    np.testing.assert_array_equal(reference.flux, result.flux)
-
-
-def test_cluster_metrics_identical_across_workers():
-    """The cluster aggregate (per-SPE-slot merge across ranks) matches
-    between the threaded KBA runtime and the process-pool engine."""
-    from repro.core.cluster import CellClusterSweep3D
-
-    snaps = []
-    for workers in (1, 2):
-        with CellClusterSweep3D(
-            make_deck(), P=2, Q=1, config=MCFG, workers=workers
-        ) as cluster:
-            cluster.solve()
-            snaps.append(cluster.aggregate_metrics().to_dict())
-            att = cluster.cycle_attribution()
-            att.verify()
-    assert snaps[0] == snaps[1]

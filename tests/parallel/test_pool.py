@@ -37,6 +37,10 @@ def deck_b():
     return small_deck(n=8, sn=4, nm=2, iterations=1, mk=2)
 
 
+def pool_children():
+    return [p for p in mp.active_children() if p.name.startswith("repro-pool-")]
+
+
 def test_pool_reuse_across_different_decks():
     """Two consecutive solves with different decks share one worker set;
     both stay bit-identical to their serial counterparts."""
@@ -60,18 +64,13 @@ def test_warm_pool_zero_recompiles_and_shm_reuse():
     performs zero recompiles (hit rate 100%) and re-creates no
     shared-memory segment for the unchanged deck shape."""
     with PersistentPool(persistent=True) as pool:
-        with CellSweep3D(
-            deck_a(), ICFG, workers=2, granularity="diagonal", pool=pool
-        ) as solver:
+        with CellSweep3D(deck_a(), ICFG, workers=2, pool=pool) as solver:
             solver.solve()
         cold = pool.metrics.to_dict()["counters"]
         assert cold.get("parallel.isa.batched_calls", 0) > 0, (
-            "diagonal lanes did not route through the compiled batch "
-            "executor"
+            "block units did not route through the compiled batch executor"
         )
-        with CellSweep3D(
-            deck_a(), ICFG, workers=2, granularity="diagonal", pool=pool
-        ) as solver:
+        with CellSweep3D(deck_a(), ICFG, workers=2, pool=pool) as solver:
             solver.solve()
         warm = pool.metrics.to_dict()["counters"]
         assert warm.get("parallel.isa.streams_compiled", 0) == cold.get(
@@ -109,10 +108,48 @@ def test_parallel_error_shuts_down_cleanly(monkeypatch):
         assert pool.metrics.get("parallel.pool.workers.stopped") == 1
         assert pool.segments.leased_count == 0
         assert pool.segments.parked_count == 0  # discarded, not parked
-        assert not [
-            p for p in mp.active_children()
-            if p.name.startswith("repro-pool-")
-        ]
+        assert not pool_children()
+
+
+def test_killed_worker_fails_fast_and_pool_recovers():
+    """SIGKILL a pool worker mid-sweep: the parent raises ParallelError
+    naming the dead lane within seconds (not after the 600-s result
+    timeout), discards the set and its segments, and the *same* pool
+    serves the next solve from a freshly forked set."""
+    import signal
+    import time
+    from pathlib import Path
+
+    deck = small_deck(n=12, sn=6, nm=2, iterations=1, mk=3)
+    serial = CellSweep3D(deck, CFG).solve()
+    shm_before = set(Path("/dev/shm").iterdir())
+    killed = []
+
+    def kill_worker():
+        # first completed unit: the set is bound and mid-sweep
+        if not killed:
+            killed.extend(p.pid for p in pool_children())
+            os.kill(killed[0], signal.SIGKILL)
+
+    with PersistentPool(persistent=True) as pool:
+        with CellSweep3D(deck, CFG, workers=2, pool=pool) as solver:
+            solver.progress = kill_worker
+            t0 = time.monotonic()
+            with pytest.raises(ParallelError, match="repro-pool-queue-lane1"):
+                solver.solve()
+            assert time.monotonic() - t0 < 5.0
+        assert len(killed) == 1
+        assert pool.parked_worker_sets == 0
+        assert pool.metrics.get("parallel.pool.workers.stopped") == 1
+        assert pool.segments.leased_count == 0
+        assert pool.segments.parked_count == 0  # discarded, not parked
+        assert not pool_children()
+        assert set(Path("/dev/shm").iterdir()) <= shm_before
+        # a failed solve never poisons the pool for the next one
+        with CellSweep3D(deck, CFG, workers=2, pool=pool) as solver:
+            again = solver.solve()
+        np.testing.assert_array_equal(serial.flux, again.flux)
+        assert pool.metrics.get("parallel.pool.workers.forked") == 2
 
 
 def test_no_leaked_segments_across_lifecycle():
@@ -127,9 +164,7 @@ def test_no_leaked_segments_across_lifecycle():
     pool.shutdown()
     assert pool.segments.parked_count == 0
     assert pool.metrics.get("parallel.shm.unlinked") == parked
-    assert not [
-        p for p in mp.active_children() if p.name.startswith("repro-pool-")
-    ]
+    assert not pool_children()
 
 
 def test_fresh_pool_tears_down_with_the_solver():
@@ -141,27 +176,7 @@ def test_fresh_pool_tears_down_with_the_solver():
     assert pool.parked_worker_sets == 0
     assert pool.segments.parked_count == 0
     assert pool.metrics.get("parallel.pool.workers.stopped") == 1
-    assert not [
-        p for p in mp.active_children() if p.name.startswith("repro-pool-")
-    ]
-
-
-def test_cluster_engine_uses_the_pool():
-    """The cluster engine draws from the same queue-worker protocol:
-    a second cluster solve rebinds the parked set instead of forking."""
-    from repro.core.cluster import CellClusterSweep3D
-
-    with PersistentPool(persistent=True) as pool:
-        results = []
-        for _ in range(2):
-            with CellClusterSweep3D(
-                deck_a(), P=2, Q=1, config=CFG, workers=2, pool=pool
-            ) as cluster:
-                results.append(cluster.solve())
-        np.testing.assert_array_equal(results[0].flux, results[1].flux)
-        assert pool.metrics.get("parallel.pool.workers.forked") == 1
-        assert pool.metrics.get("parallel.pool.workers.reused") == 1
-        assert pool.metrics.get("parallel.pool.binds") == 2
+    assert not pool_children()
 
 
 def test_resolve_pool_arguments():

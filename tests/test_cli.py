@@ -110,11 +110,11 @@ class TestSolve:
         assert main(["solve", "--cube", "6", "--isa"]) == 2
         assert "requires --engine cell" in capsys.readouterr().err
 
-    def test_cluster_workers_runs_functional_solve(self, capsys):
+    def test_cluster_local_transport_runs_functional_solve(self, capsys):
         out = run(capsys, "cluster", "--cube", "6", "--sn", "4", "--nm", "1",
                   "--iterations", "1", "-p", "2", "-q", "1",
-                  "--workers", "2")
-        assert "cluster 2x1" in out
+                  "--transport", "local")
+        assert "cluster 2x1 transport=local engine=cell" in out
         assert "scalar flux" in out
 
     def test_cluster_transport_runs_socket_solve(self, capsys):
