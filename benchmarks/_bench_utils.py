@@ -1,37 +1,20 @@
-"""Helpers shared by the figure-regeneration benchmarks.
-
-Output convention (see also ``docs/PERFORMANCE.md``): every benchmark
-that produces a machine-readable ``BENCH_*.json`` writes it to **two**
-places through :func:`write_bench_json` --
-
-* ``benchmarks/out/<name>`` -- the scratch artifact of the latest local
-  run (lives alongside the text artifacts; CI uploads it);
-* ``<repo root>/<name>`` -- the canonical location.  Committing this
-  copy *blesses* the numbers as the baseline that
-  ``repro bench --check`` (:mod:`repro.perf.baseline`) gates against.
-
-Regenerating a baseline is therefore: run the bench, inspect the root
-file's diff, commit it.
-"""
+"""Helpers shared by the figure-regeneration benchmarks and the
+host-time suite (``benchmarks/suite/run.py`` imports
+:func:`assert_obs_quiet` from here)."""
 
 from __future__ import annotations
 
-import json
 import logging
 import pathlib
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-OUT_DIR = pathlib.Path(__file__).resolve().parent / "out"
 
 
 def assert_obs_quiet() -> None:
     """Fail loudly if observability is live in this process.
 
     The benchmarks measure the *obs-off* fast path: tracing, structured
-    logging and the flight recorder must all be disabled, or the walls
-    written to the committed baselines would quietly include their
-    overhead and ``repro bench --check`` would gate against the wrong
-    numbers.
+    logging and the flight recorder must all be disabled, or the
+    recorded walls would quietly include their overhead and
+    ``benchmarks/suite/compare.py`` would compare the wrong numbers.
     """
     from repro.obs.flight import flight
 
@@ -52,14 +35,3 @@ def write_artifact(out_dir: pathlib.Path, name: str, text: str) -> None:
     path = out_dir / name
     path.write_text(text + "\n")
     print(f"\n{text}\n[written to {path}]")
-
-
-def write_bench_json(name: str, payload) -> pathlib.Path:
-    """Write a ``BENCH_*.json`` payload to both canonical locations;
-    returns the repo-root (baseline) path."""
-    text = json.dumps(payload, indent=2) + "\n"
-    OUT_DIR.mkdir(exist_ok=True)
-    (OUT_DIR / name).write_text(text)
-    root_path = REPO_ROOT / name
-    root_path.write_text(text)
-    return root_path

@@ -1,50 +1,26 @@
-"""Extension: multi-chip cluster scaling, model and measured fabric.
+"""Extension: multi-chip cluster scaling (the analytic model).
 
 Beyond the paper's single-chip measurements, its Sec. 4 design claim --
 "we maintain the wavefront parallelism already implemented in MPI" --
-implies multi-chip operation.  This bench characterizes that regime two
-ways and records both in ``BENCH_cluster.json``:
-
-* the Hoisie-style KBA makespan **model** of
-  :func:`repro.core.cluster.cluster_time` over a grid ladder (the
-  Fig. 11 shape: time vs processor count);
-* **measured** solves over the socket transport fabric
-  (:mod:`repro.cluster`): real rank processes on loopback, heavily
-  oversubscribed, at P x Q up to 8 x 8 = 64 ranks.  Wall clocks under
-  that oversubscription are information only; what the baseline gate
-  (``repro bench --check`` -> ``check_cluster``) holds exact is the
-  *message combinatorics* -- measured face-message and payload-byte
-  counts must equal :func:`repro.core.projections.cluster_projection`
-  with zero deviation -- plus sane per-octant sweep walls and an
-  overlap ratio inside [0, 1].
+implies multi-chip operation.  This bench characterizes that regime with
+the Hoisie-style KBA makespan model of
+:func:`repro.core.cluster.cluster_time` over a grid ladder (the Fig. 11
+shape: time vs processor count).  The functional P x Q runtime
+(:mod:`repro.cluster`) is held to the model's exact message and byte
+counts by ``tests/cluster/test_cluster_identity.py``.
 """
 
 from __future__ import annotations
 
-import time
-
-from repro.cluster.driver import run_cluster_solve
 from repro.core.cluster import cluster_speedup, cluster_time
-from repro.core.projections import cluster_projection
 from repro.perf.processors import measured_cell_config
 from repro.perf.report import format_series
-from repro.sweep.input import benchmark_deck, small_deck
+from repro.sweep.input import benchmark_deck
 
-from _bench_utils import write_artifact, write_bench_json
+from _bench_utils import write_artifact
 
 #: the model ladder (50-cubed, paper-sized)
 GRIDS = ((1, 1), (2, 1), (2, 2), (4, 2), (4, 4), (5, 5))
-
-#: the measured ladder (16-cubed over real rank processes on loopback);
-#: 8 x 8 = 64 ranks is the Fig. 11 regime the gate requires
-MEASURED_GRIDS = ((2, 2), (4, 4), (8, 8))
-
-MEASURED_DECK_LABEL = "16^3 x 2 iter"
-
-
-def _measured_deck():
-    return small_deck(n=16, sn=4, nm=2, iterations=2, fixup=False,
-                      mk=4, mmi=3)
 
 
 def sweep_grids():
@@ -53,91 +29,6 @@ def sweep_grids():
     return {
         (p, q): cluster_time(deck, cfg, p, q) for p, q in GRIDS
     }
-
-
-def _measure_grid(p: int, q: int) -> dict:
-    """One socket-fabric solve at P x Q, side by side with the model."""
-    deck = _measured_deck()
-    cfg = measured_cell_config()
-    projection = cluster_projection(deck, cfg, p, q)
-    t0 = time.perf_counter()
-    report = run_cluster_solve(
-        deck, p, q, transport="socket", engine="tile", spawn="fork"
-    )
-    wall = time.perf_counter() - t0
-    return {
-        "record": f"socket {p}x{q}",
-        "deck": MEASURED_DECK_LABEL,
-        "transport": "socket",
-        "engine": "tile",
-        "grid": [p, q],
-        "ranks": p * q,
-        "wall_seconds": round(wall, 4),
-        "model_seconds": round(projection.model_seconds, 6),
-        "msgs_measured": report.msgs_sent,
-        "msgs_model": projection.msgs_per_solve,
-        "bytes_measured": report.bytes_sent,
-        "bytes_model": projection.bytes_per_solve,
-        "octant_walls_s": [round(w, 6) for w in report.octant_walls],
-        "overlap_ratio": round(report.overlap_ratio, 4),
-        "flux_sha256": report.flux_digest,
-    }
-
-
-def run_benchmarks() -> dict:
-    deck = benchmark_deck(fixup=False)
-    cfg = measured_cell_config()
-    model = [
-        {
-            "record": f"model {p}x{q}",
-            "deck": "50^3 x 12 iter (model)",
-            "grid": [p, q],
-            "chips": p * q,
-            "model_seconds": round(cluster_time(deck, cfg, p, q), 6),
-            "speedup": round(cluster_speedup(deck, cfg, p, q), 4),
-        }
-        for p, q in GRIDS
-    ]
-    measured = [_measure_grid(p, q) for p, q in MEASURED_GRIDS]
-    return {
-        "bench": "cluster transport scaling",
-        "model_records": model,
-        "records": measured,
-    }
-
-
-def write_json(payload: dict):
-    return write_bench_json("BENCH_cluster.json", payload)
-
-
-def _report(payload: dict) -> None:
-    for rec in payload["model_records"]:
-        print(f"{rec['record']}: model {rec['model_seconds']:.3f}s "
-              f"speedup={rec['speedup']:.2f}x")
-    for rec in payload["records"]:
-        print(f"{rec['record']}: {rec['ranks']} ranks "
-              f"wall={rec['wall_seconds']:.2f}s "
-              f"msgs {rec['msgs_measured']}/{rec['msgs_model']} "
-              f"bytes {rec['bytes_measured']}/{rec['bytes_model']} "
-              f"overlap={rec['overlap_ratio']:.3f}")
-
-
-def _assert_payload(payload: dict) -> None:
-    from repro.perf.baseline import check_cluster
-
-    digests = set()
-    for rec in payload["records"]:
-        # the message combinatorics are exact: zero deviation allowed
-        assert rec["msgs_measured"] == rec["msgs_model"], rec["record"]
-        assert rec["bytes_measured"] == rec["bytes_model"], rec["record"]
-        assert len(rec["octant_walls_s"]) == 8
-        assert all(w > 0 for w in rec["octant_walls_s"]), rec["record"]
-        assert 0.0 <= rec["overlap_ratio"] <= 1.0, rec["record"]
-        digests.add(rec["flux_sha256"])
-    # every decomposition of the same deck converges to the same field
-    assert len(digests) == 1, f"flux diverged across grids: {digests}"
-    findings = check_cluster(payload)
-    assert all(f.ok for f in findings), [str(f) for f in findings]
 
 
 def test_cluster_scaling(benchmark, out_dir):
@@ -157,19 +48,3 @@ def test_cluster_scaling(benchmark, out_dir):
     assert s4 < s16 < 16.0
     # parallel efficiency decays with scale (the KBA fill term)
     assert s16 / 16 < s4 / 4
-
-
-def test_cluster_fabric(out_dir):
-    payload = run_benchmarks()
-    path = write_json(payload)
-    _report(payload)
-    print(f"[written to {path}]")
-    _assert_payload(payload)
-
-
-if __name__ == "__main__":
-    payload = run_benchmarks()
-    out = write_json(payload)
-    _report(payload)
-    print(f"[written to {out}]")
-    _assert_payload(payload)

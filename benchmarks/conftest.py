@@ -3,7 +3,9 @@
 Every bench regenerates one of the paper's evaluation artifacts (table
 or figure) through the library's public API, times the regeneration with
 pytest-benchmark, asserts the paper's qualitative claims, and writes the
-paper-vs-measured table to ``benchmarks/out/``.
+paper-vs-measured table to ``benchmarks/out/`` (ignored scratch; the
+tables of record are in ``EXPERIMENTS.md``).  All of it is *simulated*
+time; host time is ``benchmarks/suite/``.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ writing code:
 ``serve``      the async solve server (see ``docs/SERVING.md``)
 ``trace``      traced Cell solve: Perfetto export + DMA-hazard sanitizer
 ``metrics``    metrics-instrumented Cell solve: per-SPE cycle attribution
-``bench``      benchmark baselines: inspect, or regression-gate (--check)
 ``ladder``     Figure 5: the optimization ladder
 ``kernel``     Sec. 5.1: SPE kernel pipeline statistics
 ``grind``      Figure 9: grind time vs cube size
@@ -449,27 +448,6 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    """Benchmark baseline inspection and the regression gate."""
-    from .perf import baseline
-
-    tolerance = (baseline.DEFAULT_TOLERANCE if args.tolerance is None
-                 else args.tolerance)
-    if args.check:
-        return baseline.run_check(tolerance=tolerance)
-    baselines = baseline.load_baselines()
-    if not baselines:
-        print("no committed BENCH_*.json baselines at the repository root")
-        print("regenerate them with the scripts in benchmarks/ "
-              "(see docs/PERFORMANCE.md)")
-        return 0
-    for name in sorted(baselines):
-        records = sum(1 for _ in baseline._walk_records(baselines[name]))
-        print(f"{name}: {records} records")
-    print("run `repro bench --check` to gate the current tree against them")
-    return 0
-
-
 def cmd_ladder(args) -> int:
     from .core.optimizations import ladder_times
     from .perf.report import Row, format_table
@@ -824,19 +802,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default 1 MiB)")
     _obs_args(p)
     p.set_defaults(fn=cmd_serve)
-
-    p = sub.add_parser(
-        "bench",
-        help="benchmark baselines: inspect, or gate with --check",
-    )
-    p.add_argument("--check", action="store_true",
-                   help="re-measure the functional smoke deck and verify "
-                        "the committed BENCH_*.json baselines; nonzero "
-                        "exit on regression (the CI gate)")
-    p.add_argument("--tolerance", type=float, default=None, metavar="X",
-                   help="allowed measured/baseline wall-clock ratio "
-                        "(default 2.0)")
-    p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser(
         "trace",

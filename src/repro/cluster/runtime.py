@@ -134,7 +134,7 @@ class TransportBoundary(RankBoundary):
     needs: the coalescing flush at the end of every
     (octant, angle-block, K-block) step (``send_i`` buffers, ``send_j``
     closes the step), and per-octant wall stamps at ``finish_octant``
-    for the per-direction sweep timings the projection benches record.
+    for the per-direction sweep timings ``ClusterReport`` carries.
     """
 
     def __init__(self, deck, quad, endpoint: Endpoint, cart, mmi, mk) -> None:

@@ -77,9 +77,9 @@ class ClusterProjection:
     :func:`repro.core.cluster.cluster_time`.  The message combinatorics
     are *exact* -- counted from the same decomposition the runtime
     executes -- so a measured cluster solve must match them with zero
-    deviation; that equality is what ``perf/baseline.py:check_cluster``
-    gates (wall clocks oversubscribed onto one host are recorded as
-    information, not gated).
+    deviation; ``tests/cluster/test_cluster_identity.py`` holds that
+    equality (wall clocks oversubscribed onto one host are information,
+    not a gate).
     """
 
     P: int

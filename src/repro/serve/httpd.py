@@ -109,7 +109,10 @@ async def read_request(
             413, f"request body {length} bytes exceeds the "
                  f"{max_body_bytes}-byte limit"
         )
-    body = await reader.readexactly(length) if length else b""
+    try:
+        body = await reader.readexactly(length) if length else b""
+    except asyncio.IncompleteReadError:
+        raise HttpError(400, "truncated request body")
     return Request(
         method=method.upper(), path=path, query=_parse_query(raw_query),
         headers=headers, body=body,

@@ -20,8 +20,8 @@ utilization summary, and aggregate statistics; the sanitizer
 
 Tracing is off by default.  Every hook is gated on ``bus.enabled``, and
 the disabled path is a shared :data:`NULL_BUS` singleton whose only
-cost is one attribute read -- the <5 % host-overhead budget of the
-functional wall-clock bench.
+cost is one attribute read (budget: <5 % of the host wall of a
+functional solve).
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ from repro.core.cluster import CellClusterSweep3D
 from repro.core.projections import cluster_projection
 from repro.errors import ConfigurationError
 from repro.mpi.wavefront import KBASweep3D
+from repro.sweep import SerialSweep3D
 from repro.sweep.input import small_deck
 
 GRIDS = ((1, 2), (2, 2), (2, 4))
@@ -79,13 +80,27 @@ def test_local_and_socket_agree():
     assert local.flux_digest == sock.flux_digest
 
 
-def test_message_counts_match_model():
-    """Measured face messages equal the analytic projection exactly."""
-    deck = make_deck()
-    report = run_cluster_solve(deck, 2, 2, transport="local", engine="tile")
-    projection = cluster_projection(deck, default_cluster_config(), 2, 2)
+@pytest.fixture(scope="module")
+def fabric_deck():
+    """16-cubed, mk=4, mmi=3: splits unevenly (16/3) over a 3 x 3 grid."""
+    deck = small_deck(n=16, sn=4, nm=2, iterations=2, fixup=False,
+                      mk=4, mmi=3)
+    return deck, flux_sha256(SerialSweep3D(deck).solve().flux)
+
+
+@pytest.mark.parametrize("grid", ((2, 2), (3, 3), (4, 4)),
+                         ids=lambda g: f"{g[0]}x{g[1]}")
+def test_message_counts_match_model(fabric_deck, grid):
+    """Measured face messages and bytes equal the analytic projection
+    exactly -- including grids with interior (four-neighbour) ranks --
+    and every decomposition lands on the one serial flux."""
+    deck, serial_sha = fabric_deck
+    p, q = grid
+    report = run_cluster_solve(deck, p, q, transport="local", engine="tile")
+    projection = cluster_projection(deck, default_cluster_config(), p, q)
     assert report.msgs_sent == projection.msgs_per_solve
     assert report.bytes_sent == projection.bytes_per_solve
+    assert report.flux_digest == serial_sha
 
 
 def test_mpi_transport_needs_mpirun():

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
+import json
+import logging
+import socket
 
 import numpy as np
 import pytest
@@ -141,7 +144,7 @@ class TestHttpSurface:
 
         run_server(scenario)
 
-    def test_error_statuses(self):
+    def test_error_statuses(self, caplog):
         def scenario(client, app):
             # unknown job -> 404
             with pytest.raises(ServeClientError) as exc:
@@ -166,9 +169,27 @@ class TestHttpSurface:
             with pytest.raises(ServeClientError) as exc:
                 client._json("GET", "/nope")
             assert exc.value.status == 404
+            # body shorter than its Content-Length, then half-close -> 400
+            with socket.create_connection(
+                ("127.0.0.1", app.port), timeout=30
+            ) as sock:
+                sock.sendall(b"POST /jobs HTTP/1.1\r\n"
+                             b"Content-Length: 100\r\n\r\n"
+                             b'{"cube":')
+                sock.shutdown(socket.SHUT_WR)
+                raw = b"".join(iter(lambda: sock.recv(4096), b""))
+            head, _, body = raw.partition(b"\r\n\r\n")
+            assert head.split()[1] == b"400"
+            assert json.loads(body) == {
+                "error": "truncated request body", "status": 400,
+            }
+            # ... and the server is still serving
+            assert client.healthz()["status"] == "ok"
             assert client.metric("repro_serve_jobs_rejected_invalid") >= 2.0
 
         run_server(scenario)
+        # no connection handler died on the way (asyncio logs that at ERROR)
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
 
     def test_payload_too_large_is_413_before_buffering(self):
         def scenario(client, app):

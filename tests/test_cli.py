@@ -199,21 +199,6 @@ class TestMetricsCommand:
         assert docs[0]["cycle_attribution"] == docs[1]["cycle_attribution"]
 
 
-class TestBenchCommand:
-    def test_lists_committed_baselines(self, capsys):
-        out = run(capsys, "bench")
-        assert "BENCH_" in out
-        assert "--check" in out
-
-    def test_check_gates_against_baselines(self, capsys):
-        # the committed baselines must pass on the tree they bless
-        # (generous x4 tolerance: CI runners are slower than the
-        # machine that blessed them)
-        assert main(["bench", "--check", "--tolerance", "4.0"]) == 0
-        out = capsys.readouterr().out
-        assert "baseline check(s) passed" in out
-
-
 class TestFigures:
     def test_ladder(self, capsys):
         out = run(capsys, "ladder")
@@ -306,6 +291,13 @@ class TestParser:
     def test_sn_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["solve", "--sn", "5"])
+
+    def test_bench_subcommand_is_gone(self):
+        # host time is measured by benchmarks/suite, gated by compare.py
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        assert "bench" not in build_parser().format_help()
 
 
 class TestVersion:
