@@ -570,6 +570,11 @@ def cmd_roofline(args) -> int:
     from .perf.roofline import analyze
 
     deck = _build_deck(args)
+    if args.host:
+        from .perf.host_roofline import format_host_bounds, host_bounds
+
+        print(format_host_bounds(deck, host_bounds(deck)))
+        return 0
     cfg = measured_cell_config()
     for label, config in (
         ("DP", cfg),
@@ -827,6 +832,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         _deck_args(p)
         p.set_defaults(fn=fn)
+    sub.choices["roofline"].add_argument(
+        "--host", action="store_true",
+        help="measure this host's bound on the line kernel instead: "
+             "numpy dispatch floor and many-array triad at a jkm "
+             "diagonal's operand sizes, both kernels as a share of it")
 
     p = sub.add_parser("cluster", help="multi-chip scaling (extension)")
     _deck_args(p)

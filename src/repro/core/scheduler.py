@@ -75,8 +75,8 @@ class CentralizedScheduler:
         """Dispatch one jkm diagonal's lines cyclically across the SPEs.
 
         ``prepare`` sees the full chunk list before any dispatch --- the
-        hook the solver uses to batch-compute a diagonal's independent
-        line blocks in one compiled ISA call.  It runs on the host clock
+        hook the solver uses to compute a diagonal's independent lines
+        in one kernel call, whichever kernel.  It runs on the host clock
         only; the per-chunk dispatch protocol below is unchanged.
         """
         chunks = assign_cyclic(lines, chunk_lines, len(self.chip.spes))

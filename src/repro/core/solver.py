@@ -4,8 +4,13 @@ The functional half of the paper's implementation: the Figure-2 loop
 structure runs on the PPE; every jkm diagonal's I-lines are chunked and
 farmed to the SPEs (thread level); each chunk's working set is staged
 through the owning SPE's 256 KB local store by validated DMA commands or
-DMA lists (data-streaming level); the line kernel computes on the local
-store's actual bytes; results stream back before the diagonal barrier.
+DMA lists (data-streaming level); results stream back before the
+diagonal barrier.  The host computes a diagonal the way the paper
+vectorises it -- across all of its independent I-lines at once, from one
+gather of the host arrays -- and *writes each chunk's results into* the
+local-store views the PUT program streams; ``tests/core/
+test_diagonal_gather.py`` referees that every chunk's GET delivered
+exactly the bytes the kernel consumed.
 
 The flux produced must be -- and is, see
 ``tests/core/test_solver_equivalence.py`` -- *bit-identical* to the
@@ -161,16 +166,11 @@ class CellSweep3D:
             else CentralizedScheduler(self.chip, sync)
         )
         self._buffer_set = 0
-        #: coordinates of the block/diagonal currently executing:
-        #: ``(octant, a0, na, k0, d)``, read when a chunk's
-        #: :class:`LineBlock` is assembled.
-        self._diag_ctx: tuple[int, int, int, int, int] | None = None
-        #: per-diagonal batched ISA results, keyed by chunk index:
-        #: ``{index: (psi_c, phi_i_out, fixups, phi_j, phi_k)}``.  Filled
-        #: by :meth:`_prepare_diagonal` before dispatch when
-        #: ``isa_kernel`` and ``compile_isa`` are both on; consumed (and
-        #: popped) by :meth:`_execute_chunk` after staging.
-        self._diag_solution: dict | None = None
+        #: the executing diagonal's results, filled by
+        #: :meth:`_prepare_diagonal` before dispatch and replayed chunk
+        #: by chunk in :meth:`_execute_chunk`: ``(wpsi, phi_i_out, phi_j,
+        #: phi_k, {chunk index: (row slice, fixups)})``.
+        self._diag_solution: tuple | None = None
         if self.workers > 1:
             from ..parallel.engine import ParallelEngine
 
@@ -248,25 +248,16 @@ class CellSweep3D:
                 lines = staged_lines_for_diagonal(
                     deck, octant, globals_, k0, d
                 )
-                fixups = [0]
 
-                def execute(chunk: Chunk) -> None:
-                    fixups[0] += self._execute_chunk(
-                        chunk, cxs, cys, czs, psi_sink
+                def prepare(chunks: list[Chunk]) -> None:
+                    tally.fixups += self._prepare_diagonal(
+                        chunks, octant, d, cxs, cys, czs, psi_sink
                     )
 
-                self._diag_ctx = (octant, angles[0], na, k0, d)
-                prepare = None
-                if self.config.isa_kernel and self.config.compile_isa:
-                    prepare = lambda chunks: self._prepare_diagonal(
-                        chunks, cxs, cys, czs
-                    )
                 self.scheduler.run_diagonal(
-                    lines, self.config.chunk_lines, execute, prepare=prepare
+                    lines, self.config.chunk_lines, self._execute_chunk,
+                    prepare=prepare,
                 )
-                self._diag_solution = None
-                self._diag_ctx = None
-                tally.fixups += fixups[0]
             # SEND W/E and N/S
             boundary.send_i(
                 octant, angles, k0,
@@ -325,82 +316,123 @@ class CellSweep3D:
             self.metrics, self.chip.num_spes, self.deck.nm, self.deck.fixup
         )
 
-    # -- diagonal-batched ISA execution -------------------------------------------
+    # -- one diagonal on the host, one chunk on one SPE --------------------------
 
-    def _prepare_diagonal(
-        self, chunks: list[Chunk],
-        cxs: np.ndarray, cys: np.ndarray, czs: np.ndarray,
-    ) -> None:
-        """Batch-solve every chunk of one jkm diagonal in one compiled call.
-
-        A diagonal's lines are mutually independent and their working
-        sets never alias (distinct ``(mm, kk)`` phij rows, ``(mm, j_o)``
-        phik rows and ``(mm, kk, j_o)`` phii cells), so the host arrays
-        read here hold exactly the bytes each chunk's ``stage_in`` will
-        stage -- and no chunk's ``stage_out`` lands before this hook
-        returns.  Host-clock work only: DMA, sync and trace still run
-        per chunk in :meth:`_execute_chunk`.
-        """
-        if not chunks:
-            return
-        blocks = [
-            self._host_line_block(list(ch.lines), cxs, cys, czs)
-            for ch in chunks
-        ]
-        results = simd_execute_blocks(
-            blocks,
-            backend=self._isa_backend,
-            optimize=self.config.optimize_isa,
-            metrics=self.metrics,
-        )
-        self._diag_solution = {
-            ch.index: (psi, phii_out, fx, blk.phi_j, blk.phi_k)
-            for ch, blk, (psi, phii_out, fx) in zip(chunks, blocks, results)
+    def _gather_diagonal(self, lines: list) -> dict:
+        """One fancy index per host array: the working set of every line
+        of a jkm diagonal, in host orientation -- the bytes the chunks'
+        ``stage_in`` programs deliver, ``chunk_lines`` rows at a time."""
+        host, it = self.host, self.deck.grid.nx
+        angle, mm, kk, j_o, j_g, k_g = np.array(
+            [(ln.angle, ln.mm, ln.kk, ln.j_o, ln.j_g, ln.k_g) for ln in lines],
+            dtype=np.intp,
+        ).T
+        return {
+            "angle": angle, "mm": mm, "j_g": j_g, "k_g": k_g,
+            "msrc": np.stack([m[k_g, j_g, :it] for m in host.msrc_storage]),
+            # uniform decks hand the kernel the scalar instead
+            "sigt": (host.sigt[k_g, j_g, :it]
+                     if self.deck.material_box is not None else None),
+            "phij": host.phij[mm, kk, :it],
+            "phik": host.phik[mm, j_o, :it],
+            "phii": host.phii[mm, kk, j_o],
         }
 
-    def _host_line_block(
-        self, lines: list, cxs: np.ndarray, cys: np.ndarray, czs: np.ndarray,
-    ) -> LineBlock:
-        """Gather one chunk's working set from the host arrays into a
-        :class:`LineBlock` (value-identical to the post-``stage_in``
-        local-store views)."""
-        deck = self.deck
-        it = deck.grid.nx
-        host = self.host
-        angles = np.array([ln.angle for ln in lines], dtype=np.intp)
-        mms = np.array([ln.mm for ln in lines], dtype=np.intp)
-        msrc = np.stack([
-            np.stack([host.msrc_storage[n][ln.k_g, ln.j_g, :it]
-                      for ln in lines])
-            for n in range(deck.nm)
-        ])
-        if lines[0].reverse_i:
-            msrc = msrc[:, :, ::-1]
-        coeffs = self.basis.src_pn[:, angles]
-        src = self.basis.combine(coeffs[..., None], msrc)
-        octant, _a0, _na, _k0, d = self._diag_ctx
-        return LineBlock(
-            octant=octant, diagonal=d,
-            lines=[(ln.j_o, ln.kk, ln.mm) for ln in lines],
-            angles=[int(a) for a in angles],
-            source=src,
-            sigma_t=deck.sigma_t,
-            phi_i=np.array([host.phii[ln.mm, ln.kk, ln.j_o]
-                            for ln in lines]),
-            phi_j=np.stack([host.phij[ln.mm, ln.kk, :it] for ln in lines]),
-            phi_k=np.stack([host.phik[ln.mm, ln.j_o, :it] for ln in lines]),
-            cx=cxs[mms], cy=cys[mms], cz=czs[mms],
-            fixup=deck.fixup,
-        )
-
-    # -- one chunk on one SPE -----------------------------------------------------
-
-    def _execute_chunk(
-        self, chunk: Chunk, cxs: np.ndarray, cys: np.ndarray, czs: np.ndarray,
+    def _prepare_diagonal(
+        self, chunks: list[Chunk], octant: int, d: int,
+        cxs: np.ndarray, cys: np.ndarray, czs: np.ndarray,
         psi_sink: np.ndarray | None = None,
     ) -> int:
+        """Solve every line of one jkm diagonal in one kernel call.
+
+        The compute hook of every executor (reference kernel, compiled
+        and interpreted ISA).  A diagonal's lines are mutually
+        independent and their working sets never alias -- ``(j, kk)``
+        fixes ``mm = d - j - kk``, so lines have distinct ``(mm, kk)``
+        phij rows, ``(mm, j_o)`` phik rows, ``(mm, kk, j_o)`` phii cells
+        and ``(k_g, j_g)`` flux rows -- so the host arrays read here
+        hold exactly the bytes each chunk's ``stage_in`` will stage, and
+        no chunk's ``stage_out`` lands on another's inputs.  Host-clock
+        work only: DMA, sync, metrics and trace run per chunk in
+        :meth:`_execute_chunk`.  Returns the diagonal's fixup count.
+        """
+        if not chunks:
+            return 0
         deck = self.deck
         it = deck.grid.nx
+        lines = [ln for ch in chunks for ln in ch.lines]
+        rev = slice(None, None, -1) if lines[0].reverse_i else slice(None)
+        g = self._gather_diagonal(lines)
+        angle, mm = g["angle"], g["mm"]
+        # combine the angular source from the moment rows, with the
+        # reference's exact accumulation order (MomentBasis.combine).
+        src = self.basis.combine(
+            self.basis.src_pn[:, angle][..., None], g["msrc"][:, :, rev]
+        )
+        phi_i, phi_j, phi_k = g["phii"], g["phij"], g["phik"]
+        cx, cy, cz = cxs[mm], cys[mm], czs[mm]
+        bounds = [0]
+        for ch in chunks:
+            bounds.append(bounds[-1] + len(ch.lines))
+        chunk_rows = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        if self.config.isa_kernel:
+            # LineBlocks are row slices of the one gather, so the face
+            # outflows every block writes in place land in phi_j/phi_k
+            blocks = [
+                LineBlock(
+                    octant=octant, diagonal=d,
+                    lines=[(ln.j_o, ln.kk, ln.mm) for ln in ch.lines],
+                    angles=[ln.angle for ln in ch.lines],
+                    source=src[rows], sigma_t=deck.sigma_t,
+                    phi_i=phi_i[rows], phi_j=phi_j[rows], phi_k=phi_k[rows],
+                    cx=cx[rows], cy=cy[rows], cz=cz[rows], fixup=deck.fixup,
+                )
+                for ch, rows in zip(chunks, chunk_rows)
+            ]
+            if self.config.compile_isa:
+                results = simd_execute_blocks(
+                    blocks, backend=self._isa_backend,
+                    optimize=self.config.optimize_isa, metrics=self.metrics,
+                )
+            else:
+                results = [simd_execute_block(b) for b in blocks]
+            psi_c = np.concatenate([r[0] for r in results])
+            phi_i_out = np.concatenate([r[1] for r in results])
+            fixups = [r[2] for r in results]
+        else:
+            # pass the scalar when the material is uniform so the
+            # arithmetic matches the reference executor's scalar path
+            # bit for bit.
+            sigma = (
+                deck.sigma_t if deck.material_box is None
+                else g["sigt"][:, rev]
+            )
+            line_fixups = np.zeros(len(lines), dtype=np.intp)
+            psi_c, phi_i_out, _ = dd_line_block_solve(
+                src, sigma, phi_i, phi_j, phi_k, cx, cy, cz,
+                fixup=deck.fixup, line_fixups=line_fixups,
+            )
+            fixups = np.add.reduceat(line_fixups, bounds[:-1]).tolist()
+        if psi_sink is not None:
+            # capture the cell-centred angular flux in global (k, j, i)
+            # coordinates: the host-parallel engine replays the flux
+            # accumulation from these rows in the serial order.
+            psi_sink[angle, g["k_g"], g["j_g"], :it] = psi_c[:, rev]
+        # w*Pn * Phi of Figure 6 for the whole diagonal; each chunk adds
+        # its rows to the flux it staged in.
+        wpsi = self.basis.wpn[:, angle][:, :, None] * psi_c
+        self._diag_solution = (
+            wpsi, phi_i_out, phi_j, phi_k,
+            {ch.index: (rows, fx)
+             for ch, rows, fx in zip(chunks, chunk_rows, fixups)},
+        )
+        return sum(fixups)
+
+    def _execute_chunk(self, chunk: Chunk) -> None:
+        """Replay one chunk on its SPE: stage in, put this chunk's rows
+        of the diagonal's results where the kernel would have left them
+        in the local store, account, stage out."""
+        it = self.deck.grid.nx
         lines: list[StagedLine] = list(chunk.lines)
         L = len(lines)
         bufs = self.buffers[chunk.spe]
@@ -412,64 +444,19 @@ class CellSweep3D:
 
         bufs.stage_in(self.host, lines, s)
         views = bufs.views(s)
-        angles = np.array([ln.angle for ln in lines], dtype=np.intp)
-        mms = np.array([ln.mm for ln in lines], dtype=np.intp)
-
-        phij = views["phij"][:L, :it]   # oriented scratch: no flip
-        phik = views["phik"][:L, :it]
-        phii = views["phii"][:L]
-        cx = cxs[mms]
-        cy = cys[mms]
-        cz = czs[mms]
-
-        sol = None
-        if self._diag_solution is not None:
-            sol = self._diag_solution.pop(chunk.index, None)
-        if sol is not None:
-            # diagonal-batched compiled ISA execution: results were
-            # computed from the same bytes this chunk just staged in;
-            # write the face outflows into the LS views so stage_out
-            # streams the identical PUT payload.
-            psi_c, phi_i_out, fixups, pj_new, pk_new = sol
-            phij[...] = pj_new
-            phik[...] = pk_new
-        else:
-            # combine the angular source from the streamed moment rows,
-            # with the reference's exact accumulation order
-            # (MomentBasis.combine).
-            msrc = views["msrc"][:, :L, :it]
-            if lines[0].reverse_i:
-                msrc = msrc[:, :, ::-1]
-            coeffs = self.basis.src_pn[:, angles]  # (nm, L)
-            src = self.basis.combine(coeffs[..., None], msrc)
-
-            # pass the scalar when the material is uniform so the
-            # arithmetic matches the reference executor's scalar path
-            # bit for bit.
-            if deck.material_box is not None:
-                sigma = views["sigt"][:L, :it]
-                if lines[0].reverse_i:
-                    sigma = sigma[:, ::-1]
-            else:
-                sigma = deck.sigma_t
-            if self.config.isa_kernel:
-                ctx = self._diag_ctx or (0, 0, 0, 0, 0)
-                block = LineBlock(
-                    octant=ctx[0], diagonal=ctx[4],
-                    lines=[(ln.j_o, ln.kk, ln.mm) for ln in lines],
-                    angles=[ln.angle for ln in lines],
-                    source=src, sigma_t=sigma,
-                    phi_i=phii.copy(), phi_j=phij, phi_k=phik,
-                    cx=cx, cy=cy, cz=cz, fixup=deck.fixup,
-                )
-                # interpreted ISA (compile_isa off); the compiled path
-                # was batch-solved per diagonal by _prepare_diagonal
-                psi_c, phi_i_out, fixups = simd_execute_block(block)
-            else:
-                psi_c, phi_i_out, fixups = dd_line_block_solve(
-                    src, sigma, phii.copy(), phij, phik, cx, cy, cz,
-                    fixup=deck.fixup,
-                )
+        wpsi, phi_i_out, phi_j, phi_k, chunk_rows = self._diag_solution
+        rows, fixups = chunk_rows.pop(chunk.index)
+        views["phij"][:L, :it] = phi_j[rows]   # oriented scratch: no flip
+        views["phik"][:L, :it] = phi_k[rows]
+        # I-outflows take the inflow slots for the PUT program
+        views["phii"][:L] = phi_i_out[rows]
+        # flux accumulation on the SPE: Flux[n] += w*Pn * Phi (Figure 6),
+        # the same per-element multiply-then-add as the reference's
+        # scalar loop.
+        flux = views["flux"][:, :L, :it]
+        if lines[0].reverse_i:
+            flux = flux[:, :, ::-1]
+        flux[...] = wpsi[:, rows] + flux
         if self.metrics.enabled:
             m = self.metrics
             m.add_cycles(
@@ -478,36 +465,16 @@ class CellSweep3D:
             )
             m.count("kernel.cells", L * it)
             m.count("kernel.chunks")
-            m.count("kernel.fixups", int(fixups))
+            m.count("kernel.fixups", fixups)
         if self.trace.enabled:
             self.trace.span(
                 spe_track(chunk.spe), "KernelExec",
                 self._cycles_per_visit * L * it,
                 chunk=chunk.index, set=s, lines=L, cells=L * it,
-                fixups=int(fixups),
+                fixups=fixups,
                 regions=[list(r) for r in bufs.ls_regions(s)],
             )
-
-        if psi_sink is not None:
-            # capture the cell-centred angular flux in global (k, j, i)
-            # coordinates: the host-parallel engine replays the flux
-            # accumulation from these rows in the serial order.
-            for l, ln in enumerate(lines):
-                row = psi_c[l, ::-1] if ln.reverse_i else psi_c[l]
-                psi_sink[ln.angle, ln.k_g, ln.j_g, :it] = row
-
-        # flux accumulation on the SPE: Flux[n] += w*Pn * Phi (Figure 6),
-        # broadcast over (moment, line) with the same per-element
-        # multiply-then-add as the reference's scalar loop.
-        flux = views["flux"][:, :L, :it]
-        if lines[0].reverse_i:
-            flux = flux[:, :, ::-1]
-        flux[...] = self.basis.wpn[:, angles][:, :, None] * psi_c + flux
-        # I-outflows take the inflow slots for the PUT program
-        phii[:] = phi_i_out
-
         bufs.stage_out(self.host, lines, s)
-        return fixups
 
     # -- sweeps and source iteration -------------------------------------------------
 

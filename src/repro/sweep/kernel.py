@@ -84,7 +84,7 @@ def dd_solve(
     psi_c, out_x, out_y, out_z, touched = _set_to_zero_fixup(
         source, sigma_t, in_x, in_y, in_z, cx, cy, cz, psi_c, out_x, out_y, out_z
     )
-    return CellResult(psi_c, out_x, out_y, out_z, touched)
+    return CellResult(psi_c, out_x, out_y, out_z, int(touched.sum()))
 
 
 def _set_to_zero_fixup(
@@ -100,8 +100,9 @@ def _set_to_zero_fixup(
     out_x: np.ndarray,
     out_y: np.ndarray,
     out_z: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Set-to-zero fixup of a batch of plain diamond solutions.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Set-to-zero fixup of a batch of plain diamond solutions; the last
+    element returned is the boolean mask of the cells it touched.
 
     dd_x/dd_y/dd_z track which faces still use the diamond relation.
     Balance: sigma_t psi_c = S + sum_f c_f (in - out).  A diamond face
@@ -153,7 +154,7 @@ def _set_to_zero_fixup(
         out_x = np.where(touched, out_x, plain[1])
         out_y = np.where(touched, out_y, plain[2])
         out_z = np.where(touched, out_z, plain[3])
-    return psi_c, out_x, out_y, out_z, int(touched.sum())
+    return psi_c, out_x, out_y, out_z, touched
 
 
 def dd_line_block_solve(
@@ -166,12 +167,18 @@ def dd_line_block_solve(
     cy: np.ndarray,
     cz: np.ndarray,
     fixup: bool = False,
+    *,
+    line_fixups: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Solve a block of independent I-lines (the paper's inner work unit).
 
     This is the "stride-1 line-recursion in the I-direction" of Sec. 3,
     vectorised across the block: cell ``i`` of every line is solved
-    simultaneously, with the I-recursion carried sequentially.
+    simultaneously, with the I-recursion carried sequentially.  Every
+    line's result is a function of that line's operands alone -- NaNs
+    included -- so a block may be any subset or superset of another (a
+    four-line chunk, a whole jkm diagonal) and each line still gets the
+    same bits.
 
     Parameters
     ----------
@@ -186,6 +193,10 @@ def dd_line_block_solve(
     cx, cy, cz:
         ``(L,)`` per-line face coefficients (lines may belong to
         different angles under MMI pipelining).
+    line_fixups:
+        optional ``(L,)`` integer array; the number of cells fixed up in
+        each line is **added** to it, so a caller that batches several
+        work units into one block can split the count again.
 
     Returns
     -------
@@ -247,24 +258,32 @@ def dd_line_block_solve(
         denom = denom_const if denom_const is not None else sigma_col[:, i] + two_csum
         psi = (src_i + 2.0 * csum) / denom
         faces_out = 2.0 * psi - faces_in
-        if check_fixup and faces_out.min() < 0.0:
-            # lazy fixup: entered only for columns where a negative
-            # outflow actually exists (the common case is none).
-            psi, out_x, out_y, out_z, touched = _set_to_zero_fixup(
-                src_i, sigma_col[:, i],
-                faces_in[0], faces_in[1], faces_in[2], cx, cy, cz,
-                psi, faces_out[0], faces_out[1], faces_out[2],
-            )
-            fixups += touched
-            psi_c[:, i] = psi
-            phi_i = out_x
-            phi_j[:, i] = out_y
-            phi_k[:, i] = out_z
-        else:
-            psi_c[:, i] = psi
-            phi_i = faces_out[0]
-            phi_j[:, i] = faces_out[1]
-            phi_k[:, i] = faces_out[2]
+        # lazy fixup, per line: the whole-column test is one reduction
+        # (written ``not >=`` so a NaN anywhere only sends the column to
+        # the per-line mask, where ``NaN < 0`` is false for that line
+        # alone); the fixup then runs on the offending lines only, which
+        # is bit-identical to running it on all of them because
+        # _set_to_zero_fixup is independent of its batch.
+        if check_fixup and not faces_out.min() >= 0.0:
+            rows = np.flatnonzero((faces_out < 0.0).any(axis=0))
+            if rows.size:
+                psi[rows], out_x, out_y, out_z, touched = _set_to_zero_fixup(
+                    src_i[rows], sigma_col[rows, i],
+                    faces_in[0, rows], faces_in[1, rows], faces_in[2, rows],
+                    cx[rows], cy[rows], cz[rows],
+                    psi[rows], faces_out[0, rows], faces_out[1, rows],
+                    faces_out[2, rows],
+                )
+                faces_out[0, rows] = out_x
+                faces_out[1, rows] = out_y
+                faces_out[2, rows] = out_z
+                fixups += int(touched.sum())
+                if line_fixups is not None:
+                    line_fixups[rows] += touched
+        psi_c[:, i] = psi
+        phi_i = faces_out[0]
+        phi_j[:, i] = faces_out[1]
+        phi_k[:, i] = faces_out[2]
     return psi_c, phi_i, fixups
 
 

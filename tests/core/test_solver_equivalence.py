@@ -164,3 +164,23 @@ class TestMachineAccounting:
         report = CellSweep3D(deck, LADDER_CONFIGS["ls-poke"]).timing()
         assert report.seconds > 0
         assert report.dma_bytes > 0
+
+
+@pytest.mark.slow
+def test_benchmark_deck_one_iteration_matches_serial_reference():
+    """The paper's 50-cubed deck, one iteration, through the measured
+    Cell configuration: hundreds of lines per jkm diagonal instead of
+    the test decks' tens.  Seconds, not a fraction of one, so it runs
+    under ``-m slow`` (its own CI step), not in the default selection."""
+    import dataclasses
+
+    from repro.perf.processors import measured_cell_config
+    from repro.serve.runner import flux_digest
+    from repro.sweep.input import benchmark_deck
+
+    deck = dataclasses.replace(benchmark_deck(fixup=False), iterations=1)
+    with CellSweep3D(deck, measured_cell_config()) as solver:
+        result = solver.solve()
+    assert flux_digest(result.flux) == flux_digest(
+        SerialSweep3D(deck).solve().flux
+    )

@@ -62,6 +62,31 @@ def test_fixup_deck_bit_identical():
     assert serial.tally.leakage == parallel.tally.leakage
 
 
+def test_material_box_deck_bit_identical_with_fixups_live():
+    """Workers capture each diagonal's angular flux with one store into
+    ``psi_sink``; a source/shield deck drives that store with per-cell
+    cross sections streamed and the fixup branch firing (~2k cells)."""
+    from repro.sweep.geometry import Grid
+    from repro.sweep.input import InputDeck
+
+    deck = InputDeck(
+        grid=Grid(10, 7, 5), mk=5, iterations=2, scattering_ratio=0.9,
+        source=1.5, source_box=(3, 6, 2, 5, 1, 4),
+        material_box=(7, 9, 0, 7, 0, 5),
+        material_sigma_t=8.0, material_scattering_ratio=0.1,
+    )
+    reference = SerialSweep3D(deck).solve()
+    serial = CellSweep3D(deck, CFG).solve()
+    with CellSweep3D(deck, CFG, workers=2) as solver:
+        parallel = solver.solve()
+    assert serial.tally.fixups > 1000
+    np.testing.assert_array_equal(reference.flux, parallel.flux)
+    np.testing.assert_array_equal(serial.flux, parallel.flux)
+    assert serial.tally.fixups == parallel.tally.fixups
+    assert serial.tally.leakage == parallel.tally.leakage
+    assert serial.history == parallel.history
+
+
 def test_solve_is_repeatable_across_sweeps():
     """The pool persists across iterations; a second solve on the same
     engine still matches (exercises queue reuse and psi rewrites)."""

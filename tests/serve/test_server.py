@@ -28,6 +28,7 @@ from repro.serve import (
     ServeLimits,
     SolveRunner,
 )
+from repro.serve.decks import deck_from_request
 from repro.serve.runner import flux_digest
 from repro.sweep.deckfile import parse_deck
 
@@ -219,11 +220,31 @@ class TestHttpSurface:
         )
 
     def test_material_deck_runs_without_isa(self):
-        """A two-material example deck cannot use the single-material
-        ISA kernel; the runner falls back instead of failing the job."""
+        """A two-material deck cannot use the single-material ISA
+        kernel; the runner falls back instead of failing the job.  (The
+        ``shielding`` example's materials on a 6x6x4 grid: the one
+        boolean asserted does not need its 16^3 S8 x 6 iterations.)"""
+        assert deck_from_request({"example": "shielding"}).material_box
+        deck_text = """
+            nx = 6
+            ny = 6
+            nz = 4
+            sn = 4
+            nm = 2
+            sigma_t = 0.5
+            scattering_ratio = 0.6
+            source = 100.0
+            source_box = 0 2 0 2 0 2
+            material_box = 3 5 0 6 0 4
+            material_sigma_t = 8.0
+            material_scattering_ratio = 0.05
+            iterations = 1
+            mk = 2
+            mmi = 1
+        """
 
         def scenario(client, app):
-            job = client.submit(example="shielding")
+            job = client.submit(deck=deck_text)
             done = client.wait(job["id"], timeout=240)
             assert done["state"] == "done", done.get("error")
             assert done["result"]["isa"] is False

@@ -229,6 +229,90 @@ class TestLineBlockSolve:
         )
         assert fixups >= 1
 
+    def test_nan_line_does_not_switch_the_fixup_off_for_its_batch(self):
+        """The lazy gate used to be ``faces_out.min() < 0``: ``min()`` of
+        a column holding a NaN is NaN and ``NaN < 0`` is false, so one
+        NaN line silently disabled the fixup for every healthy line
+        solved with it.  Each line's result is a function of its own
+        operands, NaNs or not."""
+        it = 4
+
+        def solve(src):
+            L = len(src)
+            return dd_line_block_solve(
+                np.array(src, dtype=float), 1.0, np.full(L, 5.0),
+                np.zeros((L, it)), np.zeros((L, it)),
+                np.ones(L), np.ones(L), np.ones(L), fixup=True,
+            )
+
+        alone_psi, alone_out, alone_fixups = solve([[0.0] * it])
+        np.testing.assert_array_equal(alone_psi, [[1.0, 0.0, 0.0, 0.0]])
+        assert alone_fixups == 1
+
+        psi, out, fixups = solve([[np.nan] * it, [0.0] * it])
+        assert np.isnan(psi[0]).all() and np.isnan(out[0])
+        np.testing.assert_array_equal(psi[1:], alone_psi)
+        np.testing.assert_array_equal(out[1:], alone_out)
+        assert fixups == alone_fixups
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_batch_independence_property(self, data):
+        """A block solved whole equals any partition of it solved block
+        by block -- psi, I-outflow, in-place J/K faces bit for bit, the
+        fixup total, and the per-line counts of ``line_fixups`` against
+        every line solved alone.  This is what lets the Cell solver
+        hand the kernel a whole jkm diagonal and still report each
+        four-line chunk's own results."""
+        L = data.draw(st.integers(1, 12), label="L")
+        it = data.draw(st.integers(1, 6), label="it")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # mixed-sign sources on some lines and occasional inflow spikes:
+        # the fixup fires on about a third of the cells, on some lines
+        # and columns and not on others
+        src = rng.random((L, it)) * 2.0 - rng.choice(
+            [0.0, 1.0], (L, 1), p=[0.6, 0.4]
+        )
+        pi = rng.random(L) * rng.choice([0.5, 10.0], L, p=[0.8, 0.2])
+        pj = rng.random((L, it)) * rng.choice(
+            [1.0, 20.0], (L, it), p=[0.9, 0.1]
+        )
+        pk = rng.random((L, it))
+        cx, cy, cz = rng.random((3, L)) + 0.3
+        if data.draw(st.booleans(), label="per-cell sigma_t"):
+            sigma = rng.random((L, it)) * 8.0 + 0.1
+            rows_of = lambda rows: sigma[rows]
+        else:
+            sigma = float(rng.random() * 8.0 + 0.1)
+            rows_of = lambda rows: sigma
+
+        def solve(rows):
+            fj, fk = pj[rows].copy(), pk[rows].copy()
+            line_fixups = np.zeros(fj.shape[0], dtype=np.intp)
+            psi, out, fixups = dd_line_block_solve(
+                src[rows], rows_of(rows), pi[rows], fj, fk,
+                cx[rows], cy[rows], cz[rows],
+                fixup=True, line_fixups=line_fixups,
+            )
+            assert fixups == line_fixups.sum()
+            return psi, out, fj, fk, fixups, line_fixups
+
+        whole = solve(slice(0, L))
+        cuts = sorted(data.draw(
+            st.sets(st.integers(1, L - 1), max_size=L - 1) if L > 1
+            else st.just(set()), label="cuts",
+        ))
+        parts = [
+            solve(slice(lo, hi)) for lo, hi in zip([0, *cuts], [*cuts, L])
+        ]
+        for k in range(4):
+            np.testing.assert_array_equal(
+                whole[k], np.concatenate([part[k] for part in parts])
+            )
+        assert whole[4] == sum(part[4] for part in parts)
+        alone = [solve(slice(l, l + 1))[4] for l in range(L)]
+        np.testing.assert_array_equal(whole[5], alone)
+
 
 class TestFlopCount:
     def test_formula(self):

@@ -264,6 +264,16 @@ class TestFigures:
         assert "memory-bound" in out
         assert "ridge" in out
 
+    def test_roofline_host(self, capsys):
+        """The host's own bound on the line kernel: runs, and prints the
+        floor and both kernels against it (no wall-clock assertion)."""
+        out = run(capsys, "roofline", "--host", "--cube", "8", "--fixup")
+        rows = {line[:24].strip(): line for line in out.splitlines()}
+        for label in ("dispatch floor", "reference kernel",
+                      "compiled ISA kernel"):
+            assert rows[label].count(" us") == 4, rows[label]
+        assert "memory-bound" not in out
+
     def test_transient(self, capsys):
         out = run(capsys, "transient", "--cube", "5", "--sn", "2", "--nm", "1",
                   "--iterations", "6", "--steps", "3")
