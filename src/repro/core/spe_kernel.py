@@ -13,7 +13,11 @@ SPU ISA of :mod:`repro.cell.isa`:
   -- this interleaving is what hides the deep DP latency;
 * the fixup path is emitted branch-free (compare + select), the standard
   SPU idiom, so its instruction stream is data-independent -- exactly why
-  the paper can quote a fixed cycle figure for it.
+  the paper can quote a fixed cycle figure for it.  That stream, emitted
+  whole, is what the paper and :func:`kernel_cycle_report` cost.  The
+  host's trace-compiled replay (:func:`simd_execute_blocks`) runs its
+  fixup half only on the lines where a select can pick something other
+  than the plain solve -- the same values, for less host time.
 
 Two uses:
 
@@ -323,6 +327,13 @@ def _trace_line_program(it: int, fixup: bool, double: bool):
     the interpreter runs, so opcodes, operand grouping (each ``fma``
     lowers to the interpreter's two-operation ``a*b + c``), divisions
     and the branch-free compare+select fixup are identical.
+
+    Outputs per step ``i``: ``("psi", i)``, the J/K outflows
+    ``("phij_out", i)``/``("phik_out", i)``, the I-outflow ``("phii", i)``
+    (the last one is the line's I-outflow) and, with fixups,
+    ``("touched", i)``.  The per-step I-outflows cost no op (each feeds
+    the next step anyway); they are what the lazy fixup gate of
+    :func:`simd_execute_blocks` inspects.
     """
     from ..cell.isa_compile import TraceContext
 
@@ -347,9 +358,9 @@ def _trace_line_program(it: int, fixup: bool, double: bool):
         ctx.output(psic[0], ("psi", i))
         ctx.output(out_y[0], ("phij_out", i))
         ctx.output(out_z[0], ("phik_out", i))
+        ctx.output(grp.phi_i[0], ("phii", i))
         if fixup:
             ctx.output(grp.step_touched[0], ("touched", i))
-    ctx.output(grp.phi_i[0], "phii_out")
     return ctx
 
 
@@ -371,6 +382,18 @@ def simd_execute_blocks(
     place -- bit-identical to interpreting each block.  Blocks must
     share ``it`` and ``fixup`` (always true within a diagonal).
 
+    With ``fixup`` the branch-free fixup is replayed lazily, per line:
+    the *plain* program runs on every line, a line is dirty iff any
+    per-step I, J or K outflow is ``< 0`` (the stream's own
+    ``spu_cmpgt(0, o)``, so NaN and -0.0 are clean), and the full
+    compare+select program -- compiled on first need -- runs on the
+    dirty rows only.  Every fixup-stream output is ``sel(plain, masked,
+    touched)`` and ``touched`` can first turn on only at a step with a
+    negative plain outflow, before which both streams carry the same
+    I-chain; so a clean line's plain bits *are* the full program's bits,
+    and a dirty row gets the full program's bits because every ISA op is
+    elementwise per batch row.
+
     ``backend`` selects the array substrate the program replays on (an
     :class:`~repro.cell.backend.ArrayBackend`; default: the numpy
     reference), ``optimize`` toggles the compile-time plan, and
@@ -391,10 +414,6 @@ def simd_execute_blocks(
                 "batched blocks must share the line length and fixup mode"
             )
     sigmas = [_uniform_sigma(b) for b in blocks]
-    program = compiled_program(
-        ("line", it, fixup, double),
-        lambda: _trace_line_program(it, fixup, double),
-    )
     dtype = np.float64 if double else np.float32
     lens = [b.num_lines for b in blocks]
     N = sum(lens)
@@ -430,40 +449,65 @@ def simd_execute_blocks(
         "phij": cat2(lambda b: b.phi_j),
         "phik": cat2(lambda b: b.phi_k),
     }
-    inputs = [
-        np.ascontiguousarray(columns[key[0]][:, key[1]])
-        if isinstance(key, tuple)
-        else scalars[key]
-        for key in program.inputs
-    ]
-    results = dict(
-        zip(
-            (k for k, _ in program.outputs),
-            program.run(inputs, backend=backend, optimize=optimize),
-        )
-    )
 
-    # scatter per column; assignment into float64 upcasts single-precision
-    # results exactly like the interpreter's stqd into float64 targets.
-    psi_c = np.empty((N, it))
-    pj_out = np.empty((N, it))
-    pk_out = np.empty((N, it))
-    for i in range(it):
-        psi_c[:, i] = results[("psi", i)]
-        pj_out[:, i] = results[("phij_out", i)]
-        pk_out[:, i] = results[("phik_out", i)]
-    phi_i_out = np.empty(N)
-    phi_i_out[:] = results["phii_out"]
+    def replay(with_fixup: bool, scal: dict, cols: dict):
+        """One program replay -> ``(psi, faces, touched)``: psi and the
+        touched masks ``(n, it)``, the I/J/K outflows of every step
+        ``(3, n, it)``.  Assignment into float64 upcasts single-precision
+        results exactly like the interpreter's stqd into float64
+        targets."""
+        program = compiled_program(
+            ("line", it, with_fixup, double),
+            lambda: _trace_line_program(it, with_fixup, double),
+        )
+        inputs = [
+            np.ascontiguousarray(cols[key[0]][:, key[1]])
+            if isinstance(key, tuple)
+            else scal[key]
+            for key in program.inputs
+        ]
+        res = dict(
+            zip(
+                (k for k, _ in program.outputs),
+                program.run(inputs, backend=backend, optimize=optimize),
+            )
+        )
+        n = len(scal["cx"])
+        psi = np.empty((n, it))
+        faces = np.empty((3, n, it))
+        touched = np.empty((n, it)) if with_fixup else None
+        for i in range(it):
+            psi[:, i] = res[("psi", i)]
+            faces[0, :, i] = res[("phii", i)]
+            faces[1, :, i] = res[("phij_out", i)]
+            faces[2, :, i] = res[("phik_out", i)]
+            if with_fixup:
+                touched[:, i] = res[("touched", i)]
+        return psi, faces, touched
+
+    psi_c, faces, _ = replay(False, scalars, columns)
+    line_fixups = None
     if fixup:
-        touched = np.stack([results[("touched", i)] for i in range(it)], axis=1)
+        rows = np.flatnonzero((faces < 0.0).any(axis=(0, 2)))
+        if rows.size:
+            psi_d, faces_d, touched = replay(
+                True,
+                {k: v[rows] for k, v in scalars.items()},
+                {k: v[rows] for k, v in columns.items()},
+            )
+            psi_c[rows] = psi_d
+            faces[:, rows] = faces_d
+            line_fixups = np.zeros(N, dtype=np.intp)
+            line_fixups[rows] = np.count_nonzero(touched, axis=1)
+    phi_i_out = faces[0, :, -1].copy()
 
     out: list[tuple[np.ndarray, np.ndarray, int]] = []
     lo = 0
     for b, L in zip(blocks, lens):
         hi = lo + L
-        b.phi_j[:] = pj_out[lo:hi]
-        b.phi_k[:] = pk_out[lo:hi]
-        fx = int(np.count_nonzero(touched[lo:hi])) if fixup else 0
+        b.phi_j[:] = faces[1, lo:hi]
+        b.phi_k[:] = faces[2, lo:hi]
+        fx = int(line_fixups[lo:hi].sum()) if line_fixups is not None else 0
         out.append((psi_c[lo:hi], phi_i_out[lo:hi], fx))
         lo = hi
     return out

@@ -9,7 +9,9 @@ diagonal's operand sizes (4 to a few hundred doubles) an array
 operation costs its dispatch, not its bytes -- the mega-stream
 observation that many small arrays make latency, not bandwidth, the
 limit.  So the bound is ``ops/column x it x dispatch(lines)`` per call,
-measured here on this host, and both kernels are reported against it.
+measured here on this host, and both kernels are reported against it
+-- the compiled ISA twice, on clean lines (plain program only) and with
+every line fixed up (plain + branch-free fixup program).
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ from ..sweep.pipelining import LineBlock
 #: lines per kernel call: one chunk; the mean and the longest jkm
 #: diagonal of a 16^3 S6 deck; a diagonal of the 50^3 benchmark deck
 LINE_COUNTS: tuple[int, ...] = (4, 23, 96, 600)
+
+#: width of the row-label column of :func:`format_host_bounds`
+LABEL_WIDTH: int = 34
 
 def ops_per_column(fixup: bool) -> int:
     """numpy calls that touch operand data per I-column of the fused
@@ -70,35 +75,58 @@ def triad_bytes_per_second(lines: int, arrays: int = 64) -> float:
     return 3 * 8 * lines * arrays / best_seconds(triad, calls=20)
 
 
-def _operands(lines: int, it: int):
+def _operands(lines: int, it: int, dirty: bool = False):
+    """``(source, phi_i, phi_j, phi_k, cx, cy, cz)`` of one call.
+
+    Clean: every line at equilibrium under a flat source ``q`` (every
+    inflow ``q``, ``sigma_t = 1``), so each outflow is ``q`` up to
+    rounding and no fixup can fire.  Dirty: zero source, ``phi_i = 5``,
+    zero J/K faces and unit coefficients, so the first I-outflow
+    (``2 * 10/7 - 5``) is negative on every line.  Callers copy the
+    faces per call: the kernels write outflows into them in place.
+    """
+    if dirty:
+        ones, zeros = np.ones(lines), np.zeros((lines, it))
+        return zeros, np.full(lines, 5.0), zeros, zeros, ones, ones, ones
     rng = np.random.default_rng(lines)
+    q = rng.random(lines) + 0.5
+    flat = np.repeat(q[:, None], it, axis=1)
     c = rng.random((3, lines)) + 0.5
-    return rng.random((lines, it)), rng.random(lines), c[0], c[1], c[2]
+    return flat, q, flat, flat, c[0], c[1], c[2]
 
 
 def reference_seconds(lines: int, it: int, fixup: bool) -> float:
-    src, phi_i, cx, cy, cz = _operands(lines, it)
-    phi_j, phi_k = np.zeros((lines, it)), np.zeros((lines, it))
+    src, phi_i, phi_j, phi_k, cx, cy, cz = _operands(lines, it)
     return best_seconds(
         lambda: dd_line_block_solve(
-            src, 1.0, phi_i, phi_j, phi_k, cx, cy, cz, fixup=fixup
+            src, 1.0, phi_i, phi_j.copy(), phi_k.copy(), cx, cy, cz,
+            fixup=fixup,
         ),
         calls=5,
     )
 
 
-def compiled_isa_seconds(lines: int, it: int, fixup: bool) -> float:
+def compiled_isa_seconds(
+    lines: int, it: int, fixup: bool, dirty: bool = False
+) -> float:
+    """One :func:`~repro.core.spe_kernel.simd_execute_blocks` call.  The
+    lazy fixup gate replays the branch-free fixup program only on dirty
+    lines, so the clean and the every-line-dirty operands price the two
+    ends of its range."""
     from ..core.spe_kernel import simd_execute_blocks
 
-    src, phi_i, cx, cy, cz = _operands(lines, it)
-    block = LineBlock(
-        octant=0, diagonal=0, lines=[(0, 0, 0)] * lines, angles=[0] * lines,
-        source=src, sigma_t=1.0, phi_i=phi_i,
-        phi_j=np.zeros((lines, it)), phi_k=np.zeros((lines, it)),
-        cx=cx, cy=cy, cz=cz, fixup=fixup,
-    )
-    simd_execute_blocks([block])  # compile the stream outside the clock
-    return best_seconds(lambda: simd_execute_blocks([block]), calls=3)
+    src, phi_i, phi_j, phi_k, cx, cy, cz = _operands(lines, it, dirty)
+
+    def call():
+        return simd_execute_blocks([LineBlock(
+            octant=0, diagonal=0, lines=[(0, 0, 0)] * lines,
+            angles=[0] * lines, source=src, sigma_t=1.0, phi_i=phi_i,
+            phi_j=phi_j.copy(), phi_k=phi_k.copy(),
+            cx=cx, cy=cy, cz=cz, fixup=fixup,
+        )])
+
+    call()  # compile the stream(s) outside the clock
+    return best_seconds(call, calls=3)
 
 
 @dataclass(frozen=True)
@@ -110,7 +138,9 @@ class HostBound:
     triad_bytes_per_s: float
     floor_s: float
     reference_s: float
-    isa_s: float
+    isa_s: float         # compiled ISA, clean lines
+    isa_fixup_s: float | None  # compiled ISA, every line fixed up
+                               # (None with fixups off)
     flops: int           # useful flops of one call (flops_per_cell)
     operand_bytes: int   # operands read + results written, as computed
                          # by benchmarks/suite for sweep.kernel
@@ -130,6 +160,10 @@ def host_bounds(
             floor_s=ops_per_column(fixup) * it * dispatch,
             reference_s=reference_seconds(lines, it, fixup),
             isa_s=compiled_isa_seconds(lines, it, fixup),
+            isa_fixup_s=(
+                compiled_isa_seconds(lines, it, fixup, dirty=True)
+                if fixup else None
+            ),
             flops=lines * it * flops_per_cell(deck.nm, fixup),
             # source, J/K faces in and out, psi: six (lines, it) arrays;
             # I-inflow, three coefficients, I-outflow: five (lines,)
@@ -142,37 +176,39 @@ def format_host_bounds(deck: InputDeck, rows: list[HostBound]) -> str:
     """The table ``repro roofline --host`` prints: per operand size, the
     dispatch floor of one kernel call and each kernel as a share of it
     (100 % = the kernel costs exactly its numpy dispatches)."""
-    it = deck.grid.nx
+    it, w = deck.grid.nx, LABEL_WIDTH
     out = [
         f"host bound of one line-kernel call, it={it}, "
         f"fixup {'on' if deck.fixup else 'off'}: "
         f"{ops_per_column(deck.fixup)} array ops/column x {it} columns "
         f"x dispatch(lines)",
-        f"{'lines per call':<24}" + "".join(f"{r.lines:>14}" for r in rows),
-        f"{'numpy dispatch/op':<24}"
+        f"{'lines per call':<{w}}" + "".join(f"{r.lines:>14}" for r in rows),
+        f"{'numpy dispatch/op':<{w}}"
         + "".join(f"{r.dispatch_s * 1e6:>11.2f} us" for r in rows),
-        f"{'many-array triad':<24}"
+        f"{'many-array triad':<{w}}"
         + "".join(f"{r.triad_bytes_per_s / 1e9:>9.2f} GB/s" for r in rows),
-        f"{'dispatch floor':<24}"
+        f"{'dispatch floor':<{w}}"
         + "".join(f"{r.floor_s * 1e6:>11.0f} us" for r in rows),
     ]
-    for label, seconds in (
-        ("compiled ISA kernel", [r.isa_s for r in rows]),
-        ("reference kernel", [r.reference_s for r in rows]),
-    ):
+    kernels = [("compiled ISA, clean lines", [r.isa_s for r in rows])]
+    if deck.fixup:
+        kernels.append(("compiled ISA, every line fixed up",
+                        [r.isa_fixup_s for r in rows]))
+    kernels.append(("reference kernel", [r.reference_s for r in rows]))
+    for label, seconds in kernels:
         out.append(
-            f"{label:<24}" + "".join(
+            f"{label:<{w}}" + "".join(
                 f"{s * 1e6:>7.0f} us {r.floor_s / s:>3.0%}"
                 for r, s in zip(rows, seconds)
             )
         )
     out.append(
-        f"{'  useful flops':<24}" + "".join(
+        f"{'  useful flops':<{w}}" + "".join(
             f"{r.flops / r.reference_s / 1e6:>5.0f} Mflop/s" for r in rows
         )
     )
     out.append(
-        f"{'  operand bytes':<24}" + "".join(
+        f"{'  operand bytes':<{w}}" + "".join(
             f"{r.operand_bytes / r.reference_s / 1e6:>9.0f} MB/s" for r in rows
         )
     )

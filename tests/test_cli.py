@@ -267,10 +267,13 @@ class TestFigures:
     def test_roofline_host(self, capsys):
         """The host's own bound on the line kernel: runs, and prints the
         floor and both kernels against it (no wall-clock assertion)."""
+        from repro.perf.host_roofline import LABEL_WIDTH
+
         out = run(capsys, "roofline", "--host", "--cube", "8", "--fixup")
-        rows = {line[:24].strip(): line for line in out.splitlines()}
+        rows = {line[:LABEL_WIDTH].strip(): line for line in out.splitlines()}
         for label in ("dispatch floor", "reference kernel",
-                      "compiled ISA kernel"):
+                      "compiled ISA, clean lines",
+                      "compiled ISA, every line fixed up"):
             assert rows[label].count(" us") == 4, rows[label]
         assert "memory-bound" not in out
 
