@@ -21,14 +21,6 @@ from .dma import (
     is_peak_rate,
 )
 from .eib import EIBModel
-from .backend import (
-    ArrayBackend,
-    NumpyBackend,
-    available_backends,
-    backend_status,
-    numpy_backend,
-    resolve_backend,
-)
 from .isa import Instruction, InstructionStream, OpClass, Pipe, SPUContext, Vec
 from .local_store import LocalStore, LSBuffer
 from .mailbox import Mailbox, MailboxPair
@@ -50,13 +42,11 @@ from .spe import SPE, SPU
 
 __all__ = [
     "AddressSpace",
-    "ArrayBackend",
     "AtomicDomain",
     "CellBE",
     "ChipTraffic",
     "CompiledProgram",
     "ExecutionPlan",
-    "NumpyBackend",
     "CycleBudget",
     "CycleClock",
     "DMACommand",
@@ -79,8 +69,6 @@ __all__ = [
     "PipelineReport",
     "PressureReport",
     "analyze_pressure",
-    "available_backends",
-    "backend_status",
     "format_schedule",
     "kernel_code_bytes",
     "kernel_pressure",
@@ -98,9 +86,7 @@ __all__ = [
     "compiled_program",
     "constants",
     "is_peak_rate",
-    "numpy_backend",
     "optimize_program",
-    "resolve_backend",
     "simulate",
     "simulate_cached",
 ]

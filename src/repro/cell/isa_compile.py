@@ -31,24 +31,19 @@ Nothing here is machine-visible: the recorded
 times) is emitted identically, and compilation only changes how the host
 evaluates the functional values.  See docs/PERFORMANCE.md section 4.
 
-Two layers ride on top of the lowering (docs/PERFORMANCE.md section 5):
-
-* an **optimizing program pipeline** (:func:`optimize_program`), run
-  once at compile time and cached with the program: constant folding of
-  const-only ops (evaluated with the op's exact dtype-typed semantics),
-  dead-op elimination backward from the output bindings, and a last-use
-  liveness analysis that assigns every surviving intermediate a slot in
-  a small reusable buffer pool.  None of the passes reassociate,
-  regroup or change a single rounding -- they only skip work and choose
-  where results land, so bit-identity with the interpreter is preserved
-  (and enforced by the fuzz referees per backend x optimizer mode);
-
-* a pluggable **array backend** (:mod:`repro.cell.backend`):
-  ``CompiledProgram.run`` is a thin driver over a backend's op table.
-  The numpy reference backend executes the buffer plan with ``out=``
-  into preallocated scratch arrays, so a replay allocates only its
-  output arrays -- independent of program length; optional torch/cupy
-  backends stream the same program through device tensors.
+An **optimizing program pipeline** (:func:`optimize_program`,
+docs/PERFORMANCE.md section 5) runs once at compile time and is cached
+with the program: constant folding of const-only ops (evaluated with the
+op's exact dtype-typed semantics), dead-op elimination backward from the
+output bindings, and a last-use liveness analysis that assigns every
+surviving intermediate a slot in a small reusable buffer pool.  None of
+the passes reassociate, regroup or change a single rounding -- they only
+skip work and choose where results land, so bit-identity with the
+interpreter is preserved (and enforced by the fuzz referees).
+``CompiledProgram.run`` replays that plan through one numpy op table
+(:func:`op_table`), writing pooled intermediates with ``out=`` into
+preallocated scratch arrays, so a replay allocates only its output
+arrays -- independent of program length.
 """
 
 from __future__ import annotations
@@ -490,79 +485,112 @@ def optimize_program(
     )
 
 
-_NUMPY_BACKEND = None
+# -- the op table ------------------------------------------------------------
 
 
-def _default_backend():
-    """The reference numpy backend (lazy: backend.py imports this
-    module's op tags, so the import must happen after load)."""
-    global _NUMPY_BACKEND
-    if _NUMPY_BACKEND is None:
-        from .backend import numpy_backend
+def op_table(dtype) -> dict[int, Callable]:
+    """Map each arithmetic op tag to ``fn(a, b, c, out, tmp)``.
 
-        _NUMPY_BACKEND = numpy_backend()
-    return _NUMPY_BACKEND
+    ``out`` is either ``None`` (allocate the result) or a preallocated
+    destination that never aliases an operand of the same op (the
+    buffer plan of :func:`optimize_program` guarantees it, so the
+    multi-step bodies below are safe); ``tmp`` is a tuple of boolean
+    scratch arrays, read only when ``out`` is given.  Unused operands
+    arrive as ``None``.  Every body keeps the interpreter's grouping:
+    madd/msub are the two-operation ``a*b +- c``, nmsub is ``c - a*b``
+    (no FMA contraction), cmpgt/or/and produce ``{0, 1}`` masks in
+    ``dtype``, and sel is ``where(mask != 0, b, a)``.
 
-
-class _BackendState:
-    """Per-(program, backend) warm state: the bound op table, typed
-    constants, pre-dispatched step lists and the scratch-buffer pool.
-
-    Kept on the program (which the program cache memoizes), so pool
-    workers and the serve daemon carry warm per-backend state across
-    solver rebinds exactly like the program cache itself.
+    Each ``out=`` body evaluates the very same elementwise expression as
+    its allocate form, one rounding at a time -- ufuncs with ``out=``
+    round identically, and a bool->dtype assignment casts exactly like
+    ``.astype``.
     """
 
-    __slots__ = (
-        "backend", "dtype", "consts", "plan_consts",
-        "steps_raw", "steps_plan",
-        "_plan", "_bufs", "_bools", "_views", "_bool_views", "_n",
-    )
+    def add(a, b, c, out, tmp):
+        if out is None:
+            return a + b
+        return np.add(a, b, out=out)
 
-    def __init__(self, backend, program: "CompiledProgram") -> None:
-        self.backend = backend
-        self.dtype = program._dtype
-        table = backend.op_table(program._dtype)
-        self.consts = backend.constants(program.consts, program._dtype)
-        plan = program.plan
-        self.plan_consts = backend.constants(plan.consts, program._dtype)
-        supports_out = backend.supports_out
+    def sub(a, b, c, out, tmp):
+        if out is None:
+            return a - b
+        return np.subtract(a, b, out=out)
 
-        def steps(ops, dest):
-            out = []
-            for i, (kind, d, a, b, c) in enumerate(ops):
-                fn = table.get(kind)
-                bi = dest[i] if (dest is not None and supports_out) else -1
-                out.append((kind, d, a, b, c, fn, bi))
-            return tuple(out)
+    def mul(a, b, c, out, tmp):
+        if out is None:
+            return a * b
+        return np.multiply(a, b, out=out)
 
-        self.steps_raw = steps(program.ops, None)
-        self.steps_plan = steps(plan.ops, plan.dest)
-        self._plan = plan
-        self._bufs: list = []
-        self._bools: list = []
-        self._views: list = []
-        self._bool_views: list = []
-        self._n = -1
+    def div(a, b, c, out, tmp):
+        if out is None:
+            return a / b
+        return np.divide(a, b, out=out)
 
-    def scratch(self, n: int):
-        """The pool views for batch length ``n`` (grown, then cached:
-        replays at a repeated batch length allocate nothing)."""
-        if n != self._n:
-            plan = self._plan
-            backend = self.backend
-            if not self._bufs or n > len(self._bufs[0]):
-                self._bufs = [
-                    backend.alloc(n, self.dtype)
-                    for _ in range(plan.num_buffers)
-                ]
-                self._bools = [
-                    backend.alloc_bool(n) for _ in range(plan.num_bool)
-                ]
-            self._views = [b[:n] for b in self._bufs]
-            self._bool_views = [b[:n] for b in self._bools]
-            self._n = n
-        return self._views, self._bool_views
+    def madd(a, b, c, out, tmp):
+        if out is None:
+            return a * b + c
+        np.multiply(a, b, out=out)
+        return np.add(out, c, out=out)
+
+    def msub(a, b, c, out, tmp):
+        if out is None:
+            return a * b - c
+        np.multiply(a, b, out=out)
+        return np.subtract(out, c, out=out)
+
+    def nmsub(a, b, c, out, tmp):
+        if out is None:
+            return c - a * b
+        np.multiply(a, b, out=out)
+        return np.subtract(c, out, out=out)
+
+    def cmpgt(a, b, c, out, tmp):
+        if out is None:
+            return (a > b).astype(dtype)
+        np.greater(a, b, out=tmp[0])
+        out[...] = tmp[0]
+        return out
+
+    def or_(a, b, c, out, tmp):
+        if out is None:
+            return ((a != 0) | (b != 0)).astype(dtype)
+        np.not_equal(a, 0, out=tmp[0])
+        np.not_equal(b, 0, out=tmp[1])
+        np.logical_or(tmp[0], tmp[1], out=tmp[0])
+        out[...] = tmp[0]
+        return out
+
+    def and_(a, b, c, out, tmp):
+        if out is None:
+            return ((a != 0) & (b != 0)).astype(dtype)
+        np.not_equal(a, 0, out=tmp[0])
+        np.not_equal(b, 0, out=tmp[1])
+        np.logical_and(tmp[0], tmp[1], out=tmp[0])
+        out[...] = tmp[0]
+        return out
+
+    def sel(a, b, c, out, tmp):
+        if out is None:
+            return np.where(c != 0, b, a)
+        np.not_equal(c, 0, out=tmp[0])
+        np.copyto(out, a)
+        np.copyto(out, b, where=tmp[0])
+        return out
+
+    return {
+        OP_ADD: add,
+        OP_SUB: sub,
+        OP_MUL: mul,
+        OP_DIV: div,
+        OP_MADD: madd,
+        OP_MSUB: msub,
+        OP_NMSUB: nmsub,
+        OP_CMPGT: cmpgt,
+        OP_OR: or_,
+        OP_AND: and_,
+        OP_SEL: sel,
+    }
 
 
 class CompiledProgram:
@@ -575,11 +603,12 @@ class CompiledProgram:
     The returned arrays are owned by the caller (never views into the
     scratch pool).
 
-    Execution dispatches through an :class:`~repro.cell.backend.ArrayBackend`
-    (the numpy reference by default); ``optimize=True`` (default)
-    replays the compile-time :class:`ExecutionPlan` -- same bits,
-    fewer ops, pooled scratch destinations on ``out=``-capable
-    backends.
+    Execution replays the compile-time :class:`ExecutionPlan` -- the
+    interpreter's bits from fewer ops, intermediates landing in pooled
+    scratch destinations.  The program's warm state (pre-dispatched
+    plan steps and the scratch pool) lives on the program, which the
+    program cache memoizes, so pool workers and the serve daemon carry
+    it across solver rebinds exactly like the cache itself.
     """
 
     def __init__(
@@ -607,7 +636,17 @@ class CompiledProgram:
         #: the optimizer pipeline runs once here, at compile time, and
         #: is cached with the program.
         self.plan = optimize_program(ops, consts, outputs, self._dtype)
-        self._states: dict[str, _BackendState] = {}
+        table = op_table(self._dtype)
+        #: plan ops with their op body and scratch buffer index bound
+        self._steps = tuple(
+            (kind, d, a, b, c, table.get(kind), bi)
+            for (kind, d, a, b, c), bi in zip(self.plan.ops, self.plan.dest)
+        )
+        self._bufs: list[np.ndarray] = []
+        self._bools: list[np.ndarray] = []
+        self._views: list[np.ndarray] = []
+        self._bool_views: list[np.ndarray] = []
+        self._n = -1
 
     @property
     def instructions(self) -> int:
@@ -630,55 +669,46 @@ class CompiledProgram:
             f"({detail})"
         )
 
-    def backend_state(self, backend) -> _BackendState:
-        state = self._states.get(backend.name)
-        if state is None:
-            state = self._states[backend.name] = _BackendState(backend, self)
-        return state
+    def _scratch(self, n: int):
+        """The pool views for batch length ``n`` (grown, then cached:
+        replays at a repeated batch length allocate nothing)."""
+        if n != self._n:
+            plan = self.plan
+            if not self._bufs or n > len(self._bufs[0]):
+                self._bufs = [
+                    np.empty(n, dtype=self._dtype)
+                    for _ in range(plan.num_buffers)
+                ]
+                self._bools = [
+                    np.empty(n, dtype=bool) for _ in range(plan.num_bool)
+                ]
+            self._views = [b[:n] for b in self._bufs]
+            self._bool_views = [b[:n] for b in self._bools]
+            self._n = n
+        return self._views, self._bool_views
 
-    def run(
-        self,
-        inputs: Sequence[np.ndarray],
-        backend=None,
-        optimize: bool = True,
-    ) -> list[np.ndarray]:
+    def run(self, inputs: Sequence[np.ndarray]) -> list[np.ndarray]:
         if len(inputs) != len(self.inputs):
             raise self._arity_error(len(inputs))
-        if backend is None:
-            backend = _default_backend()
-        state = self.backend_state(backend)
-        if backend.is_host:
-            xs = inputs
+        consts = self.plan.consts
+        if self.plan.num_buffers:
+            n = next(
+                (x.shape[0] for x in inputs if getattr(x, "shape", ())), 0
+            )
+            bufs, tmps = self._scratch(n)
         else:
-            xs = [backend.from_host(x) for x in inputs]
-        if optimize:
-            steps = state.steps_plan
-            consts = state.plan_consts
-            if backend.supports_out and state._plan.num_buffers:
-                n = next(
-                    (x.shape[0] for x in xs if getattr(x, "shape", ())), 0
-                )
-                bufs, tmps = state.scratch(n)
-            else:
-                bufs = tmps = None
-        else:
-            steps = state.steps_raw
-            consts = state.consts
             bufs = tmps = None
         vals: list = [None] * self.nslots
-        for kind, d, a, b, c, fn, bi in steps:
+        for kind, d, a, b, c, fn, bi in self._steps:
             if kind == OP_INPUT:
-                vals[d] = xs[a]
+                vals[d] = inputs[a]
             elif kind == OP_CONST:
                 vals[d] = consts[a]
             elif bi >= 0:
                 vals[d] = fn(vals[a], vals[b], vals[c], bufs[bi], tmps)
             else:
                 vals[d] = fn(vals[a], vals[b], vals[c], None, None)
-        outs = [vals[slot] for _, slot in self.outputs]
-        if backend.is_host:
-            return outs
-        return [backend.to_host(v) for v in outs]
+        return [vals[slot] for _, slot in self.outputs]
 
 
 # -- the program cache -------------------------------------------------------

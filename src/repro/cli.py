@@ -16,8 +16,8 @@ writing code:
 ``processors`` Figure 11: cross-processor comparison
 ``bounds``     Sec. 6: traffic and lower bounds
 ``cluster``    multi-chip Cell cluster scaling model (extension); with
-               ``--transport {local,socket,mpi}`` a functional P x Q
-               solve, ranks as threads (local) or processes (socket)
+               ``--transport {local,socket}`` a functional P x Q solve,
+               ranks as threads (local) or processes (socket)
 ``cluster-rank`` one cluster rank worker process (see ``docs/CLUSTER.md``)
 =============  ===========================================================
 
@@ -138,20 +138,6 @@ def cmd_solve(args) -> int:
         print("error: --metrics requires --engine cell (only the simulated "
               "machine feeds the metrics registry)", file=sys.stderr)
         return 2
-    if args.backend != "numpy":
-        if not args.isa:
-            print("error: --backend selects the array substrate of the "
-                  "compiled ISA programs and requires --isa",
-                  file=sys.stderr)
-            return 2
-        from .cell.backend import backend_status
-
-        status = backend_status().get(args.backend)
-        if status is None or not status["available"]:
-            detail = status["detail"] if status else "unknown backend"
-            print(f"error: --backend {args.backend} is unavailable on this "
-                  f"host ({detail})", file=sys.stderr)
-            return 2
     if args.progress and args.engine != "cell":
         print("error: --progress requires --engine cell (the progress seam "
               "counts the Cell solver's work units)", file=sys.stderr)
@@ -175,9 +161,7 @@ def cmd_solve(args) -> int:
         if args.trace:
             config = config.with_(trace=True)
         if args.isa:
-            config = config.with_(
-                isa_kernel=True, array_backend=args.backend
-            )
+            config = config.with_(isa_kernel=True)
         if args.metrics:
             config = config.with_(metrics=True)
         compile_before = STATS.snapshot()
@@ -199,8 +183,6 @@ def cmd_solve(args) -> int:
         }
         compile_stats["isa_kernel"] = config.isa_kernel
         compile_stats["compile_isa"] = config.compile_isa
-        compile_stats["backend"] = config.array_backend
-        compile_stats["optimize_isa"] = config.optimize_isa
         from .cell.isa_compile import cache_info
 
         compile_stats["cache"] = cache_info()
@@ -259,8 +241,7 @@ def cmd_solve(args) -> int:
             print(f"isa: streams_compiled={compile_stats['streams_compiled']} "
                   f"cache_hits={compile_stats['cache_hits']} "
                   f"batched_blocks={compile_stats['batched_blocks']}")
-            print(f"isa backend={compile_stats['backend']} "
-                  f"optimizer: ops {compile_stats['ops_before']}->"
+            print(f"isa optimizer: ops {compile_stats['ops_before']}->"
                   f"{compile_stats['ops_after']} "
                   f"slots_reused={compile_stats['slots_reused']} "
                   f"cache {compile_stats['cache']['entries']}/"
@@ -732,13 +713,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the SPE kernel through the functional SPU "
                         "ISA, trace-compiled to batched numpy programs "
                         "(requires --engine cell)")
-    p.add_argument("--backend", choices=("numpy", "torch", "cupy"),
-                   default="numpy",
-                   help="array substrate for the compiled ISA programs "
-                        "(requires --isa): numpy is the bit-identical "
-                        "reference; torch/cupy stream the same programs "
-                        "through device tensors when installed "
-                        "(see docs/PERFORMANCE.md)")
     p.add_argument("--workers", type=int, default=1, metavar="N",
                    help="host worker processes for the cell engine "
                         "(bit-identical to serial for any N; default 1)")
@@ -842,7 +816,7 @@ def build_parser() -> argparse.ArgumentParser:
     _deck_args(p)
     p.add_argument("-p", type=int, default=2, help="chip grid columns")
     p.add_argument("-q", type=int, default=2, help="chip grid rows")
-    p.add_argument("--transport", choices=("local", "socket", "mpi"),
+    p.add_argument("--transport", choices=("local", "socket"),
                    default=None,
                    help="run a functional P x Q cluster solve over this "
                         "rank-to-rank transport (see docs/CLUSTER.md; "

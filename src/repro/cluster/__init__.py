@@ -8,11 +8,9 @@ OS processes and hosts behind the existing
 
 * :mod:`repro.cluster.frames` -- length-prefixed wire frames with
   per-destination small-message coalescing;
-* :mod:`repro.cluster.transport` -- the pluggable rank-to-rank
-  endpoints: an in-process reference transport (bit-identical to the
-  queue path), a TCP socket transport with eager sends and lazy
-  receives, and an optional mpi4py transport gated like the torch/cupy
-  array backends;
+* :mod:`repro.cluster.transport` -- the two rank-to-rank endpoints: an
+  in-process reference transport (bit-identical to the queue path) and
+  a TCP socket transport with eager sends and lazy receives;
 * :mod:`repro.cluster.runtime` -- the per-rank solve program
   (`repro cluster-rank`) that rebinds deck + config from a manifest;
 * :mod:`repro.cluster.driver` -- the parent: rendezvous, rank process
@@ -25,11 +23,10 @@ See ``docs/CLUSTER.md`` for the architecture walk-through.
 from __future__ import annotations
 
 from .driver import ClusterReport, run_cluster_solve
-from .transport import TransportStats, transport_status
+from .transport import TransportStats
 
 __all__ = [
     "ClusterReport",
     "run_cluster_solve",
     "TransportStats",
-    "transport_status",
 ]

@@ -59,7 +59,7 @@ from .transport import DEFAULT_RECV_TIMEOUT, LocalFabric
 
 _log = get_logger("cluster.driver")
 
-TRANSPORTS = ("local", "socket", "mpi")
+TRANSPORTS = ("local", "socket")
 ENGINES = ("cell", "tile")
 SPAWNS = ("fork", "cli")
 
@@ -188,12 +188,6 @@ class ClusterDriver:
         if transport not in TRANSPORTS:
             raise ConfigurationError(
                 f"unknown transport {transport!r}; pick one of {TRANSPORTS}"
-            )
-        if transport == "mpi":
-            raise ConfigurationError(
-                "the mpi transport has no parent-spawned driver; launch "
-                "the job under mpirun with `repro cluster-rank --transport "
-                "mpi` on every rank (see docs/CLUSTER.md)"
             )
         if engine not in ENGINES:
             raise ConfigurationError(
@@ -464,7 +458,6 @@ class ClusterDriver:
                 chans[rank].send({
                     "t": "manifest",
                     "payload": self.manifest.to_payload(),
-                    "transport": "socket",
                     "bind_host": self.bind_host,
                     "obs": ctx.to_payload() if ctx is not None else None,
                 })

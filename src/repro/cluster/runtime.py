@@ -3,7 +3,7 @@
 A rank process is one KBA grid position running the whole per-rank
 source iteration of :meth:`repro.mpi.wavefront.KBASweep3D._rank_program`
 -- the same local deck tiling, the same :class:`RankBoundary` leakage
-chain, the same serial sweep -- over a pluggable transport endpoint
+chain, the same serial sweep -- over a local or socket transport endpoint
 instead of the in-process :class:`~repro.mpi.comm.SimComm`.  The only
 collective the loop needs (the per-iteration max-allreduce feeding the
 convergence history) runs through the parent's control channel, which
@@ -53,7 +53,6 @@ from .transport import (
     Endpoint,
     EndpointComm,
     LocalFabric,
-    MPIEndpoint,
     SocketEndpoint,
 )
 
@@ -346,23 +345,18 @@ def rank_main(connect: str, rank: int, timeout: float = DEFAULT_RECV_TIMEOUT) ->
             flight().note("manifest", rank=rank, engine=manifest.engine)
             if endpoint is not None:
                 endpoint.close()
-            if msg.get("transport", "socket") == "mpi":
-                endpoint = MPIEndpoint(rank=rank, size=manifest.size)
-                ctl.send({"t": "port", "rank": rank, "port": -1})
-            else:
-                endpoint = SocketEndpoint(
-                    rank, manifest.size, host=msg.get("bind_host", "127.0.0.1"),
-                    recv_timeout=timeout,
-                )
-                ctl.send({"t": "port", "rank": rank, "port": endpoint.port})
+            endpoint = SocketEndpoint(
+                rank, manifest.size, host=msg.get("bind_host", "127.0.0.1"),
+                recv_timeout=timeout,
+            )
+            ctl.send({"t": "port", "rank": rank, "port": endpoint.port})
             addrs_msg = ctl.recv()
             if addrs_msg["t"] != "addrs":
                 raise ClusterError(f"expected addrs, got {addrs_msg['t']!r}")
-            if hasattr(endpoint, "wire"):
-                endpoint.wire({
-                    int(r): (h, int(p))
-                    for r, (h, p) in addrs_msg["addrs"].items()
-                })
+            endpoint.wire({
+                int(r): (h, int(p))
+                for r, (h, p) in addrs_msg["addrs"].items()
+            })
 
             def barrier(i: int, diff: float, scale: float) -> str:
                 ctl.send({

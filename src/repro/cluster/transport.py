@@ -1,4 +1,4 @@
-"""Pluggable rank-to-rank transports behind the face-message interface.
+"""Rank-to-rank transports behind the face-message interface.
 
 Every transport exposes the same tiny endpoint surface the KBA boundary
 needs -- tagged point-to-point face messages between ranks of one job:
@@ -12,7 +12,7 @@ needs -- tagged point-to-point face messages between ranks of one job:
   receives complete whenever the reader thread already banked them, so
   I/J-face sends overlap the next diagonal's compute).
 
-Three implementations:
+Two implementations:
 
 :class:`LocalFabric` / its endpoints -- the in-process reference: the
 same condition-variable mailbox discipline as
@@ -25,12 +25,6 @@ listening data socket per rank process, a sender thread draining an
 unbounded frame queue (eager send), an acceptor + per-connection reader
 threads filling the mailbox (lazy recv), length-prefixed frames from
 :mod:`repro.cluster.frames`.
-
-:class:`MPIEndpoint` -- optional ``mpi4py`` transport, gated exactly
-like the torch/cupy array backends: importing this module never imports
-mpi4py, :func:`transport_status` reports availability without raising,
-and constructing the endpoint on a host without the wheel raises
-:class:`~repro.errors.ConfigurationError`.
 
 Every endpoint keeps a :class:`TransportStats`: message/byte counters
 for both directions plus the three wall-clock buckets the overlap story
@@ -55,7 +49,7 @@ from typing import Any, Protocol
 
 import numpy as np
 
-from ..errors import ClusterError, ConfigurationError
+from ..errors import ClusterError
 from .frames import (
     KIND_DATA,
     frame_bytes,
@@ -456,126 +450,3 @@ class SocketEndpoint:
             inbound = list(self._inbound)
         for conn in inbound:
             conn.close()
-
-
-# ---------------------------------------------------------------------------
-# Optional mpi4py transport (gated like the torch/cupy backends)
-# ---------------------------------------------------------------------------
-
-
-def _import_mpi():
-    try:
-        from mpi4py import MPI  # noqa: PLC0415
-
-        return MPI
-    except Exception:
-        return None
-
-
-def mpi_available() -> bool:
-    return _import_mpi() is not None
-
-
-def mpi_status() -> dict[str, Any]:
-    mpi = _import_mpi()
-    if mpi is None:
-        return {
-            "available": False,
-            "detail": "mpi4py not installed (pip install mpi4py under an "
-                      "MPI implementation)",
-        }
-    return {
-        "available": True,
-        "detail": f"mpi4py over {mpi.Get_library_version().splitlines()[0]}",
-    }
-
-
-class MPIEndpoint:
-    """Face-message endpoint over ``MPI.COMM_WORLD``.
-
-    For jobs launched with ``mpirun -n P*Q python -m repro cluster-rank
-    --transport mpi ...`` on hosts that ship mpi4py.  Sends are
-    ``Isend`` of the packed one-destination frame (MPI's own eager
-    protocol provides the overlap); receives are blocking matched
-    probes.  A blocking transport reports ``send_wait_s == wire_s``, so
-    its overlap ratio is honestly ~0 where the implementation does not
-    progress sends in the background.
-    """
-
-    def __init__(self, rank: int | None = None, size: int | None = None) -> None:
-        mpi = _import_mpi()
-        if mpi is None:
-            raise ConfigurationError(
-                "the mpi transport needs mpi4py, which is not installed "
-                "on this host; use --transport socket (see docs/CLUSTER.md)"
-            )
-        self._mpi = mpi
-        self.comm = mpi.COMM_WORLD
-        self.rank = self.comm.Get_rank() if rank is None else rank
-        self.size = self.comm.Get_size() if size is None else size
-        self.stats = TransportStats()
-        self._pending: dict[int, list[tuple[int, int, np.ndarray]]] = {}
-        self._requests: list[Any] = []
-        self._mail: dict[tuple[int, int], deque[np.ndarray]] = {}
-
-    def send(self, dest: int, tag: int, data: np.ndarray) -> None:
-        self._pending.setdefault(dest, []).append((self.rank, tag, data))
-        self.stats.msgs_sent += 1
-        self.stats.bytes_sent += int(np.asarray(data).nbytes)
-
-    def flush(self) -> None:
-        t0 = time.thread_time()
-        for dest, items in self._pending.items():
-            buf = pack_messages(items)
-            self._requests.append(self.comm.isend(buf, dest=dest, tag=0))
-            self.stats.frames_sent += 1
-            self.stats.wire_bytes += len(buf)
-        self._pending.clear()
-        dt = time.thread_time() - t0
-        self.stats.send_wait_s += dt
-        self.stats.wire_s += dt
-
-    def recv(self, src: int, tag: int) -> np.ndarray:
-        key = (src, tag)
-        t0 = time.perf_counter()
-        while not self._mail.get(key):
-            body = self.comm.recv(source=self._mpi.ANY_SOURCE, tag=0)
-            items = unpack_messages(body)
-            self.stats.frames_recv += 1
-            self.stats.msgs_recv += len(items)
-            self.stats.bytes_recv += sum(a.nbytes for _, _, a in items)
-            for isrc, itag, arr in items:
-                self._mail.setdefault((isrc, itag), deque()).append(arr)
-        self.stats.recv_wait_s += time.perf_counter() - t0
-        box = self._mail[key]
-        arr = box.popleft()
-        if not box:
-            del self._mail[key]
-        return arr
-
-    def close(self) -> None:
-        for req in self._requests:
-            req.wait()
-        self._requests.clear()
-
-
-# ---------------------------------------------------------------------------
-# Status
-# ---------------------------------------------------------------------------
-
-
-def transport_status() -> dict[str, dict[str, Any]]:
-    """Availability of every known transport, without raising (the
-    twin of :func:`repro.cell.backend.backend_status`)."""
-    return {
-        "local": {
-            "available": True,
-            "detail": "in-process reference fabric (always available)",
-        },
-        "socket": {
-            "available": True,
-            "detail": "TCP length-prefixed frames; ranks span OS "
-                      "processes and hosts",
-        },
-        "mpi": mpi_status(),
-    }

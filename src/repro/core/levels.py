@@ -105,18 +105,6 @@ class MachineConfig:
     #: per-lane operation sequence of the interpreter, so results are
     #: bit-identical and simulated time is untouched.
     compile_isa: bool = True
-    #: array substrate compiled ISA programs execute on
-    #: (:mod:`repro.cell.backend`): ``"numpy"`` is the bit-identical
-    #: reference; ``"torch"``/``"cupy"`` stream the same programs
-    #: through device tensors when the library and device are present
-    #: (resolved at solver construction, with a clear error when not).
-    #: Host-simulator choice only -- simulated time is untouched.
-    array_backend: str = "numpy"
-    #: run the compile-time optimizer pipeline (constant folding,
-    #: dead-op elimination, liveness-planned scratch-buffer reuse) over
-    #: each compiled ISA program.  The passes never change a rounding,
-    #: so results stay bit-identical; off is a debugging escape hatch.
-    optimize_isa: bool = True
     #: machine-wide event tracing (:mod:`repro.trace`): the solver builds
     #: a TraceBus and installs it chip-wide, and every instrumented unit
     #: (MFC, MIC, mailboxes, sync, schedulers, kernel) emits typed,
@@ -147,11 +135,6 @@ class MachineConfig:
         if self.isa_kernel and not self.simd:
             raise ConfigurationError(
                 "isa_kernel replays the SIMDized kernel and requires simd=True"
-            )
-        if self.array_backend != "numpy" and not self.isa_kernel:
-            raise ConfigurationError(
-                "array_backend applies to compiled ISA programs; set "
-                "isa_kernel=True (the reference kernel is numpy-only)"
             )
 
     @property

@@ -94,14 +94,6 @@ class CellSweep3D:
                     "isa_kernel requires double precision: the reference "
                     "flux it must match bit for bit is float64"
                 )
-        if self.config.isa_kernel:
-            # resolve the array backend here so a missing library fails
-            # at construction with a configuration error, not mid-sweep
-            from ..cell.backend import resolve_backend
-
-            self._isa_backend = resolve_backend(self.config.array_backend)
-        else:
-            self._isa_backend = None
         self.workers = int(workers)
         if self.workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
@@ -390,10 +382,7 @@ class CellSweep3D:
                 for ch, rows in zip(chunks, chunk_rows)
             ]
             if self.config.compile_isa:
-                results = simd_execute_blocks(
-                    blocks, backend=self._isa_backend,
-                    optimize=self.config.optimize_isa, metrics=self.metrics,
-                )
+                results = simd_execute_blocks(blocks)
             else:
                 results = [simd_execute_block(b) for b in blocks]
             psi_c = np.concatenate([r[0] for r in results])

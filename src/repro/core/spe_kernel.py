@@ -19,7 +19,7 @@ SPU ISA of :mod:`repro.cell.isa`:
   fixup half only on the lines where a select can pick something other
   than the plain solve -- the same values, for less host time.
 
-Two uses:
+Three uses:
 
 1. :func:`simd_execute_block` runs a
    :class:`~repro.sweep.pipelining.LineBlock` through the functional ISA
@@ -30,7 +30,12 @@ Two uses:
    commutativity of individual adds.  Tests enforce the equality -- it is
    the link between the paper's hand-written SPU code and the reference
    solver.
-2. :func:`kernel_cycle_report` emits one steady-state inner iteration
+2. :func:`simd_execute_blocks` records the same emission once per line
+   shape, lowers it into one optimized numpy program
+   (:mod:`repro.cell.isa_compile`) and replays that program over every
+   line of a jkm diagonal at once -- the solver's ``isa_kernel`` path,
+   bit-identical to use 1.
+3. :func:`kernel_cycle_report` emits one steady-state inner iteration
    (all logical threads, one I-step, including the moment-source
    combination and the Figure-7 flux-moment accumulation) and replays it
    through the dual-issue pipeline model, reproducing the shape of the
@@ -365,11 +370,7 @@ def _trace_line_program(it: int, fixup: bool, double: bool):
 
 
 def simd_execute_blocks(
-    blocks: list[LineBlock],
-    double: bool = True,
-    backend=None,
-    optimize: bool = True,
-    metrics=None,
+    blocks: list[LineBlock], double: bool = True
 ) -> list[tuple[np.ndarray, np.ndarray, int]]:
     """Run several independent LineBlocks through one compiled ISA call.
 
@@ -393,14 +394,6 @@ def simd_execute_blocks(
     I-chain; so a clean line's plain bits *are* the full program's bits,
     and a dirty row gets the full program's bits because every ISA op is
     elementwise per batch row.
-
-    ``backend`` selects the array substrate the program replays on (an
-    :class:`~repro.cell.backend.ArrayBackend`; default: the numpy
-    reference), ``optimize`` toggles the compile-time plan, and
-    ``metrics`` (a :class:`~repro.metrics.registry.MetricsRegistry`)
-    receives per-backend ``isa.backend.<name>.{blocks,lines}`` counters
-    -- block/line totals are partition-invariant, so the counts merge
-    bit-identically for any worker split.
     """
     from ..cell.isa_compile import STATS, compiled_program
 
@@ -420,10 +413,6 @@ def simd_execute_blocks(
     STATS.batched_calls += 1
     STATS.batched_blocks += len(blocks)
     STATS.batched_lines += N
-    if metrics is not None and metrics.enabled:
-        name = backend.name if backend is not None else "numpy"
-        metrics.count(f"isa.backend.{name}.blocks", len(blocks))
-        metrics.count(f"isa.backend.{name}.lines", N)
 
     def cat1(field) -> np.ndarray:
         return np.concatenate(
@@ -469,7 +458,7 @@ def simd_execute_blocks(
         res = dict(
             zip(
                 (k for k, _ in program.outputs),
-                program.run(inputs, backend=backend, optimize=optimize),
+                program.run(inputs),
             )
         )
         n = len(scal["cx"])
@@ -517,19 +506,6 @@ def compiled_line_executor(block: LineBlock):
     """LineExecutor adapter for the trace-compiled path (one block per
     call; the Cell solver batches whole diagonals instead)."""
     return simd_execute_blocks([block])[0]
-
-
-def compiled_block_executor(backend=None, optimize: bool = True):
-    """A LineExecutor bound to one backend x optimizer mode (benchmark
-    duels and conformance referees; the solver threads its own config
-    through :func:`simd_execute_blocks` directly)."""
-
-    def executor(block: LineBlock):
-        return simd_execute_blocks(
-            [block], backend=backend, optimize=optimize
-        )[0]
-
-    return executor
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ tically in tests.
 
 :class:`SimComm` exposes the MPI subset Sweep3D uses (blocking and
 non-blocking point-to-point, barrier, broadcast, reduce, allreduce,
-gather) with mpi4py-like spellings.
+gather) with the spellings of the usual Python MPI bindings.
 """
 
 from __future__ import annotations

@@ -163,9 +163,6 @@ class SolveRunner:
                                  else None),
             "solve_wall_seconds": wall,
             "isa": isa,
-            # the array substrate the job's compiled programs ran on
-            # (None when the job fell back to the reference kernel)
-            "backend": config.array_backend if isa else None,
             "compile": {
                 # exact while solves do not overlap; see module docstring
                 "streams_compiled": job_delta.get("streams_compiled", 0),

@@ -103,11 +103,9 @@ def test_message_counts_match_model(fabric_deck, grid):
     assert report.flux_digest == serial_sha
 
 
-def test_mpi_transport_needs_mpirun():
-    with pytest.raises(ConfigurationError):
-        run_cluster_solve(make_deck(), 1, 2, transport="mpi", engine="tile")
-
-
 def test_unknown_transport_rejected():
-    with pytest.raises(ConfigurationError):
-        run_cluster_solve(make_deck(), 1, 2, transport="carrier-pigeon")
+    # "mpi" included: ranks talk over the local or socket transport only
+    for transport in ("mpi", "carrier-pigeon"):
+        with pytest.raises(ConfigurationError, match="unknown transport"):
+            run_cluster_solve(make_deck(), 1, 2, transport=transport,
+                              engine="tile")

@@ -1,4 +1,4 @@
-"""Transport endpoints: coalescing, stats, ordering, gating."""
+"""Transport endpoints: coalescing, stats, ordering, timeouts."""
 
 from __future__ import annotations
 
@@ -9,10 +9,8 @@ from repro.cluster.transport import (
     LocalFabric,
     SocketEndpoint,
     TransportStats,
-    mpi_available,
-    transport_status,
 )
-from repro.errors import ClusterError, ConfigurationError
+from repro.errors import ClusterError
 
 
 def test_local_fabric_round_trip(rng):
@@ -176,15 +174,3 @@ def test_overlap_ratio_degenerate_cases():
     s = TransportStats(wire_s=1.0, send_wait_s=3.0)
     assert s.overlap_ratio == 0.0
 
-
-def test_transport_status_gates_mpi():
-    status = transport_status()
-    assert status["local"]["available"] is True
-    assert status["socket"]["available"] is True
-    assert status["mpi"]["available"] == mpi_available()
-    if not mpi_available():
-        from repro.cluster.transport import MPIEndpoint
-
-        assert "mpi4py" in status["mpi"]["detail"]
-        with pytest.raises(ConfigurationError):
-            MPIEndpoint(rank=0, size=1)

@@ -1,14 +1,14 @@
-"""Backend-conformance referees (:mod:`repro.cell.backend`) and the
-optimizer-pipeline contracts of :mod:`repro.cell.isa_compile`.
+"""Op-table conformance referees and the optimizer-pipeline contracts of
+:mod:`repro.cell.isa_compile`.
 
-Every lowered op tag runs through each available backend against golden
-numpy results -- ``assert_array_equal`` for exact backends, the
-documented tolerance otherwise -- in both float64 and float32 (the
-program dtype must never promote), including the exact two-operation
-madd/nmsub grouping the interpreter computes (no FMA contraction).
-The optimizer passes are checked structurally (folding, dead-op
-elimination, buffer reuse) and behaviorally (bit-identity, allocation
-drop under ``tracemalloc``, caller-owned outputs).
+Every lowered op tag of the one numpy op table compiled programs replay
+through runs against golden numpy results with ``assert_array_equal``,
+in both float64 and float32 (the program dtype must never promote),
+allocate and ``out=`` forms alike, including the exact two-operation
+madd/nmsub grouping the interpreter computes (no FMA contraction).  The
+optimizer passes are checked structurally (folding, dead-op
+elimination, buffer reuse) and behaviorally (a bounded allocation peak
+under ``tracemalloc``, caller-owned outputs).
 """
 
 from __future__ import annotations
@@ -19,14 +19,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.cell.backend import (
-    KNOWN_BACKENDS,
-    available_backends,
-    backend_status,
-    numpy_backend,
-    resolve_backend,
-)
-from repro.cell.backend_torch import TORCH_RTOL, torch_available
 from repro.cell.isa_compile import (
     OP_ADD,
     OP_AND,
@@ -41,12 +33,12 @@ from repro.cell.isa_compile import (
     OP_SEL,
     OP_SUB,
     TraceContext,
+    op_table,
 )
-from repro.core.levels import MachineConfig, SyncProtocol
 from repro.core.spe_kernel import _trace_line_program
-from repro.errors import ConfigurationError
 
-BACKENDS = available_backends()
+#: the op table under test, by the array substrate it runs on
+NUMPY_TABLE = pytest.mark.parametrize("table_for", [op_table], ids=["numpy"])
 
 #: Golden semantics per arithmetic tag -- the interpreter's expressions
 #: verbatim (grouping included).
@@ -78,96 +70,82 @@ def conformance_operands(dtype, n=64):
     return a, b, c
 
 
-def assert_matches(got, expect, backend, dtype):
+def assert_matches(got, expect, dtype):
     assert got.dtype == expect.dtype == dtype
-    if backend.exact:
-        np.testing.assert_array_equal(got, expect)
-    else:
-        rtol = TORCH_RTOL if dtype == np.float64 else 1e-5
-        np.testing.assert_allclose(got, expect, rtol=rtol, atol=0)
+    np.testing.assert_array_equal(got, expect)
 
 
 class TestOpConformance:
-    """Every lowered op tag x every available backend x both dtypes."""
+    """Every lowered op tag x both dtypes x both op forms."""
 
-    @pytest.mark.parametrize("name", BACKENDS)
+    @NUMPY_TABLE
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_op_table_matches_golden_numpy(self, name, dtype):
-        backend = resolve_backend(name)
-        table = backend.op_table(dtype)
+    def test_op_table_matches_golden_numpy(self, table_for, dtype):
+        table = table_for(dtype)
         a, b, c = conformance_operands(dtype)
-        da, db, dc = (backend.from_host(x) for x in (a, b, c))
         for tag, golden in GOLDEN.items():
             expect = golden(a, b, c, dtype)
-            got = backend.to_host(table[tag](da, db, dc, None, None))
-            assert_matches(got, expect, backend, dtype)
+            assert_matches(table[tag](a, b, c, None, None), expect, dtype)
 
-    @pytest.mark.parametrize("name", [n for n in BACKENDS
-                                      if resolve_backend(n).supports_out])
+    @NUMPY_TABLE
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_out_path_matches_allocate_path(self, name, dtype):
+    def test_out_path_matches_allocate_path(self, table_for, dtype):
         """The preallocated-destination implementations must produce the
         very same bits as the allocate path, op for op."""
-        backend = resolve_backend(name)
-        table = backend.op_table(dtype)
+        table = table_for(dtype)
         a, b, c = conformance_operands(dtype)
-        da, db, dc = (backend.from_host(x) for x in (a, b, c))
-        tmp = (backend.alloc_bool(len(a)), backend.alloc_bool(len(a)))
+        tmp = (np.empty(len(a), dtype=bool), np.empty(len(a), dtype=bool))
         for tag in GOLDEN:
-            ref = backend.to_host(table[tag](da, db, dc, None, None))
-            out = backend.alloc(len(a), dtype)
-            got = backend.to_host(table[tag](da, db, dc, out, tmp))
+            ref = table[tag](a, b, c, None, None)
+            out = np.empty(len(a), dtype=dtype)
+            got = table[tag](a, b, c, out, tmp)
+            assert got is out
             np.testing.assert_array_equal(got, ref)
 
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_madd_keeps_two_operation_grouping(self, name):
+    @NUMPY_TABLE
+    def test_madd_keeps_two_operation_grouping(self, table_for):
         """a*b rounds before +c: with a*b within half an ulp of 1 the
         two-operation result is exactly 0, an FMA contraction is not."""
-        backend = resolve_backend(name)
-        table = backend.op_table(np.float64)
+        table = table_for(np.float64)
         a = np.full(4, 1.0 + 2.0**-29)
         b = np.full(4, 1.0 - 2.0**-29)
         c = np.full(4, -1.0)
-        da, db, dc = (backend.from_host(x) for x in (a, b, c))
-        got = backend.to_host(table[OP_MADD](da, db, dc, None, None))
         fused = a * b + c  # numpy: fl(a*b) = 1.0 exactly -> result 0
         assert np.all(fused == 0.0)
-        if backend.exact:
+        for out in (None, np.empty(4)):
+            got = table[OP_MADD](a, b, c, out, None)
             np.testing.assert_array_equal(got, fused)
-        else:
-            assert np.max(np.abs(got)) <= 2.0**-50
 
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_nmsub_keeps_c_minus_ab_grouping(self, name):
-        backend = resolve_backend(name)
-        table = backend.op_table(np.float64)
+    @NUMPY_TABLE
+    def test_nmsub_keeps_c_minus_ab_grouping(self, table_for):
+        table = table_for(np.float64)
         a = np.full(4, 1.0 + 2.0**-29)
         b = np.full(4, 1.0 - 2.0**-29)
         c = np.full(4, 1.0)
-        da, db, dc = (backend.from_host(x) for x in (a, b, c))
-        got = backend.to_host(table[OP_NMSUB](da, db, dc, None, None))
         expect = c - a * b
         assert np.all(expect == 0.0)
-        if backend.exact:
+        for out in (None, np.empty(4)):
+            got = table[OP_NMSUB](a, b, c, out, None)
             np.testing.assert_array_equal(got, expect)
-        else:
-            assert np.max(np.abs(got)) <= 2.0**-50
 
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_float32_never_promotes_through_constants(self, name):
+    @NUMPY_TABLE
+    def test_float32_never_promotes_through_constants(self, table_for):
         """A float32 program with splatted constants must stay float32
-        end to end (constants are typed per backend, so broadcasting
-        cannot upcast)."""
-        backend = resolve_backend(name)
+        end to end (plan constants are dtype-typed scalars, so
+        broadcasting cannot upcast)."""
         ctx = TraceContext("f32-const", double=False)
         x = ctx.input_vec("x")
         k = ctx.spu_splats(0.1)  # not exactly representable: rounding shows
         ctx.output(ctx.spu_madd(x, k, k), "y")
         prog = ctx.finish()
         xs = np.linspace(0.5, 2.5, 9, dtype=np.float32)
-        (y,) = prog.run([xs], backend=backend)
         expect = xs * np.float32(0.1) + np.float32(0.1)
-        assert_matches(y, expect, backend, np.float32)
+        (y,) = prog.run([xs])
+        assert_matches(y, expect, np.float32)
+        k32 = prog.plan.consts[0]
+        assert k32.dtype == np.float32
+        direct = table_for(np.float32)[OP_MADD](xs, k32, k32, None, None)
+        assert_matches(direct, expect, np.float32)
 
 
 class TestOptimizerPipeline:
@@ -188,10 +166,7 @@ class TestOptimizerPipeline:
         assert plan.stats["ops_after"] < plan.stats["ops_before"]
         assert 5.0 in [float(v) for v in plan.consts]
         xs = np.linspace(-2, 2, 11)
-        np.testing.assert_array_equal(
-            prog.run([xs], optimize=True)[0],
-            prog.run([xs], optimize=False)[0],
-        )
+        np.testing.assert_array_equal(prog.run([xs])[0], (xs * 5.0) + 2.0)
 
     def test_folded_op_becomes_const(self):
         ctx = TraceContext("fold-only")
@@ -223,10 +198,10 @@ class TestOptimizerPipeline:
         prog = ctx.finish()
         rng = np.random.default_rng(3)
         inputs = [rng.uniform(0.1, 2.0, 33) for _ in prog.inputs]
-        r1 = prog.run(inputs, optimize=True)
+        r1 = prog.run(inputs)
         keep = [x.copy() for x in r1]
         inputs2 = [rng.uniform(0.1, 2.0, 33) for _ in prog.inputs]
-        prog.run(inputs2, optimize=True)
+        prog.run(inputs2)
         for before, after in zip(keep, r1):
             np.testing.assert_array_equal(before, after)
 
@@ -238,113 +213,21 @@ class TestOptimizerPipeline:
         assert prog.plan.num_buffers < 32
 
     def test_optimized_replay_allocation_drop(self):
-        """The backend-smoke contract: pooled replays allocate only
-        their outputs, a large constant factor below the one-temporary-
-        per-op unoptimized path."""
+        """Pooled replays allocate only their outputs: the tracemalloc
+        peak of warm replays stays under two replays' output bytes plus
+        64 KiB, independent of program length -- one fresh temporary per
+        op would hold thousands of batch-sized arrays."""
         prog = _trace_line_program(6, True, True).finish()
         rng = np.random.default_rng(5)
         inputs = [rng.uniform(0.1, 2.0, 256) for _ in prog.inputs]
-        prog.run(inputs, optimize=True)  # warm the scratch pool
-        prog.run(inputs, optimize=False)
-
-        def traced_peak(optimize: bool) -> int:
-            gc.collect()
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            for _ in range(3):
-                prog.run(inputs, optimize=optimize)
-            return tracemalloc.get_traced_memory()[1] - base
-
+        out_bytes = sum(y.nbytes for y in prog.run(inputs))  # warm the pool
+        gc.collect()
         tracemalloc.start()
         try:
-            optimized = traced_peak(True)
-            raw = traced_peak(False)
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(3):
+                prog.run(inputs)
+            peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert optimized < raw / 3, (optimized, raw)
-
-
-class TestResolution:
-    def test_numpy_always_available_and_memoized(self):
-        assert "numpy" in BACKENDS
-        assert resolve_backend("numpy") is resolve_backend(None)
-        assert resolve_backend("numpy") is numpy_backend()
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown array backend"):
-            resolve_backend("fortran")
-
-    def test_unavailable_backends_raise_clean_config_error(self):
-        status = backend_status()
-        for name in ("torch", "cupy"):
-            if not status[name]["available"]:
-                with pytest.raises(ConfigurationError, match=name):
-                    resolve_backend(name)
-
-    def test_status_covers_known_backends(self):
-        status = backend_status()
-        assert set(status) == set(KNOWN_BACKENDS)
-        for entry in status.values():
-            assert set(entry) >= {"available", "exact", "supports_out",
-                                  "detail"}
-
-    def test_config_requires_isa_for_non_numpy(self):
-        with pytest.raises(ConfigurationError, match="array_backend"):
-            MachineConfig(array_backend="torch")
-
-    def test_solver_rejects_unavailable_backend_at_init(self):
-        from repro.core.solver import CellSweep3D
-        from repro.sweep.input import small_deck
-
-        unavailable = [n for n in ("torch", "cupy")
-                       if not backend_status()[n]["available"]]
-        if not unavailable:
-            pytest.skip("all optional backends installed")
-        deck = small_deck(n=6, sn=4, nm=1, iterations=1)
-        config = MachineConfig(
-            aligned_rows=True, double_buffer=True, simd=True,
-            dma_lists=True, bank_offsets=True, sync=SyncProtocol.LS_POKE,
-            num_spes=3, isa_kernel=True, array_backend=unavailable[0],
-        )
-        with pytest.raises(ConfigurationError):
-            CellSweep3D(deck, config)
-
-
-requires_torch = pytest.mark.skipif(
-    not torch_available(), reason="torch not installed"
-)
-
-
-@requires_torch
-class TestTorchReferee:
-    """Tolerance referee for the torch backend (CI installs the CPU
-    wheel in one job; everywhere else this skips cleanly)."""
-
-    def test_line_program_within_tolerance(self):
-        prog = _trace_line_program(6, True, True).finish()
-        torch_backend = resolve_backend("torch")
-        rng = np.random.default_rng(11)
-        inputs = [rng.uniform(0.1, 2.0, 40) for _ in prog.inputs]
-        ref = prog.run(inputs, optimize=True)
-        got = prog.run(inputs, backend=torch_backend, optimize=True)
-        for r, g in zip(ref, got):
-            np.testing.assert_allclose(g, r, rtol=TORCH_RTOL, atol=0)
-
-    def test_full_solve_flux_within_tolerance(self):
-        from repro.core.solver import CellSweep3D
-        from repro.sweep.input import small_deck
-
-        deck = small_deck(n=6, sn=4, nm=2, iterations=2, mk=2)
-        base = dict(
-            aligned_rows=True, double_buffer=True, simd=True,
-            dma_lists=True, bank_offsets=True, sync=SyncProtocol.LS_POKE,
-            num_spes=3, isa_kernel=True,
-        )
-        ref = CellSweep3D(deck, MachineConfig(**base)).solve()
-        tor = CellSweep3D(
-            deck, MachineConfig(**base, array_backend="torch")
-        ).solve()
-        np.testing.assert_allclose(
-            tor.flux, ref.flux, rtol=TORCH_RTOL, atol=0
-        )
-        assert tor.tally.fixups == ref.tally.fixups
+        assert peak < 2 * out_bytes + 64 * 1024, (peak, out_bytes)

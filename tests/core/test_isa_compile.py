@@ -18,8 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cell import isa_compile
-from repro.cell.backend import available_backends, resolve_backend
-from repro.cell.backend_torch import TORCH_RTOL
 from repro.cell.isa_compile import STATS, cache_size, clear_cache, compiled_program
 from repro.cell.pipeline import SIMULATE_STATS, simulate, simulate_cached
 from repro.core.levels import MachineConfig, SchedulerKind, SyncProtocol
@@ -31,14 +29,6 @@ from repro.core.spe_kernel import (
     simd_execute_blocks,
 )
 from repro.errors import ConfigurationError, PipelineError
-
-#: every backend available on this host x optimizer on/off -- the full
-#: fuzz matrix the compiled-vs-interpreted referees run over.
-BACKEND_MATRIX = [
-    (name, optimize)
-    for name in available_backends()
-    for optimize in (True, False)
-]
 from repro.sweep.input import small_deck
 from repro.sweep.pipelining import LineBlock
 from repro.sweep.serial import SerialSweep3D
@@ -109,9 +99,9 @@ def replays(monkeypatch):
     seen: list[tuple[str, int]] = []
     run = isa_compile.CompiledProgram.run
 
-    def spy(self, inputs, *args, **kwargs):
+    def spy(self, inputs):
         seen.append((self.name, len(inputs[0])))
-        return run(self, inputs, *args, **kwargs)
+        return run(self, inputs)
 
     monkeypatch.setattr(isa_compile.CompiledProgram, "run", spy)
     return seen
@@ -125,29 +115,16 @@ def plain_rows(seen) -> list[int]:
     return [n for name, n in seen if "+fixup" not in name]
 
 
-def assert_batch_matches_interpreter(
-    blocks, double=True, backend=None, optimize=True
-):
-    be = resolve_backend(backend) if backend is not None else None
-    exact = be is None or be.exact
+def assert_batch_matches_interpreter(blocks, double=True):
     refs = [clone(b) for b in blocks]
-    batched = simd_execute_blocks(
-        blocks, double=double, backend=be, optimize=optimize
-    )
+    batched = simd_execute_blocks(blocks, double=double)
     total_fx = 0
     for b, r, (psi, pio, fx) in zip(blocks, refs, batched):
         psi_ref, pio_ref, fx_ref = simd_execute_block(r, double=double)
-        if exact:
-            np.testing.assert_array_equal(psi, psi_ref)
-            np.testing.assert_array_equal(pio, pio_ref)
-            np.testing.assert_array_equal(b.phi_j, r.phi_j)
-            np.testing.assert_array_equal(b.phi_k, r.phi_k)
-        else:
-            rtol = TORCH_RTOL if double else 1e-5
-            np.testing.assert_allclose(psi, psi_ref, rtol=rtol)
-            np.testing.assert_allclose(pio, pio_ref, rtol=rtol)
-            np.testing.assert_allclose(b.phi_j, r.phi_j, rtol=rtol)
-            np.testing.assert_allclose(b.phi_k, r.phi_k, rtol=rtol)
+        np.testing.assert_array_equal(psi, psi_ref)
+        np.testing.assert_array_equal(pio, pio_ref)
+        np.testing.assert_array_equal(b.phi_j, r.phi_j)
+        np.testing.assert_array_equal(b.phi_k, r.phi_k)
         assert fx == fx_ref
         total_fx += fx
     return total_fx
@@ -176,30 +153,13 @@ class TestBatchedBitIdentity:
                   for _ in range(3)]
         assert_batch_matches_interpreter(blocks, double=False)
 
-    @pytest.mark.parametrize("backend,optimize", BACKEND_MATRIX)
-    @pytest.mark.parametrize("fixup,thick", [(True, True), (True, False)])
-    def test_backend_optimizer_matrix(self, rng, backend, optimize, fixup,
-                                      thick):
-        blocks = [
-            make_block(rng, L=int(rng.integers(1, 11)), it=5,
-                       fixup=fixup, thick=thick)
-            for _ in range(4)
-        ]
-        assert_batch_matches_interpreter(
-            blocks, backend=backend, optimize=optimize
-        )
-
     @given(st.integers(min_value=1, max_value=17), st.integers(min_value=1, max_value=5))
     @settings(max_examples=20, deadline=None)
     def test_any_block_shape(self, L, it):
         rng = np.random.default_rng(L * 100 + it)
         protos = [make_block(rng, L=L, it=it, fixup=True, thick=True),
                   make_block(rng, L=max(1, L - 1), it=it, fixup=True)]
-        for backend, optimize in BACKEND_MATRIX:
-            assert_batch_matches_interpreter(
-                [clone(b) for b in protos], backend=backend,
-                optimize=optimize,
-            )
+        assert_batch_matches_interpreter(protos)
 
     def test_compiled_line_executor_adapter(self, rng):
         block = make_block(rng, fixup=True, thick=True)
@@ -244,7 +204,7 @@ def mixed_block(rng, L, it, nan=False):
     )
 
 
-def eager_replay(blocks, double=True, optimize=True):
+def eager_replay(blocks, double=True):
     """The eager path: the full branch-free program replayed on every
     line.  Returns per block ``(psi, phi_i_out, phi_j, phi_k, fixups)``."""
     it = blocks[0].it
@@ -274,7 +234,7 @@ def eager_replay(blocks, double=True, optimize=True):
         for key in program.inputs
     ]
     res = dict(zip((k for k, _ in program.outputs),
-                   program.run(inputs, optimize=optimize)))
+                   program.run(inputs)))
 
     def stack(name):
         out = np.empty((len(scalars["cx"]), it))
@@ -307,7 +267,6 @@ class TestLazyFixupGate:
         L = data.draw(st.integers(1, 14), label="L")
         it = data.draw(st.integers(1, 5), label="it")
         double = data.draw(st.booleans(), label="double")
-        optimize = data.draw(st.booleans(), label="optimize")
         nan = data.draw(st.booleans(), label="nan source cell")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         cuts = sorted(data.draw(
@@ -322,8 +281,8 @@ class TestLazyFixupGate:
         eager_in = [clone(b) for b in blocks]
         interp_in = [clone(b) for b in blocks]
 
-        lazy = simd_execute_blocks(blocks, double=double, optimize=optimize)
-        eager = eager_replay(eager_in, double=double, optimize=optimize)
+        lazy = simd_execute_blocks(blocks, double=double)
+        eager = eager_replay(eager_in, double=double)
         for b, e, r, (psi, pio, fx) in zip(blocks, eager, interp_in, lazy):
             e_psi, e_pio, e_pj, e_pk, e_fx = e
             np.testing.assert_array_equal(psi, e_psi)
@@ -459,16 +418,6 @@ def check_compile_on_off(deck):
     return on
 
 
-def check_optimizer_on_off(deck):
-    on = CellSweep3D(deck, cell_config(isa_kernel=True)).solve()
-    off = CellSweep3D(
-        deck, cell_config(isa_kernel=True, optimize_isa=False)
-    ).solve()
-    np.testing.assert_array_equal(on.flux, off.flux)
-    assert on.tally.fixups == off.tally.fixups
-    return on
-
-
 def check_trace_streams(deck) -> None:
     from repro.trace.export import to_chrome_trace
     from repro.trace.sanitizer import sanitize
@@ -504,23 +453,6 @@ class TestSolverIntegration:
     def test_compile_on_off_identical(self, replays):
         on = check_compile_on_off(fixup_deck())
         assert_gate_split_the_lines(on, replays)
-
-    def test_optimizer_on_off_identical(self, replays):
-        on = check_optimizer_on_off(fixup_deck())
-        assert_gate_split_the_lines(on, replays)
-
-    def test_backend_counters_partition_invariant(self):
-        """isa.backend.* counts blocks/lines actually executed, which
-        are the same totals for any partition -- the solver-registry
-        bit-identity contract."""
-        deck = small_deck(n=6, sn=4, nm=2, iterations=2, mk=2)
-        solver = CellSweep3D(
-            deck, cell_config(isa_kernel=True, metrics=True)
-        )
-        solver.solve()
-        counters = solver.metrics.to_dict()["counters"]
-        assert counters.get("isa.backend.numpy.blocks", 0) > 0
-        assert counters.get("isa.backend.numpy.lines", 0) > 0
 
     def test_distributed_scheduler(self):
         deck = small_deck(n=6, sn=4, nm=2, iterations=2, mk=2)
@@ -564,9 +496,6 @@ class TestSixCubedSolves:
 
     def test_compile_on_off_identical(self):
         check_compile_on_off(six_cubed_deck())
-
-    def test_optimizer_on_off_identical(self):
-        check_optimizer_on_off(six_cubed_deck())
 
     def test_trace_streams_byte_identical(self):
         check_trace_streams(six_cubed_deck())

@@ -5,11 +5,12 @@
 lowered from (``rows_for_chunk`` -> ``_commands`` -> ``issue`` -> MFC ->
 MIC) stays in the tree as the referee.  Two levels:
 
-* **machine level**, over the whole configuration matrix: the same
-  diagonals staged in and out on two identical machines, one per path,
-  must leave the same local-store bytes, the same host bytes, the same
-  ``TagStats`` (``cycles`` bit for bit), the same trace events and the
-  same metrics;
+* **machine level**, over the whole configuration matrix (on the
+  ragged prime and shield decks under ``-m slow``; tier-1 runs every
+  value of every factor there): the same diagonals staged in and out on
+  two identical machines, one per path, must leave the same local-store
+  bytes, the same host bytes, the same ``TagStats`` (``cycles`` bit for
+  bit), the same trace events and the same metrics;
 * **solver level**, on a few configurations per deck: the flux equals
   the serial reference and the exported trace is byte-identical.
 
@@ -122,23 +123,25 @@ class Machine:
         return [(e.ts, e.dur, e.track, e.name, e.args) for e in self.trace.events]
 
 
-MATRIX = list(itertools.product(
+FACTORS = (
     (True, False),   # dma_lists (off: 16-entry queue overflows mid-program)
     (True, False),   # double_buffer
     (True, False),   # aligned_rows
     (True, False),   # bank_offsets
     (1, 3, 8),       # num_spes
     (1, 3, 4),       # chunk_lines
-))
+)
+MATRIX = list(itertools.product(*FACTORS))
+#: every value of every factor at least once, in three machines
+FACTOR_VALUES = [tuple(v[i % len(v)] for v in FACTORS) for i in range(3)]
 
 
-@pytest.mark.parametrize("deck_name", DECKS)
-def test_replay_is_the_command_path_on_every_machine(deck_name):
+def check_replay_is_the_command_path(deck_name, configs):
     deck = DECKS[deck_name]
     last = num_diagonals(deck.grid.ny, deck.mk, deck.mmi) - 1
     # the first diagonals (one short chunk), the widest, and the last
     diagonals = sorted({0, 1, 2, last // 2, last})
-    for lists, double, aligned, offsets, spes, chunk in MATRIX:
+    for lists, double, aligned, offsets, spes, chunk in configs:
         config = MachineConfig(
             dma_lists=lists, double_buffer=double, aligned_rows=aligned,
             bank_offsets=offsets, num_spes=spes, chunk_lines=chunk,
@@ -162,6 +165,21 @@ def test_replay_is_the_command_path_on_every_machine(deck_name):
         ], label
         assert got.events() == ref.events(), label
         assert got.metrics.to_dict() == ref.metrics.to_dict(), label
+
+
+@pytest.mark.parametrize("deck_name", DECKS)
+def test_replay_is_the_command_path_on_every_machine(deck_name):
+    # the full matrix on the cube deck; the ragged decks run it under
+    # -m slow (test_full_matrix_on_the_ragged_decks)
+    check_replay_is_the_command_path(
+        deck_name, MATRIX if deck_name == "cube" else FACTOR_VALUES
+    )
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("deck_name", ["prime", "shield"])
+def test_full_matrix_on_the_ragged_decks(deck_name):
+    check_replay_is_the_command_path(deck_name, MATRIX)
 
 
 def test_command_path_is_taken_while_commands_are_in_flight():

@@ -10,11 +10,15 @@ from repro.sweep import SerialSweep3D, small_deck
 from repro.sweep.dsa import DSAAccelerator, accelerated_solve
 
 
-@pytest.fixture(scope="module")
-def thick_scatterer():
-    return small_deck(n=8, sn=4, nm=1, iterations=500, mk=2).with_(
+def thick_deck(n: int, sn: int):
+    return small_deck(n=n, sn=sn, nm=1, iterations=500, mk=2).with_(
         scattering_ratio=0.95
     )
+
+
+@pytest.fixture(scope="module")
+def thick_scatterer():
+    return thick_deck(6, 2)
 
 
 class TestAccelerator:
@@ -89,6 +93,16 @@ class TestAcceleratedIteration:
     def test_budget_exhaustion_raises(self, thick_scatterer):
         with pytest.raises(ConvergenceError):
             accelerated_solve(thick_scatterer, epsilon=1e-12, max_iterations=3)
+
+
+@pytest.mark.slow
+class TestAcceleratedIterationEightCubed(TestAcceleratedIteration):
+    """The same acceleration claims on an 8^3 S4 scatterer (about 6x
+    the sweeps' cost)."""
+
+    @pytest.fixture(scope="class")
+    def thick_scatterer(self):
+        return thick_deck(8, 4)
 
 
 def test_importing_the_package_does_not_import_scipy():

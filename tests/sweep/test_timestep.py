@@ -10,12 +10,16 @@ from repro.sweep import small_deck
 from repro.sweep.timestep import TimeDependentSweep3D
 
 
-@pytest.fixture(scope="module")
-def deck():
+def transient_deck(n: int, sn: int):
     # a well-converged inner iteration per step
-    return small_deck(n=5, sn=4, nm=1, iterations=12, mk=5).with_(
+    return small_deck(n=n, sn=sn, nm=1, iterations=12, mk=n).with_(
         scattering_ratio=0.3
     )
+
+
+@pytest.fixture(scope="module")
+def deck():
+    return transient_deck(4, 2)
 
 
 class TestValidation:
@@ -90,3 +94,12 @@ class TestTransientPhysics:
         transient = TimeDependentSweep3D(deck, dt=0.5).run(3)
         assert transient.times == pytest.approx([0.5, 1.0, 1.5])
         assert all(s.inner_iterations >= 1 for s in transient.steps)
+
+
+@pytest.mark.slow
+class TestTransientPhysicsFiveCubed(TestTransientPhysics):
+    """The same physics on a 5^3 S4 deck (about 4x the sweeps' cost)."""
+
+    @pytest.fixture(scope="class")
+    def deck(self):
+        return transient_deck(5, 4)

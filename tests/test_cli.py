@@ -90,6 +90,9 @@ class TestSolve:
     def test_isa_flag_matches_plain_cell_solve(self, capsys):
         import json
 
+        from repro.cell.isa_compile import clear_cache
+
+        clear_cache()  # the compile block counts this solve's compiles
         plain = json.loads(run(capsys, "solve", "--cube", "6", "--sn", "4",
                                "--nm", "1", "--iterations", "1",
                                "--engine", "cell", "--json"))
@@ -101,7 +104,12 @@ class TestSolve:
         assert compile_["isa_kernel"] is True
         assert compile_["compile_isa"] is True
         assert compile_["batched_blocks"] > 0
-        assert compile_["streams_compiled"] + compile_["cache_hits"] > 0
+        assert compile_["streams_compiled"] > 0
+        # the optimizer pipeline works: folding/DCE never adds ops, and
+        # the scratch pool actually reuses slots
+        assert compile_["ops_after"] <= compile_["ops_before"]
+        assert compile_["slots_reused"] > 0
+        assert compile_["cache"]["entries"] > 0
         # the plain cell solve reports the block too, just disengaged
         assert plain["compile"]["isa_kernel"] is False
         assert plain["compile"]["batched_blocks"] == 0
@@ -311,6 +319,17 @@ class TestParser:
             main(["bench"])
         assert exc.value.code == 2
         assert "bench" not in build_parser().format_help()
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--engine", "cell", "--isa", "--backend", "numpy"],
+        ["cluster", "--transport", "mpi"],
+    ], ids=["solve-backend", "cluster-mpi"])
+    def test_deleted_backend_and_mpi_choices_are_gone(self, argv):
+        # compiled ISA programs replay on numpy only; ranks talk over
+        # the local or socket transport only
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 class TestVersion:
