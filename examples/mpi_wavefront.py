@@ -1,11 +1,11 @@
 #!/usr/bin/env python
-"""The process-level layer: KBA wavefront sweeps over a simulated MPI job.
+"""The process-level layer: KBA wavefront sweeps over a grid of ranks.
 
 Reproduces Figure 1's picture: a 3x2 process grid sweeping a tile each,
 exchanging I- and J-face fluxes with neighbours per octant, K-plane
 block and angle block, then reassembling the global solution -- which
-must equal the serial solve exactly.  Also demonstrates the runtime's
-exact deadlock detection on a deliberately wrong receive.
+must equal the serial solve exactly.  Also demonstrates the in-process
+fabric's exact deadlock detection on a deliberately wrong receive.
 
 Usage:  python examples/mpi_wavefront.py
 """
@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.cluster.transport import LocalFabric
 from repro.errors import DeadlockError
-from repro.mpi import KBASweep3D, run_ranks
+from repro.mpi import KBASweep3D
 from repro.sweep import SerialSweep3D, small_deck
 
 
@@ -39,13 +40,13 @@ def wavefront_demo() -> None:
 def deadlock_demo() -> None:
     print("\nexact deadlock detection (no timeouts):")
 
-    def broken(comm):
+    def broken(endpoint):
         # every rank receives from its right neighbour, nobody sends:
         # the classic reversed-octant wavefront bug.
-        comm.recv(source=(comm.rank + 1) % comm.size, tag=0)
+        endpoint.recv((endpoint.rank + 1) % endpoint.size, 0)
 
     try:
-        run_ranks(4, broken)
+        LocalFabric(4).run(broken)
     except DeadlockError as exc:
         print(f"  caught: {exc}")
 

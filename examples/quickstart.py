@@ -2,7 +2,7 @@
 """Quickstart: solve a transport problem on the simulated Cell BE.
 
 Runs a small Sweep3D problem three ways -- the serial reference solver,
-the KBA wavefront over a simulated MPI job, and the Cell-simulated
+the KBA wavefront on a 2x2 grid of rank threads, and the Cell-simulated
 implementation with all five parallelism levels -- verifies they agree
 bit for bit, and prints the calibrated timing prediction for the paper's
 50-cubed benchmark.

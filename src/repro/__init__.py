@@ -10,8 +10,8 @@ Subpackages
     Discrete-ordinates Sweep3D numerics: quadrature, diamond-difference
     kernel with flux fixups, MK/MMI pipelining, serial reference solver.
 ``repro.mpi``
-    In-process message-passing runtime with the KBA wavefront
-    decomposition of Figure 1.
+    The KBA wavefront decomposition of Figure 1 (rank grid, tile plan,
+    face-message boundary); its ranks run on ``repro.cluster``.
 ``repro.core``
     The paper's contribution: the five-level parallelization of Sweep3D
     on the simulated Cell, the Figure 5 optimization ladder, and the

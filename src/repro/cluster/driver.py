@@ -1,19 +1,22 @@
 """The cluster parent: rendezvous, rank lifecycle, bit-exact refolds.
 
-:class:`ClusterDriver` runs one KBA job whose ranks live in their own
-OS processes (socket transport) or threads (the in-process reference
-transport), and refolds their results **in serial rank order** so the
-assembled solution reproduces :meth:`repro.mpi.wavefront.KBASweep3D`
--- and therefore the in-process :class:`repro.core.cluster.
-CellClusterSweep3D` -- bit for bit:
+:class:`ClusterDriver` runs one KBA job of
+:func:`~repro.cluster.runtime.run_rank_solve` ranks -- OS processes over
+the socket transport, or threads on the in-process
+:class:`~repro.cluster.transport.LocalFabric` (the path behind
+:class:`repro.mpi.wavefront.KBASweep3D` and
+:class:`repro.core.cluster.CellClusterSweep3D`) -- and folds their
+results **in serial rank order**, so every transport and grid lands on
+the serial solve's flux bit for bit:
 
 * per-iteration convergence history: ``max`` over ranks of the local
-  flux diffs/scales (``max`` is exactly order-independent, matching the
-  threaded allreduce);
-* leakage: folded ``rank 0 + rank 1 + ...`` exactly like the rank-0
-  ``SimComm.reduce``;
+  flux diffs/scales (``max`` is exactly order-independent);
+* leakage: folded ``rank 0 + rank 1 + ...``, and fixups summed;
 * flux: per-rank float64 tiles (raw bytes on the wire) pasted through
-  the same :meth:`~repro.mpi.wavefront.KBASweep3D.plan` slices.
+  the same :meth:`~repro.mpi.wavefront.KBASweep3D.plan` slices;
+* metrics: every rank's transport stats ingested once as ``cluster.*``
+  (:func:`repro.metrics.attribution.ingest_rank_transport`), plus the
+  rank solvers' registries when the config collects metrics.
 
 Lifecycle mirrors ``repro serve``: :meth:`start` spawns the rank
 processes and completes the HELLO rendezvous; each :meth:`solve` sends
@@ -46,15 +49,9 @@ from ..obs.context import current_context
 from ..obs.log import get_logger, log_event
 from ..sweep.flux import SolveResult, SweepTally
 from ..sweep.input import InputDeck
+from . import runtime
 from .frames import KIND_TRACE
-from .runtime import (
-    GO,
-    STOP,
-    ControlChannel,
-    RankManifest,
-    RankReport,
-    run_rank_solve,
-)
+from .runtime import GO, STOP, ControlChannel, RankManifest, RankReport
 from .transport import DEFAULT_RECV_TIMEOUT, LocalFabric
 
 _log = get_logger("cluster.driver")
@@ -65,9 +62,8 @@ SPAWNS = ("fork", "cli")
 
 
 def default_cluster_config():
-    """The per-rank chip configuration, identical to
-    :class:`repro.core.cluster.CellClusterSweep3D`'s default so the two
-    paths stay bit-comparable."""
+    """The per-rank chip configuration of ``engine="cell"`` solves (and
+    of :class:`repro.core.cluster.CellClusterSweep3D`)."""
     from ..core.levels import MachineConfig
 
     return MachineConfig(
@@ -389,37 +385,21 @@ class ClusterDriver:
         return report
 
     def _solve_local(self) -> tuple[list[RankReport], bool]:
-        fabric = LocalFabric(self.size)
+        fabric = LocalFabric(self.size, recv_timeout=self.recv_timeout)
         hub = _IterationHub(self.size, self._drain)
-        reports: list[RankReport | None] = [None] * self.size
-        errors: list[BaseException] = []
 
-        def rank_thread(rank: int) -> None:
-            endpoint = fabric.endpoint(rank)
-            endpoint.recv_timeout = self.recv_timeout
+        def rank_program(endpoint) -> RankReport:
             try:
-                reports[rank] = run_rank_solve(
+                # looked up at call time, as rank_main does, so one
+                # seam reaches the rank program on either transport
+                return runtime.run_rank_solve(
                     self.manifest, endpoint, hub.barrier
                 )
-            except BaseException as exc:  # noqa: BLE001 - refired below
-                errors.append(exc)
+            except BaseException:
                 hub.abort()
-            finally:
-                endpoint.close()
+                raise
 
-        threads = [
-            threading.Thread(
-                target=rank_thread, args=(r,), name=f"cluster-local-{r}"
-            )
-            for r in range(self.size)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if errors:
-            raise errors[0]
-        return [r for r in reports if r is not None], hub.drained
+        return fabric.run(rank_program), hub.drained
 
     def _recv_control(
         self, rank: int, traces: dict[int, dict[str, Any]]
@@ -534,7 +514,6 @@ class ClusterDriver:
                 gdiff = max(gdiff, r.diffs[i])
                 gscale = max(gscale, r.scales[i])
             history.append(gdiff / gscale if gscale else 0.0)
-        # the rank-0 reduce of the threaded runtime folds in rank order
         fixups = sum(r.fixups for r in reports)
         leakage = reports[0].leakage
         for r in reports[1:]:

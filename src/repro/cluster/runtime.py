@@ -1,15 +1,18 @@
-"""The per-rank program of a multi-process cluster solve.
+"""The per-rank program of every cluster solve.
 
-A rank process is one KBA grid position running the whole per-rank
-source iteration of :meth:`repro.mpi.wavefront.KBASweep3D._rank_program`
--- the same local deck tiling, the same :class:`RankBoundary` leakage
-chain, the same serial sweep -- over a local or socket transport endpoint
-instead of the in-process :class:`~repro.mpi.comm.SimComm`.  The only
-collective the loop needs (the per-iteration max-allreduce feeding the
-convergence history) runs through the parent's control channel, which
-doubles as the drain barrier: after every iteration each rank reports
-``(diff, scale)`` and waits for GO or STOP, so a SIGTERM'd parent can
-park the whole job at one consistent iteration boundary.
+:func:`run_rank_solve` is the one per-rank source iteration: one KBA
+grid position tiles the deck (:meth:`repro.mpi.wavefront.KBASweep3D.plan`),
+sweeps it through :class:`~repro.mpi.wavefront.RankBoundary` over a
+transport endpoint, and reports its tile flux, tallies and walls for the
+driver's serial-rank-order fold.  It runs on a
+:class:`~repro.cluster.transport.LocalFabric` thread (the in-process
+path behind ``KBASweep3D`` and ``CellClusterSweep3D``) or in a
+``repro cluster-rank`` process over sockets.  The only collective the
+loop needs (the per-iteration max-allreduce feeding the convergence
+history) runs through the driver, which doubles as the drain barrier:
+after every iteration each rank reports ``(diff, scale)`` and waits for
+GO or STOP, so a SIGTERM'd parent can park the whole job at one
+consistent iteration boundary.
 
 ``repro cluster-rank --connect HOST:PORT --rank N`` enters
 :func:`rank_main`: connect, HELLO, then serve manifests until BYE.  The
@@ -48,13 +51,7 @@ from .frames import (
     unpack_control,
     unpack_trace,
 )
-from .transport import (
-    DEFAULT_RECV_TIMEOUT,
-    Endpoint,
-    EndpointComm,
-    LocalFabric,
-    SocketEndpoint,
-)
+from .transport import DEFAULT_RECV_TIMEOUT, Endpoint, SocketEndpoint
 
 #: barrier verdicts
 GO = "go"
@@ -125,35 +122,6 @@ class RankReport:
     trace: dict[str, Any] | None = None
 
 
-class TransportBoundary(RankBoundary):
-    """The KBA boundary over a transport endpoint.
-
-    Exactly :class:`~repro.mpi.wavefront.RankBoundary` -- same direction
-    resolution, same leakage tally chain -- plus the two seams the wire
-    needs: the coalescing flush at the end of every
-    (octant, angle-block, K-block) step (``send_i`` buffers, ``send_j``
-    closes the step), and per-octant wall stamps at ``finish_octant``
-    for the per-direction sweep timings ``ClusterReport`` carries.
-    """
-
-    def __init__(self, deck, quad, endpoint: Endpoint, cart, mmi, mk) -> None:
-        super().__init__(deck, quad, EndpointComm(endpoint), cart, mmi, mk)
-        self.endpoint = endpoint
-        self.octant_walls = [0.0] * 8
-        self._stamp = time.perf_counter()
-
-    def send_j(self, octant, angles, k0, data):
-        super().send_j(octant, angles, k0, data)
-        # one frame per destination per step, eager on the wire
-        self.endpoint.flush()
-
-    def finish_octant(self, octant, angles, phik):
-        super().finish_octant(octant, angles, phik)
-        now = time.perf_counter()
-        self.octant_walls[octant] += now - self._stamp
-        self._stamp = now
-
-
 def _make_sweeper(manifest: RankManifest, local: InputDeck):
     if manifest.engine == "tile":
         from ..sweep.pipelining import TileSweeper
@@ -171,7 +139,7 @@ def run_rank_solve(
     endpoint: Endpoint,
     barrier: Callable[[int, float, float], str],
 ) -> RankReport:
-    """One rank's source iteration; mirrors ``KBASweep3D._rank_program``.
+    """One rank's source iteration over ``endpoint``.
 
     ``barrier(iteration, diff, scale)`` is the parent-mediated
     allreduce/drain seam: it must return :data:`GO` to continue or
@@ -196,7 +164,7 @@ def run_rank_solve(
     try:
         for i in range(deck.iterations):
             msrc = build_moment_source(local, flux)
-            boundary = TransportBoundary(
+            boundary = RankBoundary(
                 local, quad, endpoint, kba.cart, deck.mmi, deck.mk
             )
             new_flux, tally, _ = sweeper.sweep(msrc, boundary=boundary)

@@ -14,11 +14,11 @@ needs -- tagged point-to-point face messages between ranks of one job:
 
 Two implementations:
 
-:class:`LocalFabric` / its endpoints -- the in-process reference: the
-same condition-variable mailbox discipline as
-:class:`repro.mpi.comm.Fabric`, zero wire cost, bit-identical to the
-queue path (arrays are copied on delivery, exactly like
-``freeze_payload``).
+:class:`LocalFabric` / its endpoints -- the in-process fabric: rank
+threads, condition-variable mailboxes, zero wire cost (payloads are
+copied at send).  :meth:`LocalFabric.run` is the one in-process rank
+runtime: the first failing rank aborts the job, and deadlock is detected
+exactly rather than by timeout.
 
 :class:`SocketEndpoint` -- TCP over loopback or a real network: one
 listening data socket per rank process, a sender thread draining an
@@ -45,11 +45,11 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Protocol
+from typing import Any, Callable, Protocol
 
 import numpy as np
 
-from ..errors import ClusterError
+from ..errors import ClusterError, DeadlockError
 from .frames import (
     KIND_DATA,
     frame_bytes,
@@ -115,40 +115,20 @@ class Endpoint(Protocol):
     def close(self) -> None: ...
 
 
-class EndpointComm:
-    """Adapter giving an :class:`Endpoint` the ``SimComm`` spelling
-    :class:`repro.mpi.wavefront.RankBoundary` expects, so the exact
-    boundary (and its leakage-tally chain) runs unchanged over any
-    transport."""
-
-    def __init__(self, endpoint: Endpoint) -> None:
-        self.endpoint = endpoint
-
-    @property
-    def rank(self) -> int:
-        return self.endpoint.rank
-
-    @property
-    def size(self) -> int:
-        return self.endpoint.size
-
-    def send(self, data: np.ndarray, dest: int, tag: int) -> None:
-        self.endpoint.send(dest, tag, data)
-
-    def recv(self, src: int, tag: int) -> np.ndarray:
-        return self.endpoint.recv(src, tag)
-
-
 # ---------------------------------------------------------------------------
-# In-process reference transport
+# In-process transport
 # ---------------------------------------------------------------------------
 
 
 class _Mailbox:
-    """Condition-variable mailbox keyed by ``(src, tag)``."""
+    """Condition-variable mailbox keyed by ``(src, tag)``.
 
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
+    ``lock`` lets several mailboxes share one lock, so a fabric can read
+    all of them atomically (:class:`LocalFabric`'s deadlock rule).
+    """
+
+    def __init__(self, lock: threading.Lock | None = None) -> None:
+        self._cond = threading.Condition(lock)
         self._boxes: dict[tuple[int, int], deque[np.ndarray]] = {}
 
     def put_many(self, items: list[tuple[int, int, np.ndarray]]) -> None:
@@ -157,16 +137,24 @@ class _Mailbox:
                 self._boxes.setdefault((src, tag), deque()).append(arr)
             self._cond.notify_all()
 
+    def pop(self, src: int, tag: int) -> np.ndarray | None:
+        """The oldest face banked for ``(src, tag)``, or None; the caller
+        holds the lock."""
+        key = (src, tag)
+        box = self._boxes.get(key)
+        if not box:
+            return None
+        arr = box.popleft()
+        if not box:
+            del self._boxes[key]
+        return arr
+
     def take(self, src: int, tag: int, timeout: float) -> np.ndarray:
         deadline = time.monotonic() + timeout
-        key = (src, tag)
         with self._cond:
             while True:
-                box = self._boxes.get(key)
-                if box:
-                    arr = box.popleft()
-                    if not box:
-                        del self._boxes[key]
+                arr = self.pop(src, tag)
+                if arr is not None:
                     return arr
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
@@ -177,16 +165,126 @@ class _Mailbox:
 
 
 class LocalFabric:
-    """Shared state of the in-process reference transport."""
+    """Shared state of the in-process transport: one mailbox per rank,
+    all behind one lock.
 
-    def __init__(self, size: int) -> None:
+    Deadlock is detected *exactly*, not by timeout: when every live rank
+    is blocked in :meth:`LocalEndpoint.recv` and no banked face matches
+    any of them, no progress is possible, so every blocked receive raises
+    :class:`~repro.errors.DeadlockError` -- the classic wavefront bug of
+    receiving from the wrong neighbour for a reversed octant fails at
+    once, deterministically.  A rank stops being live when its program
+    returns under :meth:`run`; endpoints driven by hand stay live, so
+    their receives can only time out.
+    """
+
+    def __init__(
+        self, size: int, recv_timeout: float = DEFAULT_RECV_TIMEOUT
+    ) -> None:
         if size < 1:
             raise ClusterError(f"job size must be >= 1, got {size}")
         self.size = size
-        self.mailboxes = [_Mailbox() for _ in range(size)]
+        self.recv_timeout = recv_timeout
+        self._lock = threading.Lock()
+        self.mailboxes = [_Mailbox(self._lock) for _ in range(size)]
+        #: ranks blocked in recv, with the (src, tag) each waits for
+        self._blocked: dict[int, tuple[int, int]] = {}
+        #: ranks whose program returned (or raised) under run()
+        self._done: set[int] = set()
+        self._deadlocked = False
+        #: why the job was aborted (the first rank failure), if it was
+        self._aborted: str | None = None
 
     def endpoint(self, rank: int) -> "LocalEndpoint":
         return LocalEndpoint(self, rank)
+
+    # -- failure propagation (callers hold the lock) --------------------------
+
+    def _wake_all(self) -> None:
+        for box in self.mailboxes:
+            box._cond.notify_all()
+
+    def _check_deadlock(self) -> None:
+        live = self.size - len(self._done)
+        if live and len(self._blocked) == live and not any(
+            key in self.mailboxes[rank]._boxes
+            for rank, key in self._blocked.items()
+        ):
+            self._deadlocked = True
+            self._wake_all()
+
+    def _abort(self, reason: str) -> None:
+        if self._aborted is None:
+            self._aborted = reason
+        self._wake_all()
+
+    def take(self, rank: int, src: int, tag: int, timeout: float) -> np.ndarray:
+        """Blocking receive for ``rank`` (see the class docstring)."""
+        box = self.mailboxes[rank]
+        deadline = time.monotonic() + timeout
+        with self._lock:
+            while True:
+                if self._deadlocked:
+                    raise DeadlockError(
+                        f"deadlock: rank {rank} waiting on (src={src}, "
+                        f"tag={tag}) with no sender able to satisfy it"
+                    )
+                if self._aborted is not None:
+                    raise ClusterError(f"cluster job aborted: {self._aborted}")
+                arr = box.pop(src, tag)
+                if arr is not None:
+                    return arr
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise ClusterError(
+                        f"recv timeout waiting for (src={src}, tag={tag})"
+                    )
+                self._blocked[rank] = (src, tag)
+                self._check_deadlock()
+                if not self._deadlocked:
+                    box._cond.wait(remaining)
+                del self._blocked[rank]
+
+    def run(self, program: Callable[["LocalEndpoint"], Any]) -> list[Any]:
+        """Run ``program(endpoint)`` for every rank, each on its own
+        ``cluster-local-{r}`` thread; return the results in rank order.
+
+        The first rank to fail aborts the fabric, so every blocked
+        receive raises at once instead of waiting out ``recv_timeout``.
+        That first failure is raised here: a :class:`DeadlockError` as
+        it is, anything else as a :class:`ClusterError` naming the rank.
+        """
+        results: list[Any] = [None] * self.size
+        failures: list[tuple[int, BaseException]] = []
+
+        def body(rank: int) -> None:
+            endpoint = self.endpoint(rank)
+            try:
+                results[rank] = program(endpoint)
+            except BaseException as exc:  # noqa: BLE001 - re-raised by run()
+                with self._lock:
+                    failures.append((rank, exc))
+                    self._abort(f"rank {rank} failed: {exc!r}")
+            finally:
+                endpoint.close()
+                with self._lock:
+                    self._done.add(rank)
+                    self._check_deadlock()
+
+        threads = [
+            threading.Thread(target=body, args=(r,), name=f"cluster-local-{r}")
+            for r in range(self.size)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        if failures:
+            rank, exc = failures[0]
+            if isinstance(exc, DeadlockError):
+                raise exc
+            raise ClusterError(f"rank {rank} failed: {exc!r}") from exc
+        return results
 
 
 class LocalEndpoint:
@@ -204,14 +302,13 @@ class LocalEndpoint:
         self.rank = rank
         self.size = fabric.size
         self.stats = TransportStats()
-        self.recv_timeout = DEFAULT_RECV_TIMEOUT
+        self.recv_timeout = fabric.recv_timeout
         self._pending: dict[int, list[tuple[int, int, np.ndarray]]] = {}
 
     def send(self, dest: int, tag: int, data: np.ndarray) -> None:
         if not 0 <= dest < self.size:
             raise ClusterError(f"destination {dest} outside job of size {self.size}")
-        # snapshot now (the sweeper may reuse the buffer), matching
-        # SimComm's freeze_payload semantics
+        # snapshot now: the sweeper may reuse the buffer before flush
         arr = np.array(data, dtype=np.float64, copy=True)
         self._pending.setdefault(dest, []).append((self.rank, tag, arr))
         self.stats.msgs_sent += 1
@@ -228,9 +325,8 @@ class LocalEndpoint:
         self.stats.send_wait_s += time.thread_time() - t0
 
     def recv(self, src: int, tag: int) -> np.ndarray:
-        mailbox = self.fabric.mailboxes[self.rank]
         t0 = time.perf_counter()
-        arr = mailbox.take(src, tag, self.recv_timeout)
+        arr = self.fabric.take(self.rank, src, tag, self.recv_timeout)
         self.stats.recv_wait_s += time.perf_counter() - t0
         self.stats.msgs_recv += 1
         self.stats.bytes_recv += arr.nbytes

@@ -7,9 +7,10 @@ while levels 2-5 live inside each process.  This module realizes that
 claim end to end in the simulator: the KBA wavefront of
 :mod:`repro.mpi.wavefront` runs its per-rank tiles on full
 :class:`~repro.core.solver.CellSweep3D` instances -- one simulated Cell
-chip per MPI rank, each with its own local stores, DMA programs and
+chip per rank, each with its own local stores, DMA programs and
 scheduler -- and the assembled flux must still equal the serial solve
-bit for bit.
+bit for bit.  :class:`CellClusterSweep3D` is the cluster driver's
+in-process path with engine ``"cell"``.
 
 This is also the configuration the paper's conclusions aim at
 ("the multi-core design space ... provides various opportunities to
@@ -28,16 +29,14 @@ from ..mpi.wavefront import KBASweep3D
 from ..sweep.flux import SolveResult
 from ..sweep.input import InputDeck
 from .levels import MachineConfig
-from .solver import CellSweep3D
 
 
 class CellClusterSweep3D:
     """Sweep3D on a P x Q grid of simulated Cell BE chips, every rank a
-    thread of this process (the threaded KBA runtime).  This is the
-    in-process referee the multi-process
-    :class:`repro.cluster.driver.ClusterDriver` is SHA-compared
-    against; to spread the ranks over host processes use the driver
-    (``repro cluster --transport socket``)."""
+    thread of this process: the cluster driver's in-process path
+    (:class:`~repro.cluster.transport.LocalFabric`) with engine
+    ``"cell"``.  To spread the ranks over host processes use the driver
+    itself (``repro cluster --transport socket``)."""
 
     def __init__(
         self,
@@ -46,27 +45,15 @@ class CellClusterSweep3D:
         Q: int,
         config: MachineConfig | None = None,
     ) -> None:
+        from ..cluster.driver import default_cluster_config
+
         self.deck = deck
-        self.config = config or MachineConfig(
-            aligned_rows=True, structured_loops=True, double_buffer=True,
-            simd=True, dma_lists=True, bank_offsets=True,
-        )
+        self.config = config or default_cluster_config()
         if not self.config.uses_spes:
             raise ConfigurationError("cluster ranks need at least one SPE")
-        #: the per-rank solvers the KBA factory built, so their metrics
-        #: registries survive the threaded solve
-        self._rank_sweepers: list[CellSweep3D] = []
-
-        def _factory(local: InputDeck) -> CellSweep3D:
-            sweeper = CellSweep3D(local, self.config)
-            self._rank_sweepers.append(sweeper)
-            return sweeper
-
-        self._kba = KBASweep3D(deck, P=P, Q=Q, sweeper_factory=_factory)
-        # face sends count cluster.* into each rank's registry, so the
-        # merged aggregate carries the wire counts
-        # core/projections.cluster_projection predicts
-        self._kba.count_wire = bool(self.config.metrics)
+        self._kba = KBASweep3D(deck, P=P, Q=Q)
+        #: the last solve's :class:`~repro.cluster.driver.ClusterReport`
+        self.report = None
 
     @property
     def cart(self) -> Cart2D:
@@ -77,25 +64,26 @@ class CellClusterSweep3D:
 
     def solve(self) -> SolveResult:
         """Run the cluster job; every rank simulates a whole Cell BE."""
-        return self._kba.solve()
+        from ..cluster.driver import run_cluster_solve
+
+        self.report = run_cluster_solve(
+            self.deck, self.cart.P, self.cart.Q,
+            transport="local", engine="cell", config=self.config,
+        )
+        return self.report.result
 
     def aggregate_metrics(self):
-        """Cluster-wide metrics registry, merged across ranks.
-
-        Rank registries merge per SPE slot -- rank 0's SPE3 and rank
-        1's SPE3 land in the same ``spe3.*`` counters -- so the
-        attribution table reads as "the average chip" of the cluster.
-        All aggregates are integer ticks/counts, so the merge is
-        order-free.
+        """The last solve's folded registry (``ClusterReport.registry``):
+        every rank's ``cluster.*`` wire counts, plus -- with
+        ``config.metrics`` -- the rank solvers' registries merged per
+        SPE slot (rank 0's SPE3 and rank 1's SPE3 land in the same
+        ``spe3.*`` counters), so the attribution reads as "the average
+        chip" of the cluster.  All aggregates are integer ticks/counts,
+        so the merge is order-free.  Empty before the first solve.
         """
-        from ..metrics.registry import NULL_REGISTRY, MetricsRegistry
+        from ..metrics.registry import NULL_REGISTRY
 
-        if not self.config.metrics:
-            return NULL_REGISTRY
-        merged = MetricsRegistry()
-        for sweeper in self._rank_sweepers:
-            merged.merge(sweeper.metrics)
-        return merged
+        return NULL_REGISTRY if self.report is None else self.report.registry
 
     def cycle_attribution(self):
         """Cluster-wide cycle attribution (see :meth:`aggregate_metrics`

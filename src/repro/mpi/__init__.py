@@ -1,30 +1,20 @@
-"""Simulated message-passing substrate and the KBA wavefront solver.
+"""The KBA wavefront decomposition of Sweep3D (Sec. 4, level 1).
 
-Reproduces the process-level parallelism layer of the paper (Sec. 4,
-level 1): an in-process MPI-like runtime (point-to-point with matching
-and exact deadlock detection, barrier, broadcast, reduce, gather) and
-Figure 1's two-dimensional wavefront decomposition of Sweep3D.
+Figure 1's two-dimensional process grid (:class:`Cart2D`, near-square
+:func:`dims_create`, remainder-leading :func:`split_extent`), the
+per-rank tile plan and face-message boundary, and :class:`KBASweep3D`.
+The ranks themselves run on :mod:`repro.cluster`: threads on its
+in-process fabric, or OS processes over sockets.
 """
 
-from .comm import Fabric, Request, SimComm
-from .datatypes import ANY_SOURCE, ANY_TAG, Envelope, Status
-from .runtime import run_ranks
 from .topology import Cart2D, dims_create, split_extent
 from .wavefront import KBASweep3D, RankBoundary, TilePlan
 
 __all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
     "Cart2D",
-    "Envelope",
-    "Fabric",
     "KBASweep3D",
     "RankBoundary",
-    "Request",
-    "SimComm",
-    "Status",
     "TilePlan",
     "dims_create",
-    "run_ranks",
     "split_extent",
 ]

@@ -9,27 +9,31 @@ through this two-dimensional process array for each octant", Sec. 3).
 
 The tile-local loop structure is exactly
 :class:`~repro.sweep.pipelining.TileSweeper`; this module contributes the
-:class:`RankBoundary` that turns the sweeper's RECV/SEND hooks into
-simulated MPI messages, and :class:`KBASweep3D`, the full multi-rank
-source-iteration driver whose result must equal the serial solver's.
+face-message tag codec, the :class:`RankBoundary` that turns the
+sweeper's RECV/SEND hooks into messages on a transport endpoint, and
+:class:`KBASweep3D`, the rank-grid plan plus a solve on rank threads.
+The per-rank source iteration itself is
+:func:`repro.cluster.runtime.run_rank_solve`, the one rank program of
+every cluster path.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from ..errors import CommunicatorError
-from ..sweep.flux import SolveResult, SweepTally
+from ..sweep.flux import SolveResult
 from ..sweep.geometry import Grid
 from ..sweep.input import InputDeck
-from ..sweep.pipelining import TileSweeper
 from ..sweep.quadrature import Quadrature, OCTANT_SIGNS
-from .comm import SimComm
-from .runtime import run_ranks
 from .topology import Cart2D, dims_create, split_extent
+
+if TYPE_CHECKING:
+    from ..cluster.transport import Endpoint
 
 #: tag axes for boundary messages
 _AXIS_I = 0
@@ -77,38 +81,32 @@ class RankBoundary:
     sweeper always consumes a "west" I-inflow and a "north" J-inflow; for
     an octant sweeping -I those map to the *east* neighbour, and so on.
     Faces at the global domain edge are vacuum inflows / leakage outflows.
+
+    Two seams serve the wire: ``send_i`` only buffers, and ``send_j``
+    closes the (octant, angle-block, K-block) step with the endpoint's
+    coalescing ``flush`` (one frame per destination per step); and
+    ``finish_octant`` stamps per-octant walls, the per-direction sweep
+    timings a cluster report carries.
     """
 
     def __init__(
         self,
         deck: InputDeck,
         quad: Quadrature,
-        comm: SimComm,
+        endpoint: "Endpoint",
         cart: Cart2D,
         mmi: int,
         mk: int,
-        metrics=None,
     ) -> None:
         self.deck = deck
         self.quad = quad
-        self.comm = comm
+        self.endpoint = endpoint
         self.cart = cart
         self.mmi = mmi
         self.mk = mk
         self.leakage = 0.0
-        #: optional per-rank registry: face sends count as ``cluster.*``
-        #: (the in-process mailbox is both wire halves at once, hence
-        #: sent == recv), matching ``core/projections.cluster_projection``
-        self.metrics = metrics
-
-    def _count_wire(self, data) -> None:
-        if self.metrics is None:
-            return
-        nbytes = int(data.nbytes)
-        self.metrics.count("cluster.msgs_sent")
-        self.metrics.count("cluster.msgs_recv")
-        self.metrics.count("cluster.bytes_sent", nbytes)
-        self.metrics.count("cluster.bytes_recv", nbytes)
+        self.octant_walls = [0.0] * 8
+        self._stamp = time.perf_counter()
 
     def _tally(self, contribution: float) -> None:
         # single funnel for domain-edge leakage, one call per
@@ -119,35 +117,23 @@ class RankBoundary:
 
     def _upstream_i(self, octant: int) -> int | None:
         sx = OCTANT_SIGNS[octant][0]
-        return (
-            self.cart.west(self.comm.rank)
-            if sx > 0
-            else self.cart.east(self.comm.rank)
-        )
+        rank = self.endpoint.rank
+        return self.cart.west(rank) if sx > 0 else self.cart.east(rank)
 
     def _downstream_i(self, octant: int) -> int | None:
         sx = OCTANT_SIGNS[octant][0]
-        return (
-            self.cart.east(self.comm.rank)
-            if sx > 0
-            else self.cart.west(self.comm.rank)
-        )
+        rank = self.endpoint.rank
+        return self.cart.east(rank) if sx > 0 else self.cart.west(rank)
 
     def _upstream_j(self, octant: int) -> int | None:
         sy = OCTANT_SIGNS[octant][1]
-        return (
-            self.cart.north(self.comm.rank)
-            if sy > 0
-            else self.cart.south(self.comm.rank)
-        )
+        rank = self.endpoint.rank
+        return self.cart.north(rank) if sy > 0 else self.cart.south(rank)
 
     def _downstream_j(self, octant: int) -> int | None:
         sy = OCTANT_SIGNS[octant][1]
-        return (
-            self.cart.south(self.comm.rank)
-            if sy > 0
-            else self.cart.north(self.comm.rank)
-        )
+        rank = self.endpoint.rank
+        return self.cart.south(rank) if sy > 0 else self.cart.north(rank)
 
     # -- BoundaryIO ----------------------------------------------------------
 
@@ -159,21 +145,20 @@ class RankBoundary:
         if src is None:
             return np.zeros((len(angles), self.mk, jt))
         ablock, kb = self._blocks(angles, k0)
-        return self.comm.recv(src, _tag(_AXIS_I, octant, ablock, kb))
+        return self.endpoint.recv(src, _tag(_AXIS_I, octant, ablock, kb))
 
     def recv_j(self, octant, angles, k0, jt, it):
         src = self._upstream_j(octant)
         if src is None:
             return np.zeros((len(angles), self.mk, it))
         ablock, kb = self._blocks(angles, k0)
-        return self.comm.recv(src, _tag(_AXIS_J, octant, ablock, kb))
+        return self.endpoint.recv(src, _tag(_AXIS_J, octant, ablock, kb))
 
     def send_i(self, octant, angles, k0, data):
         dest = self._downstream_i(octant)
         ablock, kb = self._blocks(angles, k0)
         if dest is not None:
-            self.comm.send(data, dest, _tag(_AXIS_I, octant, ablock, kb))
-            self._count_wire(data)
+            self.endpoint.send(dest, _tag(_AXIS_I, octant, ablock, kb), data)
             return
         g = self.deck.grid
         base = octant * self.quad.per_octant
@@ -188,17 +173,18 @@ class RankBoundary:
         dest = self._downstream_j(octant)
         ablock, kb = self._blocks(angles, k0)
         if dest is not None:
-            self.comm.send(data, dest, _tag(_AXIS_J, octant, ablock, kb))
-            self._count_wire(data)
-            return
-        g = self.deck.grid
-        base = octant * self.quad.per_octant
-        for a_local, a in enumerate(angles):
-            m = base + a
-            self._tally(float(
-                self.quad.weight[m] * abs(self.quad.eta[m])
-                * data[a_local].sum() * g.dx * g.dz
-            ))
+            self.endpoint.send(dest, _tag(_AXIS_J, octant, ablock, kb), data)
+        else:
+            g = self.deck.grid
+            base = octant * self.quad.per_octant
+            for a_local, a in enumerate(angles):
+                m = base + a
+                self._tally(float(
+                    self.quad.weight[m] * abs(self.quad.eta[m])
+                    * data[a_local].sum() * g.dx * g.dz
+                ))
+        # the step ends here: one frame per destination, eager on the wire
+        self.endpoint.flush()
 
     def finish_octant(self, octant, angles, phik):
         # K is never decomposed: the top face is always a global boundary.
@@ -210,6 +196,9 @@ class RankBoundary:
                 self.quad.weight[m] * abs(self.quad.xi[m])
                 * phik[a_local].sum() * g.dx * g.dy
             ))
+        now = time.perf_counter()
+        self.octant_walls[octant] += now - self._stamp
+        self._stamp = now
 
 
 @dataclass(frozen=True)
@@ -231,16 +220,14 @@ class TilePlan:
 
 
 class KBASweep3D:
-    """Multi-rank Sweep3D: KBA wavefront over a simulated MPI job.
+    """Multi-rank Sweep3D: the KBA wavefront of the NumPy tile sweeper
+    over a P x Q rank grid.
 
-    ``sweeper_factory`` builds the per-rank tile solver from the rank's
-    local deck; any object with the
-    :meth:`~repro.sweep.pipelining.TileSweeper.sweep` contract (and
-    ``quad``/``basis`` attributes) works.  The default is the NumPy
-    :class:`~repro.sweep.pipelining.TileSweeper`;
-    :class:`repro.core.cluster.CellClusterSweep3D` passes a factory that
-    builds a full simulated Cell BE per rank -- the paper's levels 1-5
-    all at once.
+    The object is the decomposition (:attr:`cart`, :meth:`plan`);
+    :meth:`solve` is the cluster driver's in-process path with engine
+    ``"tile"`` -- :func:`repro.cluster.runtime.run_rank_solve` on one
+    :class:`~repro.cluster.transport.LocalFabric` thread per rank,
+    refolded in serial rank order.
     """
 
     def __init__(
@@ -248,16 +235,10 @@ class KBASweep3D:
         deck: InputDeck,
         P: int | None = None,
         Q: int | None = None,
-        sweeper_factory=None,
     ):
         if P is None or Q is None:
             P, Q = dims_create(P or Q or 4) if (P or Q) else dims_create(4)
         self.deck = deck
-        self.sweeper_factory = sweeper_factory or TileSweeper
-        #: when True, each rank's face sends count ``cluster.*`` wire
-        #: metrics into its sweeper's registry (set by
-        #: :class:`repro.core.cluster.CellClusterSweep3D`)
-        self.count_wire = False
         self.cart = Cart2D(P, Q)
         if P > deck.grid.nx or Q > deck.grid.ny:
             raise CommunicatorError(
@@ -273,62 +254,11 @@ class KBASweep3D:
         y0, ny = self._y_split[q]
         return TilePlan(p, q, x0, nx, y0, ny)
 
-    # -- per-rank program ---------------------------------------------------------
-
-    def _rank_program(self, comm: SimComm):
-        deck = self.deck
-        plan = self.plan(comm.rank)
-        local_deck = deck.tile(
-            (plan.x0, plan.y0, 0), plan.local_grid(deck.grid)
-        )
-        sweeper = self.sweeper_factory(local_deck)
-        quad = sweeper.quad
-        from ..sweep.moments import build_moment_source
-
-        flux = np.zeros((deck.nm, *local_deck.grid.shape))
-        history: list[float] = []
-        total = SweepTally()
-        for _ in range(deck.iterations):
-            msrc = build_moment_source(local_deck, flux)
-            boundary = RankBoundary(
-                local_deck, quad, comm, self.cart, deck.mmi, deck.mk,
-                metrics=(
-                    getattr(sweeper, "metrics", None)
-                    if self.count_wire else None
-                ),
-            )
-            new_flux, tally, _ = sweeper.sweep(msrc, boundary=boundary)
-            total.fixups += tally.fixups
-            total.leakage = boundary.leakage
-            diff = float(np.max(np.abs(new_flux[0] - flux[0])))
-            scale = float(np.max(np.abs(new_flux[0])))
-            gdiff = comm.allreduce(diff, max)
-            gscale = comm.allreduce(scale, max)
-            history.append(gdiff / gscale if gscale else 0.0)
-            flux = new_flux
-        fixups = comm.reduce(total.fixups, lambda a, b: a + b)
-        leakage = comm.reduce(total.leakage, lambda a, b: a + b)
-        tiles = comm.gather(flux)
-        if comm.rank != 0:
-            return None
-        global_flux = np.zeros((deck.nm, *deck.grid.shape))
-        for rank, tile_flux in enumerate(tiles):
-            tile_plan = self.plan(rank)
-            global_flux[
-                :,
-                tile_plan.x0 : tile_plan.x0 + tile_plan.nx,
-                tile_plan.y0 : tile_plan.y0 + tile_plan.ny,
-                :,
-            ] = tile_flux
-        return SolveResult(
-            flux=global_flux,
-            iterations=deck.iterations,
-            history=history,
-            tally=SweepTally(fixups=fixups, leakage=leakage),
-            converged=True,
-        )
-
     def solve(self) -> SolveResult:
         """Run the job and return the reassembled global solution."""
-        results = run_ranks(self.cart.size, self._rank_program)
-        return results[0]
+        from ..cluster.driver import run_cluster_solve
+
+        return run_cluster_solve(
+            self.deck, self.cart.P, self.cart.Q,
+            transport="local", engine="tile",
+        ).result

