@@ -22,18 +22,18 @@ from repro.core.spe_kernel import (
     kernel_cycle_report,
     simd_execute_block,
 )
-from repro.sweep.pipelining import LineBlock, numpy_line_executor
+from repro.sweep.kernel import dd_line_block_solve
 
 
 def functional_demo() -> None:
     rng = np.random.default_rng(2007)
     L, it = 10, 12
-    block = LineBlock(
-        octant=0, diagonal=0,
-        lines=[(l, 0, 0) for l in range(L)], angles=[0] * L,
+    # one jkm diagonal's gathered working set, in the argument order
+    # every line kernel shares
+    args = dict(
         source=rng.random((L, it)) * 0.1,
         sigma_t=6.0,
-        phi_i=rng.random(L) * 4.0,      # strong inflows: fixups will fire
+        phi_i_in=rng.random(L) * 4.0,   # strong inflows: fixups will fire
         phi_j=rng.random((L, it)),
         phi_k=rng.random((L, it)),
         cx=rng.random(L) + 0.1,
@@ -41,18 +41,15 @@ def functional_demo() -> None:
         cz=rng.random(L) + 0.1,
         fixup=True,
     )
-    ref_block = LineBlock(**{
-        **block.__dict__,
-        "phi_j": block.phi_j.copy(),
-        "phi_k": block.phi_k.copy(),
-    })
-    psi_ref, pi_ref, fix_ref = numpy_line_executor(ref_block)
-    psi_simd, pi_simd, fix_simd = simd_execute_block(block)
+    # both kernels write the outflow faces into phi_j/phi_k in place
+    ref = {**args, "phi_j": args["phi_j"].copy(), "phi_k": args["phi_k"].copy()}
+    psi_ref, pi_ref, fix_ref = dd_line_block_solve(**ref)
+    psi_simd, pi_simd, fix_simd = simd_execute_block(**args)
     print(f"block: {L} I-lines x {it} cells, fixups on")
     print(f"  reference fixups: {fix_ref}, SIMD fixups: {fix_simd}")
     print(f"  psi bitwise equal:  {np.array_equal(psi_ref, psi_simd)}")
     print(f"  faces bitwise equal: "
-          f"{np.array_equal(ref_block.phi_j, block.phi_j)}")
+          f"{np.array_equal(ref['phi_j'], args['phi_j'])}")
 
 
 def timing_demo() -> None:

@@ -81,23 +81,21 @@ def kernel() -> None:
     print("SPE kernel:")
     from repro.cell.registers import kernel_code_bytes, kernel_pressure
     from repro.core.spe_kernel import kernel_cycle_report, simd_execute_block
-    from repro.sweep.pipelining import LineBlock, numpy_line_executor
+    from repro.sweep.kernel import dd_line_block_solve
 
-    rng = np.random.default_rng(1)
     L, it = 9, 7
-    mk_block = lambda: LineBlock(
-        octant=0, diagonal=0, lines=[(l, 0, 0) for l in range(L)],
-        angles=[0] * L, source=rng.random((L, it)) * 0.1, sigma_t=6.0,
-        phi_i=rng.random(L) * 4, phi_j=rng.random((L, it)),
-        phi_k=rng.random((L, it)), cx=rng.random(L) + 0.1,
-        cy=rng.random(L) + 0.1, cz=rng.random(L) + 0.1, fixup=True,
-    )
-    rng = np.random.default_rng(1)
-    a = mk_block()
-    rng = np.random.default_rng(1)
-    b = mk_block()
-    psi_a, _, fx_a = numpy_line_executor(a)
-    psi_b, _, fx_b = simd_execute_block(b)
+
+    def line_args() -> dict:
+        rng = np.random.default_rng(1)
+        return dict(
+            source=rng.random((L, it)) * 0.1, sigma_t=6.0,
+            phi_i_in=rng.random(L) * 4, phi_j=rng.random((L, it)),
+            phi_k=rng.random((L, it)), cx=rng.random(L) + 0.1,
+            cy=rng.random(L) + 0.1, cz=rng.random(L) + 0.1, fixup=True,
+        )
+
+    psi_a, _, fx_a = dd_line_block_solve(**line_args())
+    psi_b, _, fx_b = simd_execute_block(**line_args())
     check("SIMD kernel bit-equal (fixups firing)",
           np.array_equal(psi_a, psi_b) and fx_a == fx_b,
           f"{fx_a} fixups")

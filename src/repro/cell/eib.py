@@ -38,12 +38,6 @@ class BusCost:
     total_bytes: int
     cycles: float
 
-    @property
-    def achieved_bytes_per_cycle(self) -> float:
-        if self.cycles == 0:
-            return 0.0
-        return self.total_bytes / self.cycles
-
 
 class EIBModel:
     """Throughput model for concurrent point-to-point flows on the EIB."""

@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -420,9 +420,3 @@ class SPUContext:
     def nop(self) -> None:
         """Record an explicit scheduling nop."""
         self.stream.emit("nop", OpClass.NOP, None)
-
-
-def gather_lanes(ctx: SPUContext, values: Iterable[float]) -> Vec:
-    """Pack scalars into one vector via a load (test/example helper)."""
-    arr = np.asarray(list(values), dtype=np.float64 if ctx.double else np.float32)
-    return ctx.lqd(arr, label="packed")

@@ -10,8 +10,7 @@ chunk, the *operations* never do.  This module exploits that the same way
 the DMA-program cache of :mod:`repro.core.streaming` exploits recurring
 working sets: record the stream once, lower it once into a *compiled
 program* of whole-array NumPy operations carrying a leading batch axis,
-and replay that program for every line of every :class:`LineBlock` staged
-on a jkm diagonal in one call.
+and replay that program for every line of a jkm diagonal in one call.
 
 Why replay is bit-identical to interpretation: every ISA operation is
 elementwise per lane (:class:`~repro.cell.isa.SPUContext` computes
@@ -95,7 +94,6 @@ class CompileStats:
     streams_compiled: int = 0
     cache_hits: int = 0
     batched_calls: int = 0
-    batched_blocks: int = 0
     batched_lines: int = 0
     # optimizer pipeline (summed over freshly compiled programs)
     ops_before: int = 0
@@ -107,7 +105,6 @@ class CompileStats:
             "streams_compiled": self.streams_compiled,
             "cache_hits": self.cache_hits,
             "batched_calls": self.batched_calls,
-            "batched_blocks": self.batched_blocks,
             "batched_lines": self.batched_lines,
             "ops_before": self.ops_before,
             "ops_after": self.ops_after,

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import LocalStoreError
-from ..units import align_up, is_aligned
+from ..units import align_up
 from . import constants
 
 
@@ -127,10 +127,6 @@ class LocalStore:
         """Largest single allocation that could currently succeed."""
         return max((n for _, n in self._free), default=0)
 
-    def live_buffers(self) -> list[LSBuffer]:
-        """The live allocations, ordered by offset."""
-        return sorted(self._live.values(), key=lambda b: b.offset)
-
     # -- allocation ------------------------------------------------------
 
     def alloc(
@@ -199,7 +195,3 @@ class LocalStore:
         """Zero a buffer (porting step 5: "a memset call was issued to zero
         out each big array")."""
         buf.as_bytes()[:] = 0
-
-    def is_dma_target_ok(self, buf: LSBuffer) -> bool:
-        """True if the buffer start satisfies minimum DMA alignment."""
-        return is_aligned(buf.offset, constants.DMA_QUANTUM)

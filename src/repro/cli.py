@@ -240,7 +240,7 @@ def cmd_solve(args) -> int:
         if args.engine == "cell" and args.isa:
             print(f"isa: streams_compiled={compile_stats['streams_compiled']} "
                   f"cache_hits={compile_stats['cache_hits']} "
-                  f"batched_blocks={compile_stats['batched_blocks']}")
+                  f"batched_calls={compile_stats['batched_calls']}")
             print(f"isa optimizer: ops {compile_stats['ops_before']}->"
                   f"{compile_stats['ops_after']} "
                   f"slots_reused={compile_stats['slots_reused']} "

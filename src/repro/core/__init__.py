@@ -21,12 +21,10 @@ from .spe_kernel import (
     LOGICAL_THREADS,
     SimdKernel,
     cells_per_invocation,
-    compiled_line_executor,
     cycles_per_cell,
     kernel_cycle_report,
     simd_execute_block,
     simd_execute_blocks,
-    simd_line_executor,
 )
 from .streaming import ChunkBuffers, StagedLine
 from .sync import LSPokeSync, MailboxSync
@@ -54,7 +52,6 @@ __all__ = [
     "SyncProtocol",
     "assign_cyclic",
     "cells_per_invocation",
-    "compiled_line_executor",
     "cycles_per_cell",
     "imbalance",
     "kernel_cycle_report",
@@ -67,6 +64,5 @@ __all__ = [
     "projection_series",
     "simd_execute_block",
     "simd_execute_blocks",
-    "simd_line_executor",
     "stage",
 ]

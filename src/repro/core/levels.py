@@ -100,7 +100,7 @@ class MachineConfig:
     #: host-simulator optimization (no simulated-machine effect): lower
     #: each recorded instruction stream once into a compiled program of
     #: whole-array numpy ops with a leading batch axis, and run every
-    #: line block staged on a jkm diagonal through one compiled call
+    #: line of a jkm diagonal through one compiled call
     #: (:mod:`repro.cell.isa_compile`).  Replay performs the exact
     #: per-lane operation sequence of the interpreter, so results are
     #: bit-identical and simulated time is untouched.

@@ -132,14 +132,6 @@ def cluster_projection(
     )
 
 
-def cluster_projection_series(
-    deck: InputDeck, base: MachineConfig, grids: tuple[tuple[int, int], ...]
-) -> tuple[ClusterProjection, ...]:
-    """The model curve over a ladder of rank grids (the Fig. 11 shape:
-    time vs processor count, here rank count)."""
-    return tuple(cluster_projection(deck, base, p, q) for p, q in grids)
-
-
 def pipelined_dp_is_marginal(deck: InputDeck, base: MachineConfig) -> bool:
     """The paper's headline Figure-10 observation, as a checkable claim:
     once scheduling is distributed, pipelining the DP unit buys little

@@ -33,7 +33,7 @@ from ..sweep.flux import SolveResult, SweepTally, relative_change
 from ..sweep.input import InputDeck
 from ..sweep.kernel import dd_line_block_solve
 from ..sweep.moments import MomentBasis
-from ..sweep.pipelining import LineBlock, angle_blocks, k_blocks, num_diagonals
+from ..sweep.pipelining import angle_blocks, k_blocks, num_diagonals
 from ..sweep.quadrature import OCTANT_SIGNS
 from ..metrics.registry import NULL_REGISTRY, spe_metric
 from ..trace.bus import NULL_BUS, spe_track
@@ -243,7 +243,7 @@ class CellSweep3D:
 
                 def prepare(chunks: list[Chunk]) -> None:
                     tally.fixups += self._prepare_diagonal(
-                        chunks, octant, d, cxs, cys, czs, psi_sink
+                        chunks, cxs, cys, czs, psi_sink
                     )
 
                 self.scheduler.run_diagonal(
@@ -331,14 +331,19 @@ class CellSweep3D:
         }
 
     def _prepare_diagonal(
-        self, chunks: list[Chunk], octant: int, d: int,
+        self, chunks: list[Chunk],
         cxs: np.ndarray, cys: np.ndarray, czs: np.ndarray,
         psi_sink: np.ndarray | None = None,
     ) -> int:
         """Solve every line of one jkm diagonal in one kernel call.
 
-        The compute hook of every executor (reference kernel, compiled
-        and interpreted ISA).  A diagonal's lines are mutually
+        The compute hook of every kernel: the reference
+        :func:`~repro.sweep.kernel.dd_line_block_solve` or, with
+        ``isa_kernel``, the compiled (``compile_isa``) or interpreted ISA
+        kernel, which share its signature.  The kernel is looked up by
+        module-global name at call time and called once on the
+        diagonal's gather; one ``np.add.reduceat`` splits its per-line
+        fixup counts per chunk.  A diagonal's lines are mutually
         independent and their working sets never alias -- ``(j, kk)``
         fixes ``mm = d - j - kk``, so lines have distinct ``(mm, kk)``
         phij rows, ``(mm, j_o)`` phik rows, ``(mm, kk, j_o)`` phii cells
@@ -367,41 +372,24 @@ class CellSweep3D:
         for ch in chunks:
             bounds.append(bounds[-1] + len(ch.lines))
         chunk_rows = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        if self.config.isa_kernel:
-            # LineBlocks are row slices of the one gather, so the face
-            # outflows every block writes in place land in phi_j/phi_k
-            blocks = [
-                LineBlock(
-                    octant=octant, diagonal=d,
-                    lines=[(ln.j_o, ln.kk, ln.mm) for ln in ch.lines],
-                    angles=[ln.angle for ln in ch.lines],
-                    source=src[rows], sigma_t=deck.sigma_t,
-                    phi_i=phi_i[rows], phi_j=phi_j[rows], phi_k=phi_k[rows],
-                    cx=cx[rows], cy=cy[rows], cz=cz[rows], fixup=deck.fixup,
-                )
-                for ch, rows in zip(chunks, chunk_rows)
-            ]
-            if self.config.compile_isa:
-                results = simd_execute_blocks(blocks)
-            else:
-                results = [simd_execute_block(b) for b in blocks]
-            psi_c = np.concatenate([r[0] for r in results])
-            phi_i_out = np.concatenate([r[1] for r in results])
-            fixups = [r[2] for r in results]
+        # pass the scalar when the material is uniform so the arithmetic
+        # matches the reference kernel's scalar path bit for bit.
+        sigma = (
+            deck.sigma_t if deck.material_box is None
+            else g["sigt"][:, rev]
+        )
+        if not self.config.isa_kernel:
+            kernel = dd_line_block_solve
+        elif self.config.compile_isa:
+            kernel = simd_execute_blocks
         else:
-            # pass the scalar when the material is uniform so the
-            # arithmetic matches the reference executor's scalar path
-            # bit for bit.
-            sigma = (
-                deck.sigma_t if deck.material_box is None
-                else g["sigt"][:, rev]
-            )
-            line_fixups = np.zeros(len(lines), dtype=np.intp)
-            psi_c, phi_i_out, _ = dd_line_block_solve(
-                src, sigma, phi_i, phi_j, phi_k, cx, cy, cz,
-                fixup=deck.fixup, line_fixups=line_fixups,
-            )
-            fixups = np.add.reduceat(line_fixups, bounds[:-1]).tolist()
+            kernel = simd_execute_block
+        line_fixups = np.zeros(len(lines), dtype=np.intp)
+        psi_c, phi_i_out, _ = kernel(
+            src, sigma, phi_i, phi_j, phi_k, cx, cy, cz,
+            fixup=deck.fixup, line_fixups=line_fixups,
+        )
+        fixups = np.add.reduceat(line_fixups, bounds[:-1]).tolist()
         if psi_sink is not None:
             # capture the cell-centred angular flux in global (k, j, i)
             # coordinates: the host-parallel engine replays the flux

@@ -19,12 +19,16 @@ SPU ISA of :mod:`repro.cell.isa`:
   fixup half only on the lines where a select can pick something other
   than the plain solve -- the same values, for less host time.
 
-Three uses:
+Three uses.  The two line kernels take the arguments of
+:func:`repro.sweep.kernel.dd_line_block_solve` -- a jkm diagonal's
+gathered source rows, cross section, I-inflows, J/K face rows (updated
+in place), per-line coefficients, the fixup switch and the optional
+per-line fixup counter ``line_fixups`` -- plus ``double``, and return
+its ``(psi_c, phi_i_out, fixups)``:
 
-1. :func:`simd_execute_block` runs a
-   :class:`~repro.sweep.pipelining.LineBlock` through the functional ISA
+1. :func:`simd_execute_block` runs the lines through the functional ISA
    and produces results **bit-identical** to
-   :func:`repro.sweep.kernel.dd_line_block_solve`: divisions are exact
+   :func:`~repro.sweep.kernel.dd_line_block_solve`: divisions are exact
    (the documented ``spu_div`` substitution) and every emitted operation
    reproduces the reference's floating-point grouping, using only
    commutativity of individual adds.  Tests enforce the equality -- it is
@@ -53,7 +57,7 @@ import numpy as np
 from ..cell.isa import InstructionStream, SPUContext, Vec
 from ..cell.pipeline import PipelineReport, simulate_cached
 from ..errors import ConfigurationError
-from ..sweep.pipelining import LineBlock
+from ..sweep.kernel import line_block_shape
 
 #: the paper's "four different logical threads of vectorization"
 LOGICAL_THREADS: int = 4
@@ -221,26 +225,52 @@ class SimdKernel:
 
 
 # ---------------------------------------------------------------------------
-# Functional execution of LineBlocks
+# Functional execution of a block of I-lines
 # ---------------------------------------------------------------------------
 
-def simd_execute_block(
-    block: LineBlock, double: bool = True
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Run a LineBlock through the functional SIMD kernel.
+def _uniform_sigma(sigma_t: float | np.ndarray) -> float:
+    """The hoisted scalar cross section: both ISA kernels splat one
+    ``sigma_t`` per call."""
+    if isinstance(sigma_t, np.ndarray):
+        if np.all(sigma_t == sigma_t.flat[0]):
+            return float(sigma_t.flat[0])
+        raise ConfigurationError(
+            "the ISA kernels hoist the cross section per call and "
+            "therefore support single-material lines only; "
+            "heterogeneous decks use the reference kernel"
+        )
+    return float(sigma_t)
 
-    Drop-in :data:`~repro.sweep.pipelining.LineExecutor`: returns
-    ``(psi_c, phi_i_out, fixups)`` bit-identical to the NumPy reference
-    executor (``fixups`` counts *cells* touched, like the reference).
-    Lines are packed four logical threads wide with ``lanes`` lines per
-    vector; partial groups are padded with benign vacuum lines that
-    cannot trigger fixups.
+
+def simd_execute_block(
+    source: np.ndarray,
+    sigma_t: float | np.ndarray,
+    phi_i_in: np.ndarray,
+    phi_j: np.ndarray,
+    phi_k: np.ndarray,
+    cx: np.ndarray,
+    cy: np.ndarray,
+    cz: np.ndarray,
+    fixup: bool = False,
+    *,
+    line_fixups: np.ndarray | None = None,
+    double: bool = True,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Run a block of I-lines through the functional SIMD kernel.
+
+    The arguments, in-place face updates, ``line_fixups`` accumulation
+    and ``(psi_c, phi_i_out, fixups)`` result of
+    :func:`~repro.sweep.kernel.dd_line_block_solve`, bit for bit
+    (``fixups`` counts *cells* touched, like the reference).  Lines are
+    packed four logical threads wide with ``lanes`` lines per vector;
+    partial groups are padded with benign vacuum lines that cannot
+    trigger fixups.
     """
-    sigma_t = _uniform_sigma(block)
-    kernel = SimdKernel(fixup=block.fixup, double=double)
+    L, it = line_block_shape(source, phi_i_in, phi_j, phi_k)
+    sigma = _uniform_sigma(sigma_t)
+    kernel = SimdKernel(fixup=fixup, double=double)
     lanes = 2 if double else 4
     group = LOGICAL_THREADS * lanes
-    L, it = block.num_lines, block.it
     padded = -(-L // group) * group
 
     def pad1(a, fill):
@@ -253,15 +283,15 @@ def simd_execute_block(
         out[:L] = a
         return out
 
-    cx = pad1(block.cx, 0.5)
-    cy = pad1(block.cy, 0.5)
-    cz = pad1(block.cz, 0.5)
-    source = pad2(block.source, 0.0)
-    phi_i = pad1(block.phi_i, 0.0)
-    phi_j = pad2(block.phi_j, 0.0)
-    phi_k = pad2(block.phi_k, 0.0)
+    cx = pad1(cx, 0.5)
+    cy = pad1(cy, 0.5)
+    cz = pad1(cz, 0.5)
+    src_pad = pad2(source, 0.0)
+    phi_i = pad1(phi_i_in, 0.0)
+    pj_pad = pad2(phi_j, 0.0)
+    pk_pad = pad2(phi_k, 0.0)
     psi_c = np.zeros((padded, it))
-    fixups = 0
+    touched = np.zeros(padded, dtype=np.intp)
 
     T = LOGICAL_THREADS
     for g0 in range(0, padded, group):
@@ -272,52 +302,35 @@ def simd_execute_block(
             np.stack([cx[r] for r in rows]),
             np.stack([cy[r] for r in rows]),
             np.stack([cz[r] for r in rows]),
-            sigma_t,
+            sigma,
             np.stack([phi_i[r] for r in rows]),
         )
         for i in range(it):
-            src = [ctx.lqd(source[r, i], label="src") for r in rows]
-            pj = [ctx.lqd(phi_j[r, i], label="phij") for r in rows]
-            pk = [ctx.lqd(phi_k[r, i], label="phik") for r in rows]
+            src = [ctx.lqd(src_pad[r, i], label="src") for r in rows]
+            pj = [ctx.lqd(pj_pad[r, i], label="phij") for r in rows]
+            pk = [ctx.lqd(pk_pad[r, i], label="phik") for r in rows]
             psic, out_y, out_z = kernel.solve_step(ctx, grp, src, pj, pk)
             for t, r in enumerate(rows):
                 ctx.stqd(psic[t], psi_c[r, i])
-                ctx.stqd(out_y[t], phi_j[r, i])
-                ctx.stqd(out_z[t], phi_k[r, i])
-            if block.fixup:
+                ctx.stqd(out_y[t], pj_pad[r, i])
+                ctx.stqd(out_z[t], pk_pad[r, i])
+            if fixup:
                 for t, r in enumerate(rows):
                     # padded lanes are benign: they never trigger fixups
-                    fixups += int((grp.step_touched[t].data != 0).sum())
+                    touched[r] += grp.step_touched[t].data != 0
         for t, r in enumerate(rows):
             phi_i[r] = grp.phi_i[t].data
 
-    block.phi_j[:] = phi_j[:L]
-    block.phi_k[:] = phi_k[:L]
-    return psi_c[:L], phi_i[:L], fixups
-
-
-def simd_line_executor(block: LineBlock):
-    """LineExecutor adapter so a whole solve can run on the SIMD kernel."""
-    return simd_execute_block(block)
+    phi_j[:] = pj_pad[:L]
+    phi_k[:] = pk_pad[:L]
+    if line_fixups is not None:
+        line_fixups += touched[:L]
+    return psi_c[:L], phi_i[:L], int(touched.sum())
 
 
 # ---------------------------------------------------------------------------
 # Trace-compiled batched execution (docs/PERFORMANCE.md section 4)
 # ---------------------------------------------------------------------------
-
-def _uniform_sigma(block: LineBlock) -> float:
-    """The hoisted scalar cross section (same restriction and message as
-    the interpreting executor)."""
-    sigma_t = block.sigma_t
-    if isinstance(sigma_t, np.ndarray):
-        if np.all(sigma_t == sigma_t.flat[0]):
-            return float(sigma_t.flat[0])
-        raise ConfigurationError(
-            "the SIMD executor hoists the cross section per chunk and "
-            "therefore supports single-material blocks only; "
-            "heterogeneous decks use the reference line executor"
-        )
-    return float(sigma_t)
 
 
 def _trace_line_program(it: int, fixup: bool, double: bool):
@@ -370,18 +383,26 @@ def _trace_line_program(it: int, fixup: bool, double: bool):
 
 
 def simd_execute_blocks(
-    blocks: list[LineBlock], double: bool = True
-) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """Run several independent LineBlocks through one compiled ISA call.
+    source: np.ndarray,
+    sigma_t: float | np.ndarray,
+    phi_i_in: np.ndarray,
+    phi_j: np.ndarray,
+    phi_k: np.ndarray,
+    cx: np.ndarray,
+    cy: np.ndarray,
+    cz: np.ndarray,
+    fixup: bool = False,
+    *,
+    line_fixups: np.ndarray | None = None,
+    double: bool = True,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Run a block of I-lines through one compiled ISA replay.
 
-    The batched sibling of :func:`simd_execute_block`: all blocks'
-    I-lines are stacked on the program's batch axis (typically every
-    chunk of one jkm diagonal -- lines of one diagonal are independent
-    by the paper's Sec. 3 property) and solved by a single replay of the
-    trace-compiled program.  Per block, returns the executor triple
-    ``(psi_c, phi_i_out, fixups)`` and updates ``phi_j``/``phi_k`` in
-    place -- bit-identical to interpreting each block.  Blocks must
-    share ``it`` and ``fixup`` (always true within a diagonal).
+    The batched sibling of :func:`simd_execute_block`, with its
+    arguments and results, bit for bit: every line (typically all of a
+    jkm diagonal -- lines of one diagonal are independent by the paper's
+    Sec. 3 property) sits on the batch axis of the trace-compiled line
+    program, and one replay solves them all.
 
     With ``fixup`` the branch-free fixup is replayed lazily, per line:
     the *plain* program runs on every line, a line is dirty iff any
@@ -397,46 +418,22 @@ def simd_execute_blocks(
     """
     from ..cell.isa_compile import STATS, compiled_program
 
-    blocks = list(blocks)
-    if not blocks:
-        return []
-    it, fixup = blocks[0].it, blocks[0].fixup
-    for b in blocks[1:]:
-        if b.it != it or b.fixup != fixup:
-            raise ConfigurationError(
-                "batched blocks must share the line length and fixup mode"
-            )
-    sigmas = [_uniform_sigma(b) for b in blocks]
+    n, it = line_block_shape(source, phi_i_in, phi_j, phi_k)
+    sigma = _uniform_sigma(sigma_t)
     dtype = np.float64 if double else np.float32
-    lens = [b.num_lines for b in blocks]
-    N = sum(lens)
     STATS.batched_calls += 1
-    STATS.batched_blocks += len(blocks)
-    STATS.batched_lines += N
-
-    def cat1(field) -> np.ndarray:
-        return np.concatenate(
-            [np.asarray(field(b), dtype=dtype).ravel() for b in blocks]
-        )
-
-    def cat2(field) -> np.ndarray:
-        return np.concatenate(
-            [np.asarray(field(b), dtype=dtype) for b in blocks], axis=0
-        )
-
+    STATS.batched_lines += n
     scalars = {
-        "cx": cat1(lambda b: b.cx),
-        "cy": cat1(lambda b: b.cy),
-        "cz": cat1(lambda b: b.cz),
-        "phii": cat1(lambda b: b.phi_i),
-        "sigma_t": np.concatenate(
-            [np.full(L, s, dtype=dtype) for L, s in zip(lens, sigmas)]
-        ),
+        "cx": np.ascontiguousarray(cx, dtype=dtype),
+        "cy": np.ascontiguousarray(cy, dtype=dtype),
+        "cz": np.ascontiguousarray(cz, dtype=dtype),
+        "phii": np.ascontiguousarray(phi_i_in, dtype=dtype),
+        "sigma_t": np.full(n, sigma, dtype=dtype),
     }
     columns = {
-        "src": cat2(lambda b: b.source),
-        "phij": cat2(lambda b: b.phi_j),
-        "phik": cat2(lambda b: b.phi_k),
+        "src": np.asarray(source, dtype=dtype),
+        "phij": np.asarray(phi_j, dtype=dtype),
+        "phik": np.asarray(phi_k, dtype=dtype),
     }
 
     def replay(with_fixup: bool, scal: dict, cols: dict):
@@ -475,37 +472,25 @@ def simd_execute_blocks(
         return psi, faces, touched
 
     psi_c, faces, _ = replay(False, scalars, columns)
-    line_fixups = None
+    fixups = 0
     if fixup:
-        rows = np.flatnonzero((faces < 0.0).any(axis=(0, 2)))
-        if rows.size:
+        dirty = np.flatnonzero((faces < 0.0).any(axis=(0, 2)))
+        if dirty.size:
             psi_d, faces_d, touched = replay(
                 True,
-                {k: v[rows] for k, v in scalars.items()},
-                {k: v[rows] for k, v in columns.items()},
+                {k: v[dirty] for k, v in scalars.items()},
+                {k: v[dirty] for k, v in columns.items()},
             )
-            psi_c[rows] = psi_d
-            faces[:, rows] = faces_d
-            line_fixups = np.zeros(N, dtype=np.intp)
-            line_fixups[rows] = np.count_nonzero(touched, axis=1)
-    phi_i_out = faces[0, :, -1].copy()
-
-    out: list[tuple[np.ndarray, np.ndarray, int]] = []
-    lo = 0
-    for b, L in zip(blocks, lens):
-        hi = lo + L
-        b.phi_j[:] = faces[1, lo:hi]
-        b.phi_k[:] = faces[2, lo:hi]
-        fx = int(line_fixups[lo:hi].sum()) if line_fixups is not None else 0
-        out.append((psi_c[lo:hi], phi_i_out[lo:hi], fx))
-        lo = hi
-    return out
-
-
-def compiled_line_executor(block: LineBlock):
-    """LineExecutor adapter for the trace-compiled path (one block per
-    call; the Cell solver batches whole diagonals instead)."""
-    return simd_execute_blocks([block])[0]
+            psi_c[dirty] = psi_d
+            faces[:, dirty] = faces_d
+            counts = np.count_nonzero(touched, axis=1)
+            fixups = int(counts.sum())
+            if line_fixups is not None:
+                line_fixups[dirty] += counts
+    # both replays read the inflow faces: write the outflows back last
+    phi_j[:] = faces[1]
+    phi_k[:] = faces[2]
+    return psi_c, faces[0, :, -1].copy(), fixups
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,7 @@ _BIND_TIMEOUT = 120.0
 
 #: CompileStats fields folded into the pool registry
 COMPILE_KEYS = (
-    "streams_compiled", "cache_hits", "batched_calls",
-    "batched_blocks", "batched_lines",
+    "streams_compiled", "cache_hits", "batched_calls", "batched_lines",
     "ops_before", "ops_after", "slots_reused",
 )
 

@@ -23,7 +23,6 @@ import numpy as np
 
 from ..sweep.input import InputDeck
 from ..sweep.kernel import dd_line_block_solve, flops_per_cell
-from ..sweep.pipelining import LineBlock
 
 #: lines per kernel call: one chunk; the mean and the longest jkm
 #: diagonal of a 16^3 S6 deck; a diagonal of the 50^3 benchmark deck
@@ -118,12 +117,10 @@ def compiled_isa_seconds(
     src, phi_i, phi_j, phi_k, cx, cy, cz = _operands(lines, it, dirty)
 
     def call():
-        return simd_execute_blocks([LineBlock(
-            octant=0, diagonal=0, lines=[(0, 0, 0)] * lines,
-            angles=[0] * lines, source=src, sigma_t=1.0, phi_i=phi_i,
-            phi_j=phi_j.copy(), phi_k=phi_k.copy(),
-            cx=cx, cy=cy, cz=cz, fixup=fixup,
-        )])
+        return simd_execute_blocks(
+            src, 1.0, phi_i, phi_j.copy(), phi_k.copy(), cx, cy, cz,
+            fixup=fixup,
+        )
 
     call()  # compile the stream(s) outside the clock
     return best_seconds(call, calls=3)

@@ -167,7 +167,7 @@ class SolveRunner:
                 # exact while solves do not overlap; see module docstring
                 "streams_compiled": job_delta.get("streams_compiled", 0),
                 "cache_hits": job_delta.get("cache_hits", 0),
-                "batched_blocks": job_delta.get("batched_blocks", 0),
+                "batched_calls": job_delta.get("batched_calls", 0),
                 "ops_before": job_delta.get("ops_before", 0),
                 "ops_after": job_delta.get("ops_after", 0),
                 "slots_reused": job_delta.get("slots_reused", 0),

@@ -14,8 +14,6 @@ from .kernel import CellResult, dd_line_block_solve, dd_solve, flops_per_cell
 from .moments import MomentBasis, legendre_basis
 from .pipelining import (
     BoundaryIO,
-    LineBlock,
-    LineExecutor,
     TileSweeper,
     VacuumBoundary,
     angle_blocks,
@@ -23,7 +21,6 @@ from .pipelining import (
     diagonal_sizes,
     k_blocks,
     num_diagonals,
-    numpy_line_executor,
 )
 from .deckfile import format_deck, load_deck, parse_deck, save_deck
 from .dsa import DSAAccelerator, accelerated_solve
@@ -44,8 +41,6 @@ __all__ = [
     "CellResult",
     "Grid",
     "InputDeck",
-    "LineBlock",
-    "LineExecutor",
     "MomentBasis",
     "OCTANT_SIGNS",
     "Ordinate",
@@ -78,7 +73,6 @@ __all__ = [
     "k_blocks",
     "legendre_basis",
     "num_diagonals",
-    "numpy_line_executor",
     "octant_direction",
     "oriented_view",
     "relative_change",

@@ -157,6 +157,33 @@ def _set_to_zero_fixup(
     return psi_c, out_x, out_y, out_z, touched
 
 
+def line_block_shape(
+    source: np.ndarray,
+    phi_i_in: np.ndarray,
+    phi_j: np.ndarray,
+    phi_k: np.ndarray,
+) -> tuple[int, int]:
+    """``(lines, it)`` of a line kernel's operands.
+
+    Every line kernel -- :func:`dd_line_block_solve` and the ISA kernels
+    of :mod:`repro.core.spe_kernel`, which share its signature -- checks
+    its arguments here: the face buffers must be ``(lines, it)`` like
+    ``source`` and the I-inflows ``(lines,)``, else
+    :class:`~repro.errors.SweepError`.
+    """
+    nlines, it = np.shape(source)
+    if np.shape(phi_j) != (nlines, it) or np.shape(phi_k) != (nlines, it):
+        raise SweepError(
+            f"face buffers must be {(nlines, it)}, "
+            f"got {np.shape(phi_j)} / {np.shape(phi_k)}"
+        )
+    if np.shape(phi_i_in) != (nlines,):
+        raise SweepError(
+            f"phi_i_in must be ({nlines},), got {np.shape(phi_i_in)}"
+        )
+    return nlines, it
+
+
 def dd_line_block_solve(
     source: np.ndarray,
     sigma_t: np.ndarray | float,
@@ -204,16 +231,10 @@ def dd_line_block_solve(
         ``psi_c`` is ``(L, it)`` (the paper's ``Phi[i]`` scratch, fed to
         the flux-moment accumulation); ``phi_i_out`` is ``(L,)``.
     """
+    nlines, it = line_block_shape(source, phi_i_in, phi_j, phi_k)
     source = np.asarray(source, dtype=np.float64)
-    nlines, it = source.shape
-    if phi_j.shape != (nlines, it) or phi_k.shape != (nlines, it):
-        raise SweepError(
-            f"face buffers must be {(nlines, it)}, got {phi_j.shape} / {phi_k.shape}"
-        )
     psi_c = np.empty_like(source)
     phi_i = np.array(phi_i_in, dtype=np.float64, copy=True)
-    if phi_i.shape != (nlines,):
-        raise SweepError(f"phi_i_in must be ({nlines},), got {phi_i.shape}")
 
     # The fused fast path: everything :func:`dd_solve` would redo per
     # I-column -- dtype coercion, coefficient broadcasting, the

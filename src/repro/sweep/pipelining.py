@@ -17,20 +17,21 @@ and the property the whole Cell parallelization rests on (Sec. 3): "all
 the I-lines for each jkm value can be processed in parallel, without any
 data dependency".
 
-:class:`TileSweeper` runs this structure over one rank's tile.  The
-per-diagonal work is delegated to a *line executor* -- by default the
-vectorised NumPy solve of :func:`~repro.sweep.kernel.dd_line_block_solve`;
-:mod:`repro.core` substitutes an executor that stages the same data
-through simulated SPE local stores.  Boundary traffic goes through a
+:class:`TileSweeper` runs this structure over one rank's tile: each
+diagonal's I-lines are gathered into the arrays of the one line-kernel
+signature and solved by a single call of the vectorised NumPy
+:func:`~repro.sweep.kernel.dd_line_block_solve`.  :mod:`repro.core`
+solves the same working set, staged through simulated SPE local stores,
+with that kernel or the SPU ISA kernels that share its signature.
+Boundary traffic goes through a
 :class:`BoundaryIO`, implemented here for the single-tile vacuum case and
 by :mod:`repro.mpi.wavefront` for the KBA process grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -133,10 +134,6 @@ class VacuumBoundary:
         self.quad = quadrature
         self.leakage = 0.0
 
-    def _angle_weights(self, octant: int, angles: Sequence[int]) -> np.ndarray:
-        base = octant * self.quad.per_octant
-        return self.quad.weight[[base + a for a in angles]]
-
     def _tally(self, contribution: float) -> None:
         # every leakage contribution funnels through here, one per
         # (send, angle), so subclasses can observe the exact summation
@@ -191,63 +188,6 @@ class VacuumBoundary:
 
 
 # ---------------------------------------------------------------------------
-# Line blocks and executors
-# ---------------------------------------------------------------------------
-
-@dataclass
-class LineBlock:
-    """One jkm diagonal's worth of independent I-lines, gathered.
-
-    This is precisely the "working set" the paper's SPE threads DMA into
-    their local stores: per line, the source row, the J- and K-inflow
-    rows, the I-inflow scalar and the per-line direction coefficients.
-    """
-
-    octant: int
-    diagonal: int
-    lines: list[tuple[int, int, int]]  # (j, kk, mm)
-    angles: list[int]                  # global ordinate index per line
-    source: np.ndarray                 # (L, it)
-    #: scalar for a single material, (L, it) rows when a material box
-    #: makes cross sections spatial (the streamed ``Sigt`` working set)
-    sigma_t: float | np.ndarray
-    phi_i: np.ndarray                  # (L,)
-    phi_j: np.ndarray                  # (L, it)
-    phi_k: np.ndarray                  # (L, it)
-    cx: np.ndarray                     # (L,)
-    cy: np.ndarray
-    cz: np.ndarray
-    fixup: bool
-
-    @property
-    def num_lines(self) -> int:
-        return len(self.lines)
-
-    @property
-    def it(self) -> int:
-        return self.source.shape[1]
-
-
-#: executor signature: block -> (psi_c (L, it), phi_i_out (L,), fixups)
-LineExecutor = Callable[[LineBlock], tuple[np.ndarray, np.ndarray, int]]
-
-
-def numpy_line_executor(block: LineBlock) -> tuple[np.ndarray, np.ndarray, int]:
-    """Reference executor: the vectorised NumPy diamond-difference solve."""
-    return dd_line_block_solve(
-        block.source,
-        block.sigma_t,
-        block.phi_i,
-        block.phi_j,
-        block.phi_k,
-        block.cx,
-        block.cy,
-        block.cz,
-        fixup=block.fixup,
-    )
-
-
-# ---------------------------------------------------------------------------
 # The structured tile sweep
 # ---------------------------------------------------------------------------
 
@@ -257,18 +197,13 @@ class TileSweeper:
     Per octant and angle-block, K-plane blocks are processed in order;
     within a block the jkm diagonals advance a wavefront through
     (J, K-in-block, angle) space; the I-lines of each diagonal are
-    gathered into a :class:`LineBlock` and handed to the line executor.
+    gathered and solved by one :func:`dd_line_block_solve` call.
     """
 
-    def __init__(
-        self,
-        deck: InputDeck,
-        executor: LineExecutor = numpy_line_executor,
-    ) -> None:
+    def __init__(self, deck: InputDeck) -> None:
         self.deck = deck
         self.quad = deck.quadrature()
         self.basis = MomentBasis(self.quad, deck.nm)
-        self.executor = executor
         self._sigma_field = (
             deck.sigma_t_field() if deck.material_box is not None else None
         )
@@ -314,14 +249,17 @@ class TileSweeper:
                     lines = diagonal_lines(jt, deck.mk, deck.mmi, d)
                     if not lines:  # pragma: no cover - never for valid d
                         continue
-                    block = self._gather(
-                        octant, d, lines, globals_, ang_src, phii, phij,
-                        phik, cxs, cys, czs, k0, sig_o
+                    src, sigma, pi, pj, pk, cx, cy, cz = self._gather(
+                        lines, ang_src, phii, phij, phik, cxs, cys, czs,
+                        k0, sig_o
                     )
-                    psi_c, phi_i_out, fixups = self.executor(block)
+                    psi_c, phi_i_out, fixups = dd_line_block_solve(
+                        src, sigma, pi, pj, pk, cx, cy, cz,
+                        fixup=deck.fixup,
+                    )
                     tally.fixups += fixups
                     self._scatter(
-                        lines, globals_, psi_c, phi_i_out, block,
+                        lines, globals_, psi_c, phi_i_out, pj, pk,
                         flux_o, phij, phik, i_out, k0
                     )
                 boundary.send_i(octant, angles, k0, i_out)
@@ -329,9 +267,15 @@ class TileSweeper:
             boundary.finish_octant(octant, angles, phik)
 
     def _gather(
-        self, octant, d, lines, globals_, ang_src, phii, phij, phik,
-        cxs, cys, czs, k0, sig_o=None
-    ) -> LineBlock:
+        self, lines, ang_src, phii, phij, phik, cxs, cys, czs, k0,
+        sig_o=None
+    ) -> tuple:
+        """The diagonal's working set -- what the paper's SPE threads
+        DMA into their local stores: per line the source row, the cross
+        section (the deck's scalar for a single material, rows when a
+        material box makes it spatial), the I-inflow, the J/K-inflow
+        rows and the direction coefficients, in
+        :func:`dd_line_block_solve`'s argument order."""
         it = self.deck.grid.nx
         L = len(lines)
         source = np.empty((L, it))
@@ -341,35 +285,19 @@ class TileSweeper:
         cx = np.empty(L)
         cy = np.empty(L)
         cz = np.empty(L)
-        sigma = np.empty((L, it)) if sig_o is not None else None
-        angs = []
+        sigma = np.empty((L, it)) if sig_o is not None else self.deck.sigma_t
         for l, (j, kk, mm) in enumerate(lines):
             source[l] = ang_src[mm, :, j, k0 + kk]
             pj[l] = phij[mm, kk]
             pk[l] = phik[mm, j]
             pi[l] = phii[mm, kk, j]
             cx[l], cy[l], cz[l] = cxs[mm], cys[mm], czs[mm]
-            if sigma is not None:
+            if sig_o is not None:
                 sigma[l] = sig_o[:, j, k0 + kk]
-            angs.append(globals_[mm])
-        return LineBlock(
-            octant=octant,
-            diagonal=d,
-            lines=list(lines),
-            angles=angs,
-            source=source,
-            sigma_t=sigma if sigma is not None else self.deck.sigma_t,
-            phi_i=pi,
-            phi_j=pj,
-            phi_k=pk,
-            cx=cx,
-            cy=cy,
-            cz=cz,
-            fixup=self.deck.fixup,
-        )
+        return source, sigma, pi, pj, pk, cx, cy, cz
 
     def _scatter(
-        self, lines, globals_, psi_c, phi_i_out, block,
+        self, lines, globals_, psi_c, phi_i_out, pj, pk,
         flux_o, phij, phik, i_out, k0
     ) -> None:
         wpn = self.basis.wpn
@@ -378,8 +306,8 @@ class TileSweeper:
             m = globals_[mm]
             for n in range(nm):
                 flux_o[n, :, j, k0 + kk] += wpn[n, m] * psi_c[l]
-            phij[mm, kk] = block.phi_j[l]
-            phik[mm, j] = block.phi_k[l]
+            phij[mm, kk] = pj[l]
+            phik[mm, j] = pk[l]
             i_out[mm, kk, j] = phi_i_out[l]
 
     # -- full sweep ------------------------------------------------------------

@@ -30,7 +30,7 @@ from .geometry import hyperplanes, oriented_view
 from .input import InputDeck
 from .kernel import dd_solve
 from .moments import MomentBasis
-from .pipelining import BoundaryIO, LineExecutor, TileSweeper, numpy_line_executor
+from .pipelining import TileSweeper
 
 
 class SerialSweep3D:
@@ -40,8 +40,6 @@ class SerialSweep3D:
         self,
         deck: InputDeck,
         method: str = "hyperplane",
-        executor: LineExecutor | None = None,
-        boundary_factory=None,
     ) -> None:
         if method not in ("hyperplane", "tile"):
             raise ConfigurationError(
@@ -58,12 +56,7 @@ class SerialSweep3D:
         self._sigma_field = (
             deck.sigma_t_field() if deck.material_box is not None else None
         )
-        self._tile = (
-            TileSweeper(deck, executor or numpy_line_executor)
-            if method == "tile"
-            else None
-        )
-        self._boundary_factory = boundary_factory
+        self._tile = TileSweeper(deck) if method == "tile" else None
 
     # -- sweep engines ---------------------------------------------------------
 
@@ -224,21 +217,13 @@ class SerialSweep3D:
                     tally.leakage += w * cz * exit_z.sum() * vol
         return flux, tally, angular
 
-    def _sweep_tile(
-        self, moment_source: np.ndarray
-    ) -> tuple[np.ndarray, SweepTally]:
-        boundary: BoundaryIO | None = (
-            self._boundary_factory() if self._boundary_factory else None
-        )
-        flux, tally, _ = self._tile.sweep(moment_source, boundary=boundary)
-        return flux, tally
-
     def sweep_once(self, moment_source: np.ndarray) -> tuple[np.ndarray, SweepTally]:
         """One transport sweep with the configured engine."""
         if self.method == "hyperplane":
             flux, tally, _ = self._sweep_hyperplane(moment_source)
-            return flux, tally
-        return self._sweep_tile(moment_source)
+        else:
+            flux, tally, _ = self._tile.sweep(moment_source)
+        return flux, tally
 
     def sweep_angular(
         self,

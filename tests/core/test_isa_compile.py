@@ -24,27 +24,26 @@ from repro.core.levels import MachineConfig, SchedulerKind, SyncProtocol
 from repro.core.solver import CellSweep3D
 from repro.core.spe_kernel import (
     _trace_line_program,
-    compiled_line_executor,
     simd_execute_block,
     simd_execute_blocks,
 )
-from repro.errors import ConfigurationError, PipelineError
+from repro.errors import ConfigurationError, PipelineError, SweepError
 from repro.sweep.input import small_deck
-from repro.sweep.pipelining import LineBlock
+from repro.sweep.kernel import dd_line_block_solve
 from repro.sweep.serial import SerialSweep3D
 
+#: the one line-kernel signature: reference, interpreted and compiled ISA
+KERNELS = (dd_line_block_solve, simd_execute_block, simd_execute_blocks)
 
-def make_block(rng, L=11, it=6, fixup=True, thick=False):
-    """Random line block; ``thick`` makes negative-flux fixups frequent."""
+
+def make_args(rng, L=11, it=6, fixup=True, thick=False) -> dict:
+    """Random line-kernel arguments; ``thick`` makes negative-flux
+    fixups frequent."""
     scale = 0.05 if thick else 1.0
-    return LineBlock(
-        octant=0,
-        diagonal=0,
-        lines=[(l, 0, 0) for l in range(L)],
-        angles=[0] * L,
+    return dict(
         source=rng.random((L, it)) * scale,
         sigma_t=8.0 if thick else 1.0,
-        phi_i=rng.random(L) * (5.0 if thick else 1.0),
+        phi_i_in=rng.random(L) * (5.0 if thick else 1.0),
         phi_j=rng.random((L, it)),
         phi_k=rng.random((L, it)),
         cx=rng.random(L) + 0.1,
@@ -54,26 +53,39 @@ def make_block(rng, L=11, it=6, fixup=True, thick=False):
     )
 
 
-def clone(block: LineBlock) -> LineBlock:
-    return LineBlock(
-        **{**block.__dict__, "phi_j": block.phi_j.copy(), "phi_k": block.phi_k.copy()}
-    )
+def clone(args: dict) -> dict:
+    """Own face buffers: every kernel writes its outflows into them."""
+    return {**args, "phi_j": args["phi_j"].copy(), "phi_k": args["phi_k"].copy()}
 
 
-def clean_block(rng, L=5, it=4):
+def part(args: dict, lo: int, hi: int) -> dict:
+    """Lines ``lo:hi`` of a call, with face buffers of their own."""
+    return {
+        k: v[lo:hi].copy() if isinstance(v, np.ndarray) else v
+        for k, v in args.items()
+    }
+
+
+def stack(parts: list[dict]) -> dict:
+    """One call over every line of ``parts`` (which share the scalar
+    arguments: ``sigma_t`` and ``fixup``)."""
+    return {
+        k: np.concatenate([p[k] for p in parts]) if isinstance(v, np.ndarray)
+        else v
+        for k, v in parts[0].items()
+    }
+
+
+def clean_args(rng, L=5, it=4) -> dict:
     """Lines at equilibrium under a flat source ``q`` (every inflow
     ``q / sigma_t``): each plain outflow is ``q`` up to rounding, so no
-    line of this block can trip the lazy fixup gate."""
+    line can trip the lazy fixup gate."""
     q = rng.random(L) + 0.5
     flat = np.repeat(q[:, None], it, axis=1)
-    return LineBlock(
-        octant=0,
-        diagonal=0,
-        lines=[(l, 0, 0) for l in range(L)],
-        angles=[0] * L,
+    return dict(
         source=flat.copy(),
         sigma_t=1.0,
-        phi_i=q.copy(),
+        phi_i_in=q.copy(),
         phi_j=flat.copy(),
         phi_k=flat.copy(),
         cx=rng.random(L) + 0.1,
@@ -83,14 +95,14 @@ def clean_block(rng, L=5, it=4):
     )
 
 
-def make_dirty(block: LineBlock, line: int) -> None:
+def make_dirty(args: dict, line: int) -> None:
     """Zero source, strong I-inflow, zero J/K faces, unit coefficients:
     the first I-outflow is ``2 * 10/7 - 5 < 0`` (for ``sigma_t = 1``)."""
-    block.source[line] = 0.0
-    block.phi_i[line] = 5.0
-    block.phi_j[line] = 0.0
-    block.phi_k[line] = 0.0
-    block.cx[line] = block.cy[line] = block.cz[line] = 1.0
+    args["source"][line] = 0.0
+    args["phi_i_in"][line] = 5.0
+    args["phi_j"][line] = 0.0
+    args["phi_k"][line] = 0.0
+    args["cx"][line] = args["cy"][line] = args["cz"][line] = 1.0
 
 
 @pytest.fixture
@@ -115,19 +127,25 @@ def plain_rows(seen) -> list[int]:
     return [n for name, n in seen if "+fixup" not in name]
 
 
-def assert_batch_matches_interpreter(blocks, double=True):
-    refs = [clone(b) for b in blocks]
-    batched = simd_execute_blocks(blocks, double=double)
-    total_fx = 0
-    for b, r, (psi, pio, fx) in zip(blocks, refs, batched):
-        psi_ref, pio_ref, fx_ref = simd_execute_block(r, double=double)
-        np.testing.assert_array_equal(psi, psi_ref)
-        np.testing.assert_array_equal(pio, pio_ref)
-        np.testing.assert_array_equal(b.phi_j, r.phi_j)
-        np.testing.assert_array_equal(b.phi_k, r.phi_k)
-        assert fx == fx_ref
-        total_fx += fx
-    return total_fx
+def assert_batch_matches_interpreter(parts, double=True):
+    """One compiled call over the stacked parts == the interpreter on
+    each part, bit for bit; returns the total fixup count."""
+    whole = stack(parts)
+    bounds = np.cumsum([0] + [len(p["source"]) for p in parts])
+    line_fx = np.zeros(bounds[-1], dtype=np.intp)
+    psi, pio, fx = simd_execute_blocks(
+        **whole, line_fixups=line_fx, double=double
+    )
+    assert fx == line_fx.sum()
+    for p, lo, hi in zip(parts, bounds, bounds[1:]):
+        ref = clone(p)
+        psi_ref, pio_ref, fx_ref = simd_execute_block(**ref, double=double)
+        np.testing.assert_array_equal(psi[lo:hi], psi_ref)
+        np.testing.assert_array_equal(pio[lo:hi], pio_ref)
+        np.testing.assert_array_equal(whole["phi_j"][lo:hi], ref["phi_j"])
+        np.testing.assert_array_equal(whole["phi_k"][lo:hi], ref["phi_k"])
+        assert line_fx[lo:hi].sum() == fx_ref
+    return fx
 
 
 class TestBatchedBitIdentity:
@@ -135,66 +153,58 @@ class TestBatchedBitIdentity:
 
     @pytest.mark.parametrize("fixup,thick", [(False, False), (True, False), (True, True)])
     def test_multi_block_batch(self, rng, fixup, thick):
-        blocks = [
-            make_block(rng, L=int(rng.integers(1, 13)), it=6,
-                       fixup=fixup, thick=thick)
+        parts = [
+            make_args(rng, L=int(rng.integers(1, 13)), it=6,
+                      fixup=fixup, thick=thick)
             for _ in range(5)
         ]
-        assert_batch_matches_interpreter(blocks)
+        assert_batch_matches_interpreter(parts)
 
     def test_fixup_heavy_deck_actually_fixes(self, rng):
         """The referee is vacuous unless the branch-free compare+select
-        path really triggers: thick blocks must report fixups > 0."""
-        blocks = [make_block(rng, fixup=True, thick=True) for _ in range(4)]
-        assert assert_batch_matches_interpreter(blocks) > 0
+        path really triggers: thick lines must report fixups > 0."""
+        parts = [make_args(rng, fixup=True, thick=True) for _ in range(4)]
+        assert assert_batch_matches_interpreter(parts) > 0
 
     def test_single_precision_path(self, rng):
-        blocks = [make_block(rng, L=7, it=4, fixup=True, thick=True)
-                  for _ in range(3)]
-        assert_batch_matches_interpreter(blocks, double=False)
+        parts = [make_args(rng, L=7, it=4, fixup=True, thick=True)
+                 for _ in range(3)]
+        assert_batch_matches_interpreter(parts, double=False)
 
     @given(st.integers(min_value=1, max_value=17), st.integers(min_value=1, max_value=5))
     @settings(max_examples=20, deadline=None)
     def test_any_block_shape(self, L, it):
         rng = np.random.default_rng(L * 100 + it)
-        protos = [make_block(rng, L=L, it=it, fixup=True, thick=True),
-                  make_block(rng, L=max(1, L - 1), it=it, fixup=True)]
-        assert_batch_matches_interpreter(protos)
-
-    def test_compiled_line_executor_adapter(self, rng):
-        block = make_block(rng, fixup=True, thick=True)
-        ref = clone(block)
-        psi, pio, fx = compiled_line_executor(block)
-        psi_ref, pio_ref, fx_ref = simd_execute_block(ref)
-        np.testing.assert_array_equal(psi, psi_ref)
-        np.testing.assert_array_equal(pio, pio_ref)
-        assert fx == fx_ref
+        parts = [make_args(rng, L=L, it=it, fixup=True, thick=True),
+                 {**make_args(rng, L=max(1, L - 1), it=it, fixup=True),
+                  "sigma_t": 8.0}]
+        assert_batch_matches_interpreter(parts)
 
     def test_mixed_shapes_rejected(self, rng):
-        a = make_block(rng, L=4, it=6)
-        b = make_block(rng, L=4, it=5)
-        with pytest.raises(ConfigurationError):
-            simd_execute_blocks([a, b])
+        """Every kernel rejects face buffers not shaped like ``source``
+        with the reference's check."""
+        args = make_args(rng, L=4, it=6)
+        for kernel in KERNELS:
+            for face in ("phi_j", "phi_k"):
+                bad = {**clone(args), face: np.zeros((4, 5))}
+                with pytest.raises(SweepError, match="face buffers"):
+                    kernel(**bad)
 
 
-def mixed_block(rng, L, it, nan=False):
-    """Mixed-sign sources and inflows (the ``make_block(thick=True)``
-    shape, thick or thin per block): some lines go dirty, some do not.
-    ``nan`` plants one NaN source cell."""
-    thick = bool(rng.random() < 0.5)
-    source = rng.random((L, it)) * (0.05 if thick else 1.0) - rng.choice(
+def mixed_args(rng, L, it, nan=False) -> dict:
+    """Mixed-sign sources and inflows, thick and thin lines under one
+    cross section: some lines go dirty, some do not.  ``nan`` plants one
+    NaN source cell."""
+    scale = rng.choice([0.05, 1.0], (L, 1))
+    source = rng.random((L, it)) * scale - rng.choice(
         [0.0, 0.5], (L, 1), p=[0.7, 0.3]
     )
     if nan:
         source[rng.integers(L), rng.integers(it)] = np.nan
-    return LineBlock(
-        octant=0,
-        diagonal=0,
-        lines=[(l, 0, 0) for l in range(L)],
-        angles=[0] * L,
+    return dict(
         source=source,
-        sigma_t=8.0 if thick else 1.0,
-        phi_i=rng.random(L) * rng.choice([0.5, 5.0], L),
+        sigma_t=float(rng.choice([1.0, 8.0])),
+        phi_i_in=rng.random(L) * rng.choice([0.5, 5.0], L),
         phi_j=rng.random((L, it)) * rng.choice([1.0, 4.0], (L, it)),
         phi_k=rng.random((L, it)),
         cx=rng.random(L) + 0.1,
@@ -204,56 +214,85 @@ def mixed_block(rng, L, it, nan=False):
     )
 
 
-def eager_replay(blocks, double=True):
+def draw_call(data):
+    """A hypothesis-drawn call: ``(args, chunk starts)`` over 1-14 lines
+    of 1-5 cells, mixed clean and dirty lines, maybe a NaN source cell,
+    cut into 1-5 chunks."""
+    L = data.draw(st.integers(1, 14), label="L")
+    it = data.draw(st.integers(1, 5), label="it")
+    nan = data.draw(st.booleans(), label="nan source cell")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    cuts = sorted(data.draw(
+        st.sets(st.integers(1, L - 1), max_size=4) if L > 1
+        else st.just(set()), label="cuts",
+    ))
+    return mixed_args(rng, L, it, nan=nan), [0, *cuts]
+
+
+class TestOneSignature:
+    """Reference, interpreted and compiled kernels take the same
+    arguments and, called with them, agree bit for bit -- per-line fixup
+    counts included, so a caller splits them per chunk with one
+    ``np.add.reduceat``."""
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_three_kernels_agree_and_reduceat_splits_per_chunk(self, data):
+        args, starts = draw_call(data)
+        L = len(args["source"])
+        ends = [*starts[1:], L]
+        results = []
+        for kernel in KERNELS:
+            call = clone(args)
+            line_fx = np.zeros(L, dtype=np.intp)
+            psi, pio, fx = kernel(**call, line_fixups=line_fx)
+            assert fx == line_fx.sum()
+            results.append((psi, pio, call["phi_j"], call["phi_k"], line_fx))
+            per_chunk = [kernel(**part(args, lo, hi))[2]
+                         for lo, hi in zip(starts, ends)]
+            assert np.add.reduceat(line_fx, starts).tolist() == per_chunk
+        for got in results[1:]:
+            for want, value in zip(results[0], got):
+                np.testing.assert_array_equal(value, want)
+
+
+def eager_replay(args, double=True):
     """The eager path: the full branch-free program replayed on every
-    line.  Returns per block ``(psi, phi_i_out, phi_j, phi_k, fixups)``."""
-    it = blocks[0].it
+    line.  Returns ``(psi, phi_i_out, phi_j, phi_k, per-line fixups)``."""
+    it = args["source"].shape[1]
+    n = len(args["source"])
     dtype = np.float64 if double else np.float32
     program = compiled_program(
         ("line", it, True, double),
         lambda: _trace_line_program(it, True, double),
     )
-
-    def cat(field):
-        return np.concatenate(
-            [np.asarray(field(b), dtype=dtype) for b in blocks]
-        )
-
     scalars = {
-        "cx": cat(lambda b: b.cx), "cy": cat(lambda b: b.cy),
-        "cz": cat(lambda b: b.cz), "phii": cat(lambda b: b.phi_i),
-        "sigma_t": cat(lambda b: np.full(b.num_lines, b.sigma_t)),
+        "cx": args["cx"], "cy": args["cy"], "cz": args["cz"],
+        "phii": args["phi_i_in"], "sigma_t": np.full(n, args["sigma_t"]),
     }
     columns = {
-        "src": cat(lambda b: b.source), "phij": cat(lambda b: b.phi_j),
-        "phik": cat(lambda b: b.phi_k),
+        "src": args["source"], "phij": args["phi_j"], "phik": args["phi_k"],
     }
     inputs = [
-        np.ascontiguousarray(columns[key[0]][:, key[1]])
-        if isinstance(key, tuple) else scalars[key]
+        np.ascontiguousarray(columns[key[0]][:, key[1]], dtype=dtype)
+        if isinstance(key, tuple) else np.asarray(scalars[key], dtype=dtype)
         for key in program.inputs
     ]
     res = dict(zip((k for k, _ in program.outputs),
                    program.run(inputs)))
 
-    def stack(name):
-        out = np.empty((len(scalars["cx"]), it))
+    def steps(name):
+        out = np.empty((n, it))
         for i in range(it):
             out[:, i] = res[name, i]
         return out
 
     psi, pj, pk, touched = (
-        stack(n) for n in ("psi", "phij_out", "phik_out", "touched")
+        steps(name) for name in ("psi", "phij_out", "phik_out", "touched")
     )
-    pio = np.empty(len(scalars["cx"]))
+    pio = np.empty(n)
     pio[:] = res["phii", it - 1]
-    out, lo = [], 0
-    for b in blocks:
-        hi = lo + b.num_lines
-        out.append((psi[lo:hi], pio[lo:hi], pj[lo:hi], pk[lo:hi],
-                    int(np.count_nonzero(touched[lo:hi]))))
-        lo = hi
-    return out
+    return psi, pio, pj, pk, np.count_nonzero(touched, axis=1)
 
 
 class TestLazyFixupGate:
@@ -264,38 +303,31 @@ class TestLazyFixupGate:
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_lazy_equals_eager_equals_interpreted(self, data):
-        L = data.draw(st.integers(1, 14), label="L")
-        it = data.draw(st.integers(1, 5), label="it")
+        args, starts = draw_call(data)
+        L = len(args["source"])
         double = data.draw(st.booleans(), label="double")
-        nan = data.draw(st.booleans(), label="nan source cell")
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        cuts = sorted(data.draw(
-            st.sets(st.integers(1, L - 1), max_size=L - 1) if L > 1
-            else st.just(set()), label="cuts",
-        ))
-        bounds = [0, *cuts, L]
-        blocks = [
-            mixed_block(rng, hi - lo, it, nan=nan and k == 0)
-            for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
-        ]
-        eager_in = [clone(b) for b in blocks]
-        interp_in = [clone(b) for b in blocks]
+        parts = [part(args, lo, hi)
+                 for lo, hi in zip(starts, [*starts[1:], L])]
+        eager_in = clone(args)
 
-        lazy = simd_execute_blocks(blocks, double=double)
-        eager = eager_replay(eager_in, double=double)
-        for b, e, r, (psi, pio, fx) in zip(blocks, eager, interp_in, lazy):
-            e_psi, e_pio, e_pj, e_pk, e_fx = e
-            np.testing.assert_array_equal(psi, e_psi)
-            np.testing.assert_array_equal(pio, e_pio)
-            np.testing.assert_array_equal(b.phi_j, e_pj)
-            np.testing.assert_array_equal(b.phi_k, e_pk)
-            assert fx == e_fx
-            r_psi, r_pio, r_fx = simd_execute_block(r, double=double)
-            np.testing.assert_array_equal(psi, r_psi)
-            np.testing.assert_array_equal(pio, r_pio)
-            np.testing.assert_array_equal(b.phi_j, r.phi_j)
-            np.testing.assert_array_equal(b.phi_k, r.phi_k)
-            assert fx == r_fx
+        line_fx = np.zeros(L, dtype=np.intp)
+        psi, pio, fx = simd_execute_blocks(
+            **args, line_fixups=line_fx, double=double
+        )
+        e_psi, e_pio, e_pj, e_pk, e_fx = eager_replay(eager_in, double=double)
+        np.testing.assert_array_equal(psi, e_psi)
+        np.testing.assert_array_equal(pio, e_pio)
+        np.testing.assert_array_equal(args["phi_j"], e_pj)
+        np.testing.assert_array_equal(args["phi_k"], e_pk)
+        np.testing.assert_array_equal(line_fx, e_fx)
+        for p, lo in zip(parts, starts):
+            hi = lo + len(p["source"])
+            r_psi, r_pio, r_fx = simd_execute_block(**p, double=double)
+            np.testing.assert_array_equal(psi[lo:hi], r_psi)
+            np.testing.assert_array_equal(pio[lo:hi], r_pio)
+            np.testing.assert_array_equal(args["phi_j"][lo:hi], p["phi_j"])
+            np.testing.assert_array_equal(args["phi_k"][lo:hi], p["phi_k"])
+            assert line_fx[lo:hi].sum() == r_fx
 
     @pytest.mark.parametrize("line, fixups", [
         ([np.nan, 0.0, 0.0, 0.0], 0), ([0.0, 0.0, np.nan, 0.0], 1),
@@ -306,41 +338,37 @@ class TestLazyFixupGate:
         for the gate (plain program only), the second goes dirty at step
         0 (full program on a NaN line); the reference, interpreted and
         compiled kernels agree bit for bit on both."""
-        from repro.sweep.kernel import dd_line_block_solve
 
-        def block():
-            return LineBlock(
-                octant=0, diagonal=0, lines=[(0, 0, 0)], angles=[0],
+        def args():
+            return dict(
                 source=np.array([line]), sigma_t=1.0,
-                phi_i=np.array([5.0]), phi_j=np.zeros((1, 4)),
+                phi_i_in=np.array([5.0]), phi_j=np.zeros((1, 4)),
                 phi_k=np.zeros((1, 4)), cx=np.ones(1), cy=np.ones(1),
                 cz=np.ones(1), fixup=True,
             )
 
-        ref_block = block()
-        ref = dd_line_block_solve(
-            ref_block.source, 1.0, ref_block.phi_i, ref_block.phi_j,
-            ref_block.phi_k, ref_block.cx, ref_block.cy, ref_block.cz,
-            fixup=True,
-        )
-        interp_block, compiled_block = block(), block()
-        interp = simd_execute_block(interp_block)
-        (compiled,) = simd_execute_blocks([compiled_block])
+        ref_args = args()
+        ref = dd_line_block_solve(**ref_args)
+        interp_args, compiled_args = args(), args()
+        interp = simd_execute_block(**interp_args)
+        compiled = simd_execute_blocks(**compiled_args)
         assert ref[2] == interp[2] == compiled[2] == fixups
-        for got, b in ((interp, interp_block), (compiled, compiled_block)):
+        for got, a in ((interp, interp_args), (compiled, compiled_args)):
             np.testing.assert_array_equal(got[0], ref[0])
             np.testing.assert_array_equal(got[1], ref[1])
-            np.testing.assert_array_equal(b.phi_j, ref_block.phi_j)
-            np.testing.assert_array_equal(b.phi_k, ref_block.phi_k)
+            np.testing.assert_array_equal(a["phi_j"], ref_args["phi_j"])
+            np.testing.assert_array_equal(a["phi_k"], ref_args["phi_k"])
 
     def test_clean_batch_never_compiles_or_replays_the_fixup_program(
         self, rng, replays
     ):
         clear_cache()
         before = STATS.snapshot()
-        blocks = [clean_block(rng, L=5, it=4) for _ in range(3)]
-        results = simd_execute_blocks(blocks)
-        assert [fx for _, _, fx in results] == [0, 0, 0]
+        line_fx = np.zeros(15, dtype=np.intp)
+        _, _, fx = simd_execute_blocks(
+            **clean_args(rng, L=15, it=4), line_fixups=line_fx
+        )
+        assert fx == 0 and not line_fx.any()
         assert replays == [("line-program/it4", 15)]
         assert isa_compile.stats_delta(before)["streams_compiled"] == 1
         assert cache_size() == 1
@@ -350,20 +378,20 @@ class TestLazyFixupGate:
     def test_one_dirty_line_replays_the_fixup_program_on_one_row(
         self, rng, replays
     ):
-        blocks = [clean_block(rng, L=4, it=4), clean_block(rng, L=3, it=4)]
-        make_dirty(blocks[1], 1)
-        refs = [clone(b) for b in blocks]
-        results = simd_execute_blocks(blocks)
+        args = clean_args(rng, L=7, it=4)
+        make_dirty(args, 5)
+        ref = clone(args)
+        line_fx = np.zeros(7, dtype=np.intp)
+        psi, pio, fx = simd_execute_blocks(**args, line_fixups=line_fx)
         assert plain_rows(replays) == [7]
         assert fixup_rows(replays) == [1]
-        assert results[0][2] == 0 and results[1][2] > 0
-        for b, r, (psi, pio, fx) in zip(blocks, refs, results):
-            r_psi, r_pio, r_fx = simd_execute_block(r)
-            np.testing.assert_array_equal(psi, r_psi)
-            np.testing.assert_array_equal(pio, r_pio)
-            np.testing.assert_array_equal(b.phi_j, r.phi_j)
-            np.testing.assert_array_equal(b.phi_k, r.phi_k)
-            assert fx == r_fx
+        assert np.flatnonzero(line_fx).tolist() == [5] and fx > 0
+        r_psi, r_pio, r_fx = simd_execute_block(**ref)
+        np.testing.assert_array_equal(psi, r_psi)
+        np.testing.assert_array_equal(pio, r_pio)
+        np.testing.assert_array_equal(args["phi_j"], ref["phi_j"])
+        np.testing.assert_array_equal(args["phi_k"], ref["phi_k"])
+        assert fx == r_fx
 
 
 def cell_config(**over) -> MachineConfig:
@@ -508,7 +536,7 @@ class TestArityErrors:
         # the plain program is the one every fixup batch replays; its
         # bindings are the fixup program's too
         clear_cache()
-        simd_execute_blocks([make_block(rng, L=2, it=3, fixup=True)])
+        simd_execute_blocks(**make_args(rng, L=2, it=3, fixup=True))
         return compiled_program(
             ("line", 3, False, True), lambda: pytest.fail("must be cached")
         )
@@ -536,14 +564,14 @@ class TestProgramCache:
     def test_program_reused_across_batches(self, rng):
         clear_cache()
         before = STATS.snapshot()
-        blocks = [clean_block(rng, L=5, it=4) for _ in range(3)]
-        simd_execute_blocks(blocks[:2])
-        simd_execute_blocks(blocks[2:])
+        parts = [clean_args(rng, L=5, it=4) for _ in range(3)]
+        simd_execute_blocks(**stack(parts[:2]))
+        simd_execute_blocks(**parts[2])
         delta = isa_compile.stats_delta(before)
         assert delta["streams_compiled"] == 1
         assert delta["cache_hits"] == 1
         assert delta["batched_calls"] == 2
-        assert delta["batched_blocks"] == 3
+        assert delta["batched_lines"] == 15
         assert cache_size() >= 1
 
     def test_cache_key_covers_shape_and_mode(self, rng):
@@ -553,13 +581,13 @@ class TestProgramCache:
         plain program of ``it=4`` is shared."""
         clear_cache()
         before = STATS.snapshot()
-        fixed4 = clean_block(rng, L=3, it=4)
-        fixed5 = clean_block(rng, L=3, it=5)
+        fixed4 = clean_args(rng, L=3, it=4)
+        fixed5 = clean_args(rng, L=3, it=5)
         make_dirty(fixed4, 0)
         make_dirty(fixed5, 2)
-        simd_execute_blocks([make_block(rng, L=3, it=4, fixup=False)])
-        simd_execute_blocks([fixed4])
-        simd_execute_blocks([fixed5])
+        simd_execute_blocks(**make_args(rng, L=3, it=4, fixup=False))
+        simd_execute_blocks(**fixed4)
+        simd_execute_blocks(**fixed5)
         delta = isa_compile.stats_delta(before)
         assert delta["streams_compiled"] == 4
         assert delta["cache_hits"] == 1
@@ -570,19 +598,19 @@ class TestProgramCache:
     def test_optimizer_stats_recorded_on_fresh_compiles(self, rng):
         clear_cache()
         before = STATS.snapshot()
-        simd_execute_blocks([clean_block(rng, L=4, it=5)])
+        simd_execute_blocks(**clean_args(rng, L=4, it=5))
         delta = isa_compile.stats_delta(before)
         assert delta["ops_before"] > 0
         assert 0 < delta["ops_after"] <= delta["ops_before"]
         assert delta["slots_reused"] > 0
         # cache hits never re-add the per-program totals
-        simd_execute_blocks([clean_block(rng, L=4, it=5)])
+        simd_execute_blocks(**clean_args(rng, L=4, it=5))
         again = isa_compile.stats_delta(before)
         assert again["ops_before"] == delta["ops_before"]
 
     def test_cache_info_reports_occupancy_and_traffic(self, rng):
         clear_cache()
-        simd_execute_blocks([make_block(rng, L=3, it=4)])
+        simd_execute_blocks(**make_args(rng, L=3, it=4))
         info = isa_compile.cache_info()
         assert info["entries"] >= 1
         assert info["capacity"] == isa_compile.PROGRAM_CACHE_MAX_ENTRIES
@@ -594,8 +622,7 @@ class TestProgramCache:
         program (builder never invoked), and the program carries the
         recorded instruction stream for inspection."""
         clear_cache()
-        block = make_block(rng, L=2, it=3, fixup=True)
-        simd_execute_blocks([clone(block)])
+        simd_execute_blocks(**make_args(rng, L=2, it=3, fixup=True))
         key = ("line", 3, False, True)
         program = compiled_program(key, lambda: pytest.fail("must be cached"))
         assert len(program.stream) > 0

@@ -14,22 +14,18 @@ from repro.core.spe_kernel import (
     cycles_per_cell,
     kernel_cycle_report,
     simd_execute_block,
-    simd_line_executor,
 )
 from repro.errors import ConfigurationError
-from repro.sweep.pipelining import LineBlock, numpy_line_executor
+from repro.sweep.kernel import dd_line_block_solve
 
 
-def make_block(rng, L=11, it=6, fixup=True, thick=False):
+def make_args(rng, L=11, it=6, fixup=True, thick=False) -> dict:
+    """Random line-kernel arguments; ``thick`` makes fixups frequent."""
     scale = 0.05 if thick else 1.0
-    return LineBlock(
-        octant=0,
-        diagonal=0,
-        lines=[(l, 0, 0) for l in range(L)],
-        angles=[0] * L,
+    return dict(
         source=rng.random((L, it)) * scale,
         sigma_t=8.0 if thick else 1.0,
-        phi_i=rng.random(L) * (5.0 if thick else 1.0),
+        phi_i_in=rng.random(L) * (5.0 if thick else 1.0),
         phi_j=rng.random((L, it)),
         phi_k=rng.random((L, it)),
         cx=rng.random(L) + 0.1,
@@ -39,10 +35,9 @@ def make_block(rng, L=11, it=6, fixup=True, thick=False):
     )
 
 
-def clone(block: LineBlock) -> LineBlock:
-    return LineBlock(
-        **{**block.__dict__, "phi_j": block.phi_j.copy(), "phi_k": block.phi_k.copy()}
-    )
+def clone(args: dict) -> dict:
+    """Own face buffers: every kernel writes its outflows into them."""
+    return {**args, "phi_j": args["phi_j"].copy(), "phi_k": args["phi_k"].copy()}
 
 
 class TestBitwiseEquivalence:
@@ -52,14 +47,14 @@ class TestBitwiseEquivalence:
 
     @pytest.mark.parametrize("fixup,thick", [(False, False), (True, False), (True, True)])
     def test_matches_reference(self, rng, fixup, thick):
-        ref_block = make_block(rng, fixup=fixup, thick=thick)
-        simd_block = clone(ref_block)
-        psi_ref, pi_ref, fx_ref = numpy_line_executor(ref_block)
-        psi_simd, pi_simd, fx_simd = simd_execute_block(simd_block)
+        ref = make_args(rng, fixup=fixup, thick=thick)
+        simd = clone(ref)
+        psi_ref, pi_ref, fx_ref = dd_line_block_solve(**ref)
+        psi_simd, pi_simd, fx_simd = simd_execute_block(**simd)
         np.testing.assert_array_equal(psi_ref, psi_simd)
         np.testing.assert_array_equal(pi_ref, pi_simd)
-        np.testing.assert_array_equal(ref_block.phi_j, simd_block.phi_j)
-        np.testing.assert_array_equal(ref_block.phi_k, simd_block.phi_k)
+        np.testing.assert_array_equal(ref["phi_j"], simd["phi_j"])
+        np.testing.assert_array_equal(ref["phi_k"], simd["phi_k"])
         assert fx_ref == fx_simd
 
     @given(st.integers(min_value=1, max_value=17), st.integers(min_value=1, max_value=5))
@@ -68,29 +63,24 @@ class TestBitwiseEquivalence:
         """Padding to the 4-thread x 2-lane group must never leak into
         real lines."""
         rng = np.random.default_rng(L * 100 + it)
-        ref_block = make_block(rng, L=L, it=it, fixup=True, thick=True)
-        simd_block = clone(ref_block)
-        psi_ref, pi_ref, fx_ref = numpy_line_executor(ref_block)
-        psi_simd, pi_simd, fx_simd = simd_execute_block(simd_block)
+        ref = make_args(rng, L=L, it=it, fixup=True, thick=True)
+        simd = clone(ref)
+        psi_ref, pi_ref, fx_ref = dd_line_block_solve(**ref)
+        psi_simd, pi_simd, fx_simd = simd_execute_block(**simd)
         np.testing.assert_array_equal(psi_ref, psi_simd)
         np.testing.assert_array_equal(pi_ref, pi_simd)
         assert fx_ref == fx_simd
 
-    def test_executor_adapter_signature(self, rng):
-        block = make_block(rng, fixup=False)
-        psi, pi, fx = simd_line_executor(block)
-        assert psi.shape == block.source.shape
-        assert pi.shape == block.phi_i.shape
-        assert fx == 0
-
     def test_full_solve_through_simd_executor(self):
-        """A complete tile solve with the SIMD executor equals the
-        reference solve (slow: smallest meaningful deck)."""
+        """A complete solve through the interpreted ISA kernel equals the
+        reference tile solve (slow: smallest meaningful deck)."""
+        from repro.core import CellSweep3D, MachineConfig
         from repro.sweep import SerialSweep3D, small_deck
 
         deck = small_deck(n=4, sn=2, nm=1, iterations=2, mk=2, mmi=1)
         ref = SerialSweep3D(deck, method="tile").solve()
-        simd = SerialSweep3D(deck, method="tile", executor=simd_line_executor).solve()
+        config = MachineConfig(simd=True, isa_kernel=True, compile_isa=False)
+        simd = CellSweep3D(deck, config).solve()
         np.testing.assert_array_equal(ref.flux, simd.flux)
 
 

@@ -114,45 +114,34 @@ class TestEngineEquivalence:
         np.testing.assert_array_equal(serial.flux, cell.flux)
 
     def test_simd_executor_rejects_mixed_blocks(self, shielded_deck):
-        """The SIMD kernel hoists sigma per chunk: heterogeneous blocks
+        """The SIMD kernel hoists sigma per call: heterogeneous lines
         must be rejected, not silently mis-solved."""
         from repro.core.spe_kernel import simd_execute_block
-        from repro.sweep.pipelining import LineBlock
 
-        rng = np.random.default_rng(3)
-        block = LineBlock(
-            octant=0, diagonal=0, lines=[(0, 0, 0)], angles=[0],
-            source=rng.random((1, 4)),
-            sigma_t=np.array([[1.0, 1.0, 8.0, 8.0]]),
-            phi_i=rng.random(1),
-            phi_j=rng.random((1, 4)),
-            phi_k=rng.random((1, 4)),
-            cx=np.array([0.5]), cy=np.array([0.5]), cz=np.array([0.5]),
-            fixup=False,
-        )
+        args = line_args(np.random.default_rng(3),
+                         np.array([[1.0, 1.0, 8.0, 8.0]]))
         with pytest.raises(ConfigurationError, match="single-material"):
-            simd_execute_block(block)
+            simd_execute_block(**args)
 
     def test_simd_executor_accepts_constant_array_sigma(self):
         from repro.core.spe_kernel import simd_execute_block
-        from repro.sweep.pipelining import LineBlock, numpy_line_executor
+        from repro.sweep.kernel import dd_line_block_solve
 
-        rng = np.random.default_rng(4)
-        kwargs = dict(
-            octant=0, diagonal=0, lines=[(0, 0, 0)], angles=[0],
-            source=rng.random((1, 4)),
-            phi_i=rng.random(1),
-            cx=np.array([0.5]), cy=np.array([0.5]), cz=np.array([0.5]),
-            fixup=False,
-        )
-        a = LineBlock(sigma_t=np.full((1, 4), 2.0),
-                      phi_j=rng.random((1, 4)), phi_k=rng.random((1, 4)),
-                      **kwargs)
-        b = LineBlock(sigma_t=2.0,
-                      phi_j=a.phi_j.copy(), phi_k=a.phi_k.copy(), **kwargs)
-        psi_a, _, _ = simd_execute_block(a)
-        psi_b, _, _ = numpy_line_executor(b)
+        a = line_args(np.random.default_rng(4), np.full((1, 4), 2.0))
+        b = {**a, "sigma_t": 2.0,
+             "phi_j": a["phi_j"].copy(), "phi_k": a["phi_k"].copy()}
+        psi_a, _, _ = simd_execute_block(**a)
+        psi_b, _, _ = dd_line_block_solve(**b)
         np.testing.assert_array_equal(psi_a, psi_b)
+
+
+def line_args(rng, sigma_t) -> dict:
+    """Line-kernel arguments of one 4-cell line under ``sigma_t``."""
+    return dict(
+        source=rng.random((1, 4)), sigma_t=sigma_t, phi_i_in=rng.random(1),
+        phi_j=rng.random((1, 4)), phi_k=rng.random((1, 4)),
+        cx=np.array([0.5]), cy=np.array([0.5]), cz=np.array([0.5]),
+    )
 
 
 class TestDeckFile:

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import InputDeckError, SweepError
+from repro.sweep import pipelining
 from repro.sweep.input import small_deck
 from repro.sweep.pipelining import (
-    LineBlock,
     TileSweeper,
     VacuumBoundary,
     angle_blocks,
@@ -105,43 +105,35 @@ class TestTileSweeper:
         with pytest.raises(SweepError):
             sweeper.sweep(np.zeros((deck.nm, 3, 3, 3)))
 
-    def test_executor_sees_expected_block_shapes(self):
+    @staticmethod
+    def _spy_kernel(monkeypatch) -> list[tuple]:
+        """Record the arguments of every kernel call the sweeper makes."""
+        seen: list[tuple] = []
+        real = pipelining.dd_line_block_solve
+
+        def spy(*args, **kwargs):
+            seen.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipelining, "dd_line_block_solve", spy)
+        return seen
+
+    def test_executor_sees_expected_block_shapes(self, monkeypatch):
         deck = small_deck(n=4, sn=4, nm=2, iterations=1, mk=2, mmi=3)
-        seen: list[LineBlock] = []
+        seen = self._spy_kernel(monkeypatch)
+        TileSweeper(deck).sweep(np.ones((deck.nm, 4, 4, 4)))
+        assert seen, "kernel never invoked"
+        for source, _, phi_i, phi_j, phi_k, cx, cy, cz in seen:
+            L = len(source)
+            assert source.shape == phi_j.shape == phi_k.shape == (L, 4)
+            assert phi_i.shape == cx.shape == cy.shape == cz.shape == (L,)
 
-        def spy(block: LineBlock):
-            seen.append(block)
-            from repro.sweep.pipelining import numpy_line_executor
-
-            return numpy_line_executor(block)
-
-        sweeper = TileSweeper(deck, executor=spy)
-        sweeper.sweep(np.ones((deck.nm, 4, 4, 4)))
-        assert seen, "executor never invoked"
-        for block in seen:
-            L = block.num_lines
-            assert block.source.shape == (L, 4)
-            assert block.phi_j.shape == (L, 4)
-            assert block.phi_i.shape == (L,)
-            assert len(block.angles) == L
-            assert 0 <= block.octant < 8
-
-    def test_total_lines_match_closed_form(self):
+    def test_total_lines_match_closed_form(self, monkeypatch):
         deck = small_deck(n=4, sn=4, nm=2, iterations=1, mk=2, mmi=3)
-        count = 0
-
-        def counting(block: LineBlock):
-            nonlocal count
-            count += block.num_lines
-            from repro.sweep.pipelining import numpy_line_executor
-
-            return numpy_line_executor(block)
-
-        TileSweeper(deck, executor=counting).sweep(
-            np.ones((deck.nm, 4, 4, 4))
-        )
+        seen = self._spy_kernel(monkeypatch)
+        TileSweeper(deck).sweep(np.ones((deck.nm, 4, 4, 4)))
         # lines per sweep: octants * angles * jt * kt
-        assert count == 8 * 3 * 4 * 4
+        assert sum(len(args[0]) for args in seen) == 8 * 3 * 4 * 4
 
     def test_vacuum_boundary_collects_leakage(self):
         deck = small_deck(n=4, sn=2, nm=1, iterations=1, mk=2, mmi=1)

@@ -103,7 +103,7 @@ class TestSolve:
         compile_ = isa["compile"]
         assert compile_["isa_kernel"] is True
         assert compile_["compile_isa"] is True
-        assert compile_["batched_blocks"] > 0
+        assert compile_["batched_calls"] > 0
         assert compile_["streams_compiled"] > 0
         # the optimizer pipeline works: folding/DCE never adds ops, and
         # the scratch pool actually reuses slots
@@ -112,7 +112,7 @@ class TestSolve:
         assert compile_["cache"]["entries"] > 0
         # the plain cell solve reports the block too, just disengaged
         assert plain["compile"]["isa_kernel"] is False
-        assert plain["compile"]["batched_blocks"] == 0
+        assert plain["compile"]["batched_calls"] == 0
 
     def test_isa_flag_requires_cell_engine(self, capsys):
         assert main(["solve", "--cube", "6", "--isa"]) == 2
@@ -240,6 +240,30 @@ class TestFigures:
         assert "overlap potential" in out
         doc = json.loads(path.read_text())
         assert doc["otherData"]["total_cycles"] > 0
+
+    def test_trace_merge(self, capsys, tmp_path):
+        """``trace --merge`` folds two documents into ``--out``: every
+        event kept, each input re-homed to its own block of pids."""
+        import json
+
+        paths = []
+        for name in ("a", "b"):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"traceEvents": [
+                {"name": "X", "ph": "X", "pid": 7, "tid": 0, "ts": 0,
+                 "dur": 1},
+                {"name": "Y", "ph": "i", "pid": 9, "tid": 1, "ts": 2},
+            ]}))
+            paths.append(str(path))
+        out_path = tmp_path / "merged.json"
+        out = run(capsys, "trace", "--merge", *paths, "--out", str(out_path))
+        merged = json.loads(out_path.read_text())
+        events = merged["traceEvents"]
+        # four input events plus one process_name record per input
+        assert len(events) == 6
+        assert "merged 2 documents, 6 events" in out
+        assert sorted({ev["pid"] for ev in events}) == [0, 1, 1000, 1001]
+        assert merged["otherData"]["merged_from"] == ["a", "b"]
 
     def test_trace_command_without_out(self, capsys):
         out = run(capsys, "trace", "--cube", "5", "--sn", "2", "--nm", "1",
