@@ -7,6 +7,14 @@ those intrinsics as *functional* operations on 128-bit vector values backed
 by NumPy, and simultaneously records every executed instruction into an
 :class:`InstructionStream`.
 
+Each arithmetic intrinsic is defined once, as a row of
+:data:`INTRINSICS`: its opcode, operation class, arity, flops per lane
+and elementwise value.  :class:`SPUContext` records and evaluates every
+intrinsic through one method reading that row; the trace compiler of
+:mod:`repro.cell.isa_compile` subclasses the context and lowers the same
+rows, so what the solver computes and what the pipeline model times
+cannot drift apart.
+
 The recorded stream is what :mod:`repro.cell.pipeline` replays through the
 dual-issue in-order SPU pipeline model to obtain the cycle counts of
 Sec. 5.1 (590 cycles / 216 flops with fixups off, 1690 with fixups on, the
@@ -20,10 +28,10 @@ Two dtypes are supported, matching the SPU's floating-point granularities:
 A deliberate modelling choice: the SPU has no hardware double-precision
 divide; real Cell code computes reciprocals with a single-precision
 estimate (``frest``/``fi``) refined by Newton-Raphson ``fnms``/``fma``
-steps.  :func:`spu_div` *records* that instruction sequence (so timing is
-faithful) but *computes* the exact IEEE quotient (so the simulated solver
-matches the NumPy reference bit-for-bit).  This substitution is documented
-in DESIGN.md.
+steps.  :meth:`SPUContext.spu_div` *records* that instruction sequence
+(so timing is faithful) but *computes* the exact IEEE quotient (so the
+simulated solver matches the NumPy reference bit-for-bit).  This
+substitution is documented in DESIGN.md.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -203,6 +211,60 @@ class Vec:
         return self.data.dtype == np.float64
 
 
+@dataclass(frozen=True)
+class Intrinsic:
+    """One arithmetic SPU intrinsic: what it records and what it computes.
+
+    The interpreting :class:`SPUContext`, the tracing context of
+    :mod:`repro.cell.isa_compile` and the compiled programs' op table all
+    read this one definition, so the arithmetic the solver performs is the
+    arithmetic the pipeline model times.
+    """
+
+    opcode: str
+    #: operation class; ``None`` means the context's float class
+    #: (double- or single-precision FP arithmetic)
+    opclass: OpClass | None
+    arity: int
+    #: floating-point operations per vector lane
+    flops: int
+    #: the elementwise value on the operand arrays, grouping included
+    #: (no FMA contraction); compares and logical ops yield a bool mask
+    value: Callable
+
+
+#: The arithmetic intrinsics; an intrinsic's ``OP_*`` tag is its index.
+INTRINSICS: tuple[Intrinsic, ...] = (
+    Intrinsic("fa", None, 2, 1, lambda a, b: a + b),
+    Intrinsic("fs", None, 2, 1, lambda a, b: a - b),
+    Intrinsic("fm", None, 2, 1, lambda a, b: a * b),
+    Intrinsic("fma", None, 3, 2, lambda a, b, c: a * b + c),
+    Intrinsic("fms", None, 3, 2, lambda a, b, c: a * b - c),
+    Intrinsic("fnms", None, 3, 2, lambda a, b, c: c - a * b),
+    # recorded after the reciprocal sequence as the final ``fm``; the
+    # value is the exact IEEE quotient (see SPUContext.spu_div)
+    Intrinsic("fm", None, 2, 1, lambda a, b: a / b),
+    Intrinsic("fcgt", None, 2, 0, lambda a, b: a > b),
+    Intrinsic("or", OpClass.BYTE, 2, 0, lambda a, b: (a != 0) | (b != 0)),
+    Intrinsic("and", OpClass.BYTE, 2, 0, lambda a, b: (a != 0) & (b != 0)),
+    Intrinsic("selb", OpClass.BYTE, 3, 0, lambda a, b, c: np.where(c != 0, b, a)),
+)
+
+(
+    OP_ADD,
+    OP_SUB,
+    OP_MUL,
+    OP_MADD,
+    OP_MSUB,
+    OP_NMSUB,
+    OP_DIV,
+    OP_CMPGT,
+    OP_OR,
+    OP_AND,
+    OP_SEL,
+) = range(len(INTRINSICS))
+
+
 class SPUContext:
     """Execution context tying functional vectors to a recorded stream.
 
@@ -222,12 +284,6 @@ class SPUContext:
     def lanes(self) -> int:
         """SIMD width for the context's precision."""
         return constants.DP_LANES if self.double else constants.SP_LANES
-
-    def _float_class(self) -> OpClass:
-        return OpClass.DP_FLOAT if self.double else OpClass.SP_FLOAT
-
-    def _fma_flops(self) -> int:
-        return 2 * self.lanes
 
     def _vec(self, data: np.ndarray, reg: str) -> Vec:
         return Vec(np.asarray(data, dtype=self._dtype), reg)
@@ -276,52 +332,70 @@ class SPUContext:
         self.stream.emit("stqd", OpClass.STORE, None, (value.reg,))
         target[...] = value.data.reshape(target.shape)
 
-    # -- arithmetic ------------------------------------------------------
+    # -- arithmetic: every intrinsic goes through _intrinsic ------------
 
-    def _binary(self, opcode: str, a: Vec, b: Vec, op, flops: int) -> Vec:
-        self._check(a, b)
+    def _intrinsic(self, tag: int, *operands):
+        """Record intrinsic ``tag`` (an index into :data:`INTRINSICS`) on
+        ``operands`` and return its value."""
+        self._check(*operands)
+        srcs = [v.reg for v in operands]
+        if tag == OP_DIV:
+            srcs[1] = self._reciprocal(srcs[1])
+        return self._value(tag, operands, self._record(tag, srcs))
+
+    def _record(self, tag: int, srcs: Sequence[str]) -> str:
+        """Append intrinsic ``tag``'s instruction; return its register."""
+        spec = INTRINSICS[tag]
         reg = self.stream.new_reg()
-        self.stream.emit(opcode, self._float_class(), reg, (a.reg, b.reg), flops)
-        return self._vec(op(a.data, b.data), reg)
+        opclass = spec.opclass or (
+            OpClass.DP_FLOAT if self.double else OpClass.SP_FLOAT
+        )
+        self.stream.emit(spec.opcode, opclass, reg, srcs, spec.flops * self.lanes)
+        return reg
+
+    def _reciprocal(self, den: str) -> str:
+        """Record the reciprocal of register ``den`` the SPU computes in
+        place of a divide: a ``frest`` + ``fi`` single-precision estimate
+        (odd/even pair) refined by Newton-Raphson ``fnms``/``fma`` steps,
+        two in double precision, one in single."""
+        est = self.stream.new_reg()
+        self.stream.emit("frest", OpClass.SHUFFLE, est, (den,))
+        self.stream.emit("fi", OpClass.SP_FLOAT, est, (den, est), self.lanes)
+        cur = est
+        for _ in range(2 if self.double else 1):
+            t = self._record(OP_NMSUB, (den, cur))  # t = 1 - den*cur
+            cur = self._record(OP_MADD, (cur, t, cur))  # cur + cur*t
+        return cur
+
+    def _value(self, tag: int, operands: Sequence[Vec], reg: str) -> Vec:
+        """The value of intrinsic ``tag``: its elementwise expression on
+        the operand lanes, in the context's dtype (masks become 1/0)."""
+        data = INTRINSICS[tag].value(*(v.data for v in operands))
+        return self._vec(data, reg)
 
     def spu_add(self, a: Vec, b: Vec) -> Vec:
         """Lane-wise addition."""
-        return self._binary("fa", a, b, np.add, self.lanes)
+        return self._intrinsic(OP_ADD, a, b)
 
     def spu_sub(self, a: Vec, b: Vec) -> Vec:
         """Lane-wise subtraction."""
-        return self._binary("fs", a, b, np.subtract, self.lanes)
+        return self._intrinsic(OP_SUB, a, b)
 
     def spu_mul(self, a: Vec, b: Vec) -> Vec:
         """Lane-wise multiplication (paper Fig. 7, lines 9-12)."""
-        return self._binary("fm", a, b, np.multiply, self.lanes)
+        return self._intrinsic(OP_MUL, a, b)
 
     def spu_madd(self, a: Vec, b: Vec, c: Vec) -> Vec:
         """Fused multiply-add ``a*b + c`` (paper Fig. 7, lines 21-24)."""
-        self._check(a, b, c)
-        reg = self.stream.new_reg()
-        self.stream.emit(
-            "fma", self._float_class(), reg, (a.reg, b.reg, c.reg), self._fma_flops()
-        )
-        return self._vec(a.data * b.data + c.data, reg)
+        return self._intrinsic(OP_MADD, a, b, c)
 
     def spu_msub(self, a: Vec, b: Vec, c: Vec) -> Vec:
         """Fused multiply-subtract ``a*b - c``."""
-        self._check(a, b, c)
-        reg = self.stream.new_reg()
-        self.stream.emit(
-            "fms", self._float_class(), reg, (a.reg, b.reg, c.reg), self._fma_flops()
-        )
-        return self._vec(a.data * b.data - c.data, reg)
+        return self._intrinsic(OP_MSUB, a, b, c)
 
     def spu_nmsub(self, a: Vec, b: Vec, c: Vec) -> Vec:
         """Fused negative multiply-subtract ``c - a*b`` (used by Newton-Raphson)."""
-        self._check(a, b, c)
-        reg = self.stream.new_reg()
-        self.stream.emit(
-            "fnms", self._float_class(), reg, (a.reg, b.reg, c.reg), self._fma_flops()
-        )
-        return self._vec(c.data - a.data * b.data, reg)
+        return self._intrinsic(OP_NMSUB, a, b, c)
 
     # -- comparison / select ---------------------------------------------
 
@@ -331,27 +405,16 @@ class SPUContext:
         The mask is represented functionally as 1.0 / 0.0 lanes so that it
         can feed :meth:`spu_sel`.
         """
-        self._check(a, b)
-        reg = self.stream.new_reg()
-        self.stream.emit("fcgt", self._float_class(), reg, (a.reg, b.reg))
-        return self._vec((a.data > b.data).astype(self._dtype), reg)
+        return self._intrinsic(OP_CMPGT, a, b)
 
     def spu_or(self, a: Vec, b: Vec) -> Vec:
         """Lane-wise logical OR of 0/1 masks (bitwise ``or`` on hardware,
         a 2-cycle even-pipe byte op; counts no flops)."""
-        self._check(a, b)
-        reg = self.stream.new_reg()
-        self.stream.emit("or", OpClass.BYTE, reg, (a.reg, b.reg))
-        data = ((a.data != 0) | (b.data != 0)).astype(self._dtype)
-        return self._vec(data, reg)
+        return self._intrinsic(OP_OR, a, b)
 
     def spu_and(self, a: Vec, b: Vec) -> Vec:
         """Lane-wise logical AND of 0/1 masks (bitwise ``and``)."""
-        self._check(a, b)
-        reg = self.stream.new_reg()
-        self.stream.emit("and", OpClass.BYTE, reg, (a.reg, b.reg))
-        data = ((a.data != 0) & (b.data != 0)).astype(self._dtype)
-        return self._vec(data, reg)
+        return self._intrinsic(OP_AND, a, b)
 
     def ai(self, label: str = "ptr") -> None:
         """Record a fixed-point address increment (pointer bookkeeping).
@@ -369,47 +432,17 @@ class SPUContext:
         ``selb`` is a byte-class even-pipe instruction with 2-cycle latency;
         it is how branch-free fixups are written on the SPU.
         """
-        self._check(a, b, mask)
-        reg = self.stream.new_reg()
-        self.stream.emit("selb", OpClass.BYTE, reg, (a.reg, b.reg, mask.reg))
-        data = np.where(mask.data != 0, b.data, a.data)
-        return self._vec(data, reg)
-
-    # -- division (composite) ---------------------------------------------
+        return self._intrinsic(OP_SEL, a, b, mask)
 
     def spu_div(self, num: Vec, den: Vec) -> Vec:
         """Divide ``num / den``.
 
-        The SPU has no FP divide.  Real Cell kernels compute a reciprocal
-        estimate (``frest`` + ``fi``, single-precision, odd/even pair) and
-        refine it with Newton-Raphson steps; double precision needs two
-        refinements.  We *record* that sequence so the pipeline cost is
+        The SPU has no FP divide.  We *record* the reciprocal sequence of
+        :meth:`_reciprocal` and a final ``fm`` so the pipeline cost is
         faithful, but *return* the exact IEEE quotient so the functional
         result matches the NumPy reference solver exactly.
         """
-        self._check(num, den)
-        est = self.stream.new_reg()
-        # reciprocal estimate: frest (odd, shuffle-class timing) + fi (even, SP)
-        self.stream.emit("frest", OpClass.SHUFFLE, est, (den.reg,))
-        self.stream.emit("fi", OpClass.SP_FLOAT, est, (den.reg, est), self.lanes)
-        refinements = 2 if self.double else 1
-        cur = est
-        for _ in range(refinements):
-            t = self.stream.new_reg()
-            # t = 1 - den*cur ; cur = cur + cur*t  (fnms + fma)
-            self.stream.emit(
-                "fnms", self._float_class(), t, (den.reg, cur), self._fma_flops()
-            )
-            nxt = self.stream.new_reg()
-            self.stream.emit(
-                "fma", self._float_class(), nxt, (cur, t, cur), self._fma_flops()
-            )
-            cur = nxt
-        out = self.stream.new_reg()
-        self.stream.emit(
-            "fm", self._float_class(), out, (num.reg, cur), self.lanes
-        )
-        return self._vec(num.data / den.data, out)
+        return self._intrinsic(OP_DIV, num, den)
 
     # -- control ----------------------------------------------------------
 

@@ -13,16 +13,18 @@ program* of whole-array NumPy operations carrying a leading batch axis,
 and replay that program for every line of a jkm diagonal in one call.
 
 Why replay is bit-identical to interpretation: every ISA operation is
-elementwise per lane (:class:`~repro.cell.isa.SPUContext` computes
-``a.data * b.data + c.data`` and friends on 2- or 4-lane vectors), and
-IEEE-754 arithmetic is deterministic per element -- stacking independent
-lanes along a batch axis evaluates exactly the same scalar expression per
-lane.  The lowering emits divisions as the exact quotient (the documented
-``spu_div`` substitution), keeps every ``madd``/``msub`` grouped as the
-two-operation ``a*b + c`` the interpreter computes (NumPy has no FMA
-contraction), and reproduces the branch-free compare+select fixup as
-``where(mask != 0, b, a)`` -- the very expression :meth:`SPUContext.spu_sel`
-evaluates.  ``tests/core/test_isa_compile.py`` enforces the equality with
+elementwise per lane, and IEEE-754 arithmetic is deterministic per
+element -- stacking independent lanes along a batch axis evaluates
+exactly the same scalar expression per lane.  Both sides read one
+definition per intrinsic, the table :data:`~repro.cell.isa.INTRINSICS`:
+:class:`TraceContext` records through the interpreter's own
+``SPUContext._intrinsic`` and overrides only the value hook (append an
+op instead of computing lanes), and the allocate form of each
+:func:`op_table` entry is the table's value expression -- divisions as
+the exact quotient (the documented ``spu_div`` substitution), every
+``madd``/``msub`` as the two-operation ``a*b + c`` (NumPy has no FMA
+contraction), the branch-free fixup as ``where(mask != 0, b, a)``.
+``tests/core/test_isa_compile.py`` enforces the equality with
 ``assert_array_equal``.
 
 Nothing here is machine-visible: the recorded
@@ -32,11 +34,10 @@ evaluates the functional values.  See docs/PERFORMANCE.md section 4.
 
 An **optimizing program pipeline** (:func:`optimize_program`,
 docs/PERFORMANCE.md section 5) runs once at compile time and is cached
-with the program: constant folding of const-only ops (evaluated with the
-op's exact dtype-typed semantics), dead-op elimination backward from the
-output bindings, and a last-use liveness analysis that assigns every
-surviving intermediate a slot in a small reusable buffer pool.  None of
-the passes reassociate, regroup or change a single rounding -- they only
+with the program: two passes, dead-op elimination backward from the
+output bindings and a last-use liveness analysis that assigns every
+surviving intermediate a slot in a small reusable buffer pool.  Neither
+pass reassociates, regroups or changes a single rounding -- they only
 skip work and choose where results land, so bit-identity with the
 interpreter is preserved (and enforced by the fuzz referees).
 ``CompiledProgram.run`` replays that plan through one numpy op table
@@ -53,24 +54,28 @@ from typing import Callable, Hashable, Sequence
 import numpy as np
 
 from ..errors import PipelineError
-from .isa import InstructionStream, OpClass, SPUContext
-
-# Lowered opcode tags (ints for dispatch speed in CompiledProgram.run).
-(
-    OP_INPUT,
-    OP_CONST,
+from .isa import (
+    INTRINSICS,
     OP_ADD,
-    OP_SUB,
-    OP_MUL,
+    OP_AND,
+    OP_CMPGT,
+    OP_DIV,
     OP_MADD,
     OP_MSUB,
+    OP_MUL,
     OP_NMSUB,
-    OP_DIV,
-    OP_CMPGT,
     OP_OR,
-    OP_AND,
     OP_SEL,
-) = range(13)
+    OP_SUB,
+    InstructionStream,
+    OpClass,
+    SPUContext,
+)
+
+# Lowered op tags (ints for dispatch speed in CompiledProgram.run): an
+# arithmetic op's tag is its intrinsic's index in INTRINSICS; the two
+# bindings follow.
+OP_INPUT, OP_CONST = len(INTRINSICS), len(INTRINSICS) + 1
 
 #: Entry cap of the compiled-program cache (cleared wholesale on
 #: overflow, like the transfer-plan cache; a miss only costs a re-trace).
@@ -128,9 +133,10 @@ class TraceContext(SPUContext):
     The kernel emission code of :class:`repro.core.spe_kernel.SimdKernel`
     runs against this context unchanged: vectors become :class:`TraceVec`
     slots, loads/stores become named input/output bindings, and every
-    arithmetic intrinsic appends both its stream instruction (same
-    opcode, operation class, register operands and flop count as the
-    interpreting context) and its lowered operation.
+    arithmetic intrinsic goes through the interpreter's one recording
+    method -- so its stream instruction is the interpreter's by
+    construction -- with only the value hook overridden to append the
+    lowered operation instead of computing lanes.
     """
 
     def __init__(self, name: str = "compiled-kernel", double: bool = True) -> None:
@@ -199,86 +205,14 @@ class TraceContext(SPUContext):
         self.consts.append(float(scalar))
         return TraceVec(slot, reg)
 
-    # -- arithmetic (stream emission mirrors SPUContext exactly) ----------
+    # -- arithmetic: SPUContext._intrinsic records, these lower ----------
 
-    def _binary(self, opcode: str, a: TraceVec, b: TraceVec, op, flops: int) -> TraceVec:
-        reg = self.stream.new_reg()
-        self.stream.emit(opcode, self._float_class(), reg, (a.reg, b.reg), flops)
-        return TraceVec(self._emit_op(op, a.slot, b.slot), reg)
+    def _check(self, *vecs: TraceVec) -> None:
+        """Symbolic vectors carry no dtype: the program has one."""
 
-    def spu_add(self, a: TraceVec, b: TraceVec) -> TraceVec:
-        return self._binary("fa", a, b, OP_ADD, self.lanes)
-
-    def spu_sub(self, a: TraceVec, b: TraceVec) -> TraceVec:
-        return self._binary("fs", a, b, OP_SUB, self.lanes)
-
-    def spu_mul(self, a: TraceVec, b: TraceVec) -> TraceVec:
-        return self._binary("fm", a, b, OP_MUL, self.lanes)
-
-    def _fused(self, opcode: str, kind: int, a: TraceVec, b: TraceVec, c: TraceVec) -> TraceVec:
-        reg = self.stream.new_reg()
-        self.stream.emit(
-            opcode, self._float_class(), reg, (a.reg, b.reg, c.reg), self._fma_flops()
-        )
-        return TraceVec(self._emit_op(kind, a.slot, b.slot, c.slot), reg)
-
-    def spu_madd(self, a: TraceVec, b: TraceVec, c: TraceVec) -> TraceVec:
-        return self._fused("fma", OP_MADD, a, b, c)
-
-    def spu_msub(self, a: TraceVec, b: TraceVec, c: TraceVec) -> TraceVec:
-        return self._fused("fms", OP_MSUB, a, b, c)
-
-    def spu_nmsub(self, a: TraceVec, b: TraceVec, c: TraceVec) -> TraceVec:
-        return self._fused("fnms", OP_NMSUB, a, b, c)
-
-    # -- comparison / select ----------------------------------------------
-
-    def spu_cmpgt(self, a: TraceVec, b: TraceVec) -> TraceVec:
-        reg = self.stream.new_reg()
-        self.stream.emit("fcgt", self._float_class(), reg, (a.reg, b.reg))
-        return TraceVec(self._emit_op(OP_CMPGT, a.slot, b.slot), reg)
-
-    def spu_or(self, a: TraceVec, b: TraceVec) -> TraceVec:
-        reg = self.stream.new_reg()
-        self.stream.emit("or", OpClass.BYTE, reg, (a.reg, b.reg))
-        return TraceVec(self._emit_op(OP_OR, a.slot, b.slot), reg)
-
-    def spu_and(self, a: TraceVec, b: TraceVec) -> TraceVec:
-        reg = self.stream.new_reg()
-        self.stream.emit("and", OpClass.BYTE, reg, (a.reg, b.reg))
-        return TraceVec(self._emit_op(OP_AND, a.slot, b.slot), reg)
-
-    def spu_sel(self, a: TraceVec, b: TraceVec, mask: TraceVec) -> TraceVec:
-        reg = self.stream.new_reg()
-        self.stream.emit("selb", OpClass.BYTE, reg, (a.reg, b.reg, mask.reg))
-        return TraceVec(self._emit_op(OP_SEL, a.slot, b.slot, mask.slot), reg)
-
-    # -- division ----------------------------------------------------------
-
-    def spu_div(self, num: TraceVec, den: TraceVec) -> TraceVec:
-        # record the frest/fi + Newton-Raphson sequence exactly as the
-        # interpreting context does; lower to the exact IEEE quotient,
-        # which is what the interpreter computes.
-        est = self.stream.new_reg()
-        self.stream.emit("frest", OpClass.SHUFFLE, est, (den.reg,))
-        self.stream.emit("fi", OpClass.SP_FLOAT, est, (den.reg, est), self.lanes)
-        refinements = 2 if self.double else 1
-        cur = est
-        for _ in range(refinements):
-            t = self.stream.new_reg()
-            self.stream.emit(
-                "fnms", self._float_class(), t, (den.reg, cur), self._fma_flops()
-            )
-            nxt = self.stream.new_reg()
-            self.stream.emit(
-                "fma", self._float_class(), nxt, (cur, t, cur), self._fma_flops()
-            )
-            cur = nxt
-        out = self.stream.new_reg()
-        self.stream.emit(
-            "fm", self._float_class(), out, (num.reg, cur), self.lanes
-        )
-        return TraceVec(self._emit_op(OP_DIV, num.slot, den.slot), out)
+    def _value(self, tag: int, operands: Sequence[TraceVec], reg: str) -> TraceVec:
+        """Lower intrinsic ``tag`` to one op on its operands' slots."""
+        return TraceVec(self._emit_op(tag, *(v.slot for v in operands)), reg)
 
     # ``ai``, ``branch`` and ``nop`` are inherited: they only touch the
     # stream and lower to nothing.
@@ -299,54 +233,6 @@ class TraceContext(SPUContext):
 
 # -- the optimizing program pipeline -----------------------------------------
 
-#: Operand count per arithmetic op tag (INPUT/CONST read no slots).
-_OPERAND_COUNT: dict[int, int] = {
-    OP_ADD: 2, OP_SUB: 2, OP_MUL: 2, OP_DIV: 2,
-    OP_CMPGT: 2, OP_OR: 2, OP_AND: 2,
-    OP_MADD: 3, OP_MSUB: 3, OP_NMSUB: 3, OP_SEL: 3,
-}
-
-
-def _operands(kind: int, a: int, b: int, c: int) -> tuple:
-    n = _OPERAND_COUNT.get(kind, 0)
-    if n == 3:
-        return (a, b, c)
-    if n == 2:
-        return (a, b)
-    return ()
-
-
-def _fold_value(kind: int, x, y, z, dtype):
-    """Evaluate one op on dtype-typed scalars, mirroring the
-    interpreter's expression for that tag exactly (same grouping, same
-    single-rounding-per-operation arithmetic, so folding a const-only
-    op changes no bit of any downstream value)."""
-    if kind == OP_ADD:
-        v = x + y
-    elif kind == OP_SUB:
-        v = x - y
-    elif kind == OP_MUL:
-        v = x * y
-    elif kind == OP_DIV:
-        v = x / y
-    elif kind == OP_MADD:
-        v = x * y + z
-    elif kind == OP_MSUB:
-        v = x * y - z
-    elif kind == OP_NMSUB:
-        v = z - x * y
-    elif kind == OP_CMPGT:
-        v = x > y
-    elif kind == OP_OR:
-        v = (x != 0) | (y != 0)
-    elif kind == OP_AND:
-        v = (x != 0) & (y != 0)
-    elif kind == OP_SEL:
-        v = y if z != 0 else x
-    else:  # pragma: no cover - lowering emits only the tags above
-        raise PipelineError(f"unknown lowered op tag {kind}")
-    return dtype(v)
-
 
 @dataclass(frozen=True)
 class ExecutionPlan:
@@ -361,10 +247,10 @@ class ExecutionPlan:
 
     ops: tuple  #: surviving ops, in original order
     dest: tuple  #: per-op scratch buffer index, aligned with :attr:`ops`
-    consts: tuple  #: dtype-typed consts (folding appends to the original)
+    consts: tuple  #: the program's consts as dtype-typed scalars
     num_buffers: int  #: float scratch buffers the pool needs
     num_bool: int  #: boolean mask scratch buffers the pool needs
-    stats: dict  #: ``ops_before`` / ``ops_after`` / ``slots_reused`` / ...
+    stats: dict  #: ``ops_before`` / ``ops_after`` / ``ops_dead`` / ...
 
 
 def optimize_program(
@@ -372,13 +258,10 @@ def optimize_program(
 ) -> ExecutionPlan:
     """Run the compile-time pass pipeline over a lowered op list.
 
-    1. **Constant folding** -- an arithmetic op whose operands are all
-       constants becomes a constant (evaluated by :func:`_fold_value`
-       with the op's exact semantics on dtype-typed scalars).
-    2. **Dead-op elimination** -- walk backward from the output slots;
+    1. **Dead-op elimination** -- walk backward from the output slots;
        ops (including input/const materializations) whose results are
        never read are dropped.
-    3. **Liveness / buffer plan** -- forward scan recording each slot's
+    2. **Liveness / buffer plan** -- forward scan recording each slot's
        last use; every surviving arithmetic op that does not produce an
        output binding gets a destination from a LIFO free list of
        scratch buffers (an operand's buffer is released only *after*
@@ -387,54 +270,27 @@ def optimize_program(
        their results are freshly allocated and owned by the caller,
        which bounds per-replay allocations at the output count.
 
+    Both passes read an op's operand count from its intrinsic's arity.
     No pass reorders, regroups or re-rounds anything.
     """
-    ops_before = len(ops)
-    typed_consts = list(dtype(v) for v in consts)
+    arity = [spec.arity for spec in INTRINSICS] + [0, 0]  # OP_INPUT, OP_CONST
 
-    # pass 1: constant folding
-    folded: dict[int, int] = {}  # slot -> index into typed_consts
-    stage1: list[tuple] = []
-    for op in ops:
-        kind, d, a, b, c = op
-        if kind == OP_CONST:
-            folded[d] = a
-            stage1.append(op)
-            continue
-        if kind == OP_INPUT:
-            stage1.append(op)
-            continue
-        operands = _operands(kind, a, b, c)
-        if operands and all(s in folded for s in operands):
-            x = typed_consts[folded[a]]
-            y = typed_consts[folded[b]]
-            z = typed_consts[folded[c]] if len(operands) == 3 else None
-            typed_consts.append(_fold_value(kind, x, y, z, dtype))
-            folded[d] = len(typed_consts) - 1
-            stage1.append((OP_CONST, d, folded[d], 0, 0))
-        else:
-            stage1.append(op)
-    ops_folded = sum(
-        1
-        for orig, new in zip(ops, stage1)
-        if orig[0] not in (OP_CONST, OP_INPUT) and new[0] == OP_CONST
-    )
-
-    # pass 2: dead-op elimination, backward from the outputs
-    needed = {slot for _, slot in outputs}
+    # pass 1: dead-op elimination, backward from the outputs
+    output_slots = {slot for _, slot in outputs}
+    needed = set(output_slots)
     kept: list[tuple] = []
-    for op in reversed(stage1):
+    for op in reversed(ops):
         kind, d, a, b, c = op
         if d in needed:
             kept.append(op)
-            needed.update(_operands(kind, a, b, c))
+            needed.update((a, b, c)[: arity[kind]])
     kept.reverse()
+    reads = [(a, b, c)[: arity[kind]] for kind, _, a, b, c in kept]
 
-    # pass 3: last-use liveness -> scratch buffer plan
-    output_slots = {slot for _, slot in outputs}
+    # pass 2: last-use liveness -> scratch buffer plan
     last_use: dict[int, int] = {}
-    for i, (kind, d, a, b, c) in enumerate(kept):
-        for s in _operands(kind, a, b, c):
+    for i, slots in enumerate(reads):
+        for s in slots:
             last_use[s] = i
     dest: list[int] = []
     buffer_of: dict[int, int] = {}
@@ -443,7 +299,7 @@ def optimize_program(
     pooled_ops = 0
     need_or = False
     need_mask = False
-    for i, (kind, d, a, b, c) in enumerate(kept):
+    for i, ((kind, d, _, _, _), slots) in enumerate(zip(kept, reads)):
         if kind in (OP_INPUT, OP_CONST) or d in output_slots:
             dest.append(-1)
         else:
@@ -461,7 +317,7 @@ def optimize_program(
             need_mask = True
         # release operand buffers after the op: a destination chosen
         # above can never alias an operand of the same op
-        for s in _operands(kind, a, b, c):
+        for s in slots:
             if last_use.get(s) == i and s in buffer_of:
                 free.append(buffer_of.pop(s))
     num_bool = 2 if need_or else (1 if need_mask else 0)
@@ -469,14 +325,13 @@ def optimize_program(
     return ExecutionPlan(
         ops=tuple(kept),
         dest=tuple(dest),
-        consts=tuple(typed_consts),
+        consts=tuple(dtype(v) for v in consts),
         num_buffers=num_buffers,
         num_bool=num_bool,
         stats={
-            "ops_before": ops_before,
+            "ops_before": len(ops),
             "ops_after": len(kept),
-            "ops_folded": ops_folded,
-            "ops_dead": len(stage1) - len(kept),
+            "ops_dead": len(ops) - len(kept),
             "slots_reused": pooled_ops - num_buffers,
         },
     )
@@ -493,65 +348,66 @@ def op_table(dtype) -> dict[int, Callable]:
     buffer plan of :func:`optimize_program` guarantees it, so the
     multi-step bodies below are safe); ``tmp`` is a tuple of boolean
     scratch arrays, read only when ``out`` is given.  Unused operands
-    arrive as ``None``.  Every body keeps the interpreter's grouping:
-    madd/msub are the two-operation ``a*b +- c``, nmsub is ``c - a*b``
-    (no FMA contraction), cmpgt/or/and produce ``{0, 1}`` masks in
-    ``dtype``, and sel is ``where(mask != 0, b, a)``.
+    arrive as ``None`` or an unrelated slot's value, and are ignored.
 
-    Each ``out=`` body evaluates the very same elementwise expression as
-    its allocate form, one rounding at a time -- ufuncs with ``out=``
-    round identically, and a bool->dtype assignment casts exactly like
+    The allocate form is the intrinsic's value expression from
+    :data:`~repro.cell.isa.INTRINSICS` -- the one the interpreter
+    evaluates, grouping included -- with masks cast to ``dtype``.  Each
+    ``out=`` body evaluates the very same elementwise expression in
+    place, one rounding at a time: ufuncs with ``out=`` round
+    identically, and a bool->dtype assignment casts exactly like
     ``.astype``.
     """
+    value = [spec.value for spec in INTRINSICS]
 
     def add(a, b, c, out, tmp):
         if out is None:
-            return a + b
+            return value[OP_ADD](a, b)
         return np.add(a, b, out=out)
 
     def sub(a, b, c, out, tmp):
         if out is None:
-            return a - b
+            return value[OP_SUB](a, b)
         return np.subtract(a, b, out=out)
 
     def mul(a, b, c, out, tmp):
         if out is None:
-            return a * b
+            return value[OP_MUL](a, b)
         return np.multiply(a, b, out=out)
 
     def div(a, b, c, out, tmp):
         if out is None:
-            return a / b
+            return value[OP_DIV](a, b)
         return np.divide(a, b, out=out)
 
     def madd(a, b, c, out, tmp):
         if out is None:
-            return a * b + c
+            return value[OP_MADD](a, b, c)
         np.multiply(a, b, out=out)
         return np.add(out, c, out=out)
 
     def msub(a, b, c, out, tmp):
         if out is None:
-            return a * b - c
+            return value[OP_MSUB](a, b, c)
         np.multiply(a, b, out=out)
         return np.subtract(out, c, out=out)
 
     def nmsub(a, b, c, out, tmp):
         if out is None:
-            return c - a * b
+            return value[OP_NMSUB](a, b, c)
         np.multiply(a, b, out=out)
         return np.subtract(c, out, out=out)
 
     def cmpgt(a, b, c, out, tmp):
         if out is None:
-            return (a > b).astype(dtype)
+            return value[OP_CMPGT](a, b).astype(dtype)
         np.greater(a, b, out=tmp[0])
         out[...] = tmp[0]
         return out
 
     def or_(a, b, c, out, tmp):
         if out is None:
-            return ((a != 0) | (b != 0)).astype(dtype)
+            return value[OP_OR](a, b).astype(dtype)
         np.not_equal(a, 0, out=tmp[0])
         np.not_equal(b, 0, out=tmp[1])
         np.logical_or(tmp[0], tmp[1], out=tmp[0])
@@ -560,7 +416,7 @@ def op_table(dtype) -> dict[int, Callable]:
 
     def and_(a, b, c, out, tmp):
         if out is None:
-            return ((a != 0) & (b != 0)).astype(dtype)
+            return value[OP_AND](a, b).astype(dtype)
         np.not_equal(a, 0, out=tmp[0])
         np.not_equal(b, 0, out=tmp[1])
         np.logical_and(tmp[0], tmp[1], out=tmp[0])
@@ -569,7 +425,7 @@ def op_table(dtype) -> dict[int, Callable]:
 
     def sel(a, b, c, out, tmp):
         if out is None:
-            return np.where(c != 0, b, a)
+            return value[OP_SEL](a, b, c)
         np.not_equal(c, 0, out=tmp[0])
         np.copyto(out, a)
         np.copyto(out, b, where=tmp[0])

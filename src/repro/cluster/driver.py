@@ -29,7 +29,6 @@ consistent partial result.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import os
 import socket
@@ -47,7 +46,7 @@ from ..metrics.registry import MetricsRegistry
 from ..mpi.wavefront import KBASweep3D
 from ..obs.context import current_context
 from ..obs.log import get_logger, log_event
-from ..sweep.flux import SolveResult, SweepTally
+from ..sweep.flux import SolveResult, SweepTally, flux_digest
 from ..sweep.input import InputDeck
 from . import runtime
 from .frames import KIND_TRACE
@@ -70,11 +69,6 @@ def default_cluster_config():
         aligned_rows=True, structured_loops=True, double_buffer=True,
         simd=True, dma_lists=True, bank_offsets=True,
     )
-
-
-def flux_sha256(flux: np.ndarray) -> str:
-    """Digest of the raw float64 flux bytes -- the bit-identity pin."""
-    return hashlib.sha256(np.ascontiguousarray(flux).tobytes()).hexdigest()
 
 
 @dataclass
@@ -119,7 +113,7 @@ class ClusterReport:
 
     @property
     def flux_digest(self) -> str:
-        return flux_sha256(self.result.flux)
+        return flux_digest(self.result.flux)
 
     @property
     def msgs_sent(self) -> int:

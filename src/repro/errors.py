@@ -83,10 +83,6 @@ class SchedulerError(ReproError):
     """Work-distribution protocol violation in :mod:`repro.core.scheduler`."""
 
 
-class CalibrationError(ReproError):
-    """A performance-model constant is out of its documented validity range."""
-
-
 class ParallelError(ReproError):
     """Host-parallel engine failure (worker crash, timeout, bad state)."""
 

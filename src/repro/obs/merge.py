@@ -29,7 +29,7 @@ import pathlib
 from typing import Any, Iterable, Sequence
 
 from ..trace.bus import TraceEvent
-from ..trace.export import CYCLES_PER_US, _tid
+from ..trace.export import _chrome_event, _tid
 
 #: tid offset separating rank-process threads from metadata rows
 _RANK_PROCESS_NAME = "rank{rank}"
@@ -52,24 +52,6 @@ def events_from_wire(rows: Sequence[Sequence[Any]]) -> list[TraceEvent]:
         )
         for seq, ts, dur, track, name, args in rows
     ]
-
-
-def _chrome_event(ev: TraceEvent, pid: int) -> dict[str, Any]:
-    record: dict[str, Any] = {
-        "name": ev.name,
-        "cat": "cell",
-        "pid": pid,
-        "tid": _tid(ev.track),
-        "ts": ev.ts / CYCLES_PER_US,
-        "args": dict(ev.args, seq=ev.seq, cycles=ev.dur),
-    }
-    if ev.dur > 0:
-        record["ph"] = "X"
-        record["dur"] = ev.dur / CYCLES_PER_US
-    else:
-        record["ph"] = "i"
-        record["s"] = "t"
-    return record
 
 
 def rank_chrome_trace(

@@ -11,6 +11,7 @@ referee: a server-solved flux is bit-identical to running
 :class:`~repro.core.solver.CellSweep3D` directly.
 """
 
+from ..sweep.flux import flux_digest
 from .app import ServeApp, serve_forever
 from .client import ServeClient, ServeClientError
 from .decks import deck_cost, deck_from_request, deck_to_text, example_decks
@@ -25,7 +26,7 @@ from .queueing import (
     ServeLimits,
     size_class,
 )
-from .runner import SolveRunner, flux_digest
+from .runner import SolveRunner
 
 __all__ = [
     "AdmissionPolicy",

@@ -24,11 +24,8 @@ overlap.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
-
-import numpy as np
 
 from ..cell.isa_compile import STATS, stats_delta
 from ..core.solver import CellSweep3D
@@ -41,14 +38,8 @@ from ..obs.context import (
 )
 from ..parallel.pool import PersistentPool, resolve_pool
 from ..sweep.deckfile import parse_deck
+from ..sweep.flux import flux_digest
 from .jobs import Job, JobStore
-
-
-def flux_digest(flux: np.ndarray) -> str:
-    """SHA-256 over the flux array's exact bytes -- the bit-identity
-    fingerprint the referee test compares against a direct
-    :class:`CellSweep3D` solve."""
-    return hashlib.sha256(np.ascontiguousarray(flux).tobytes()).hexdigest()
 
 
 class _ProgressSink:

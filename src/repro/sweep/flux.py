@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +55,12 @@ class SolveResult:
     def total_scalar_flux(self, cell_volume: float = 1.0) -> float:
         """Volume-integrated scalar flux (for balance checks)."""
         return float(self.flux[0].sum()) * cell_volume
+
+
+def flux_digest(flux: np.ndarray) -> str:
+    """SHA-256 over the flux array's exact bytes -- the bit-identity
+    fingerprint every cross-engine and cross-transport referee compares."""
+    return hashlib.sha256(np.ascontiguousarray(flux).tobytes()).hexdigest()
 
 
 def relative_change(new: np.ndarray, old: np.ndarray) -> float:

@@ -46,6 +46,26 @@ def _tid(track: str) -> int:
     return 200 + (hash(track) % 1000)
 
 
+def _chrome_event(ev: TraceEvent, pid: int) -> dict[str, Any]:
+    """One trace event as a Chrome record: spans become complete
+    (``"X"``) events, instants thread-scoped instant events."""
+    record: dict[str, Any] = {
+        "name": ev.name,
+        "cat": "cell",
+        "pid": pid,
+        "tid": _tid(ev.track),
+        "ts": ev.ts / CYCLES_PER_US,
+        "args": dict(ev.args, seq=ev.seq, cycles=ev.dur),
+    }
+    if ev.dur > 0:
+        record["ph"] = "X"
+        record["dur"] = ev.dur / CYCLES_PER_US
+    else:
+        record["ph"] = "i"
+        record["s"] = "t"  # thread-scoped instant
+    return record
+
+
 def to_chrome_trace(bus: TraceBus) -> dict[str, Any]:
     """The full event stream as a Chrome trace-event JSON object."""
     trace_events: list[dict[str, Any]] = [
@@ -61,22 +81,7 @@ def to_chrome_trace(bus: TraceBus) -> dict[str, Any]:
                 "tid": _tid(track), "args": {"name": track},
             }
         )
-    for ev in bus.events:
-        record: dict[str, Any] = {
-            "name": ev.name,
-            "cat": "cell",
-            "pid": 0,
-            "tid": _tid(ev.track),
-            "ts": ev.ts / CYCLES_PER_US,
-            "args": dict(ev.args, seq=ev.seq, cycles=ev.dur),
-        }
-        if ev.dur > 0:
-            record["ph"] = "X"
-            record["dur"] = ev.dur / CYCLES_PER_US
-        else:
-            record["ph"] = "i"
-            record["s"] = "t"  # thread-scoped instant
-        trace_events.append(record)
+    trace_events.extend(_chrome_event(ev, pid=0) for ev in bus.events)
     return {
         "traceEvents": trace_events,
         "displayTimeUnit": "ms",

@@ -16,14 +16,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster.driver import (
-    default_cluster_config,
-    flux_sha256,
-    run_cluster_solve,
-)
+from repro.cluster.driver import default_cluster_config, run_cluster_solve
 from repro.core.projections import cluster_projection
 from repro.errors import ConfigurationError
 from repro.sweep import SerialSweep3D
+from repro.sweep.flux import flux_digest
 from repro.sweep.input import small_deck
 
 GRIDS = ((1, 2), (2, 2), (2, 4))
@@ -36,7 +33,7 @@ def make_deck():
 
 @pytest.fixture(scope="module")
 def serial_sha():
-    return flux_sha256(SerialSweep3D(make_deck()).solve().flux)
+    return flux_digest(SerialSweep3D(make_deck()).solve().flux)
 
 
 @pytest.fixture(scope="module", params=GRIDS, ids=lambda g: f"{g[0]}x{g[1]}")
@@ -96,7 +93,7 @@ def fabric_deck():
     """16-cubed, mk=4, mmi=3: splits unevenly (16/3) over a 3 x 3 grid."""
     deck = small_deck(n=16, sn=4, nm=2, iterations=2, fixup=False,
                       mk=4, mmi=3)
-    return deck, flux_sha256(SerialSweep3D(deck).solve().flux)
+    return deck, flux_digest(SerialSweep3D(deck).solve().flux)
 
 
 @pytest.mark.parametrize("grid", ((2, 2), (3, 3), (4, 4)),
