@@ -74,21 +74,15 @@ def _configure_obs(args) -> None:
 
 
 def _build_deck(args):
-    from .sweep.geometry import Grid
-    from .sweep.input import InputDeck
-
     if getattr(args, "deck", None):
         from .sweep.deckfile import load_deck
 
         return load_deck(args.deck)
-    n = args.cube
-    divisors = [m for m in range(1, n + 1) if n % m == 0]
-    mk = max(divisors, key=lambda m: (min(m, 10), -abs(m - 10)))
-    per_octant = args.sn * (args.sn + 2) // 8
-    mmi = 3 if per_octant % 3 == 0 else 1
-    return InputDeck(
-        grid=Grid.cube(n), sn=args.sn, nm=args.nm,
-        iterations=args.iterations, fixup=args.fixup, mk=mk, mmi=mmi,
+    from .sweep.input import cube_deck
+
+    return cube_deck(
+        args.cube, fixup=args.fixup, sn=args.sn, nm=args.nm,
+        iterations=args.iterations,
     )
 
 

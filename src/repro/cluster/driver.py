@@ -9,8 +9,11 @@ the socket transport, or threads on the in-process
 results **in serial rank order**, so every transport and grid lands on
 the serial solve's flux bit for bit:
 
-* per-iteration convergence history: ``max`` over ranks of the local
-  flux diffs/scales (``max`` is exactly order-independent);
+* convergence: decided at the iteration barrier (:func:`barrier_verdict`)
+  from the ``max`` over ranks of the local flux diffs/scales (``max`` is
+  exactly order-independent), through the same
+  :class:`~repro.sweep.flux.Convergence` rule and history as a
+  single-process solve;
 * leakage: folded ``rank 0 + rank 1 + ...``, and fixups summed;
 * flux: per-rank float64 tiles (raw bytes on the wire) pasted through
   the same :meth:`~repro.mpi.wavefront.KBASweep3D.plan` slices;
@@ -24,7 +27,7 @@ a fresh manifest (rank processes survive across solves, keeping
 compiled-ISA caches warm like parked pool workers); :meth:`close` sends
 BYE and reaps.  A SIGTERM-driven :meth:`request_drain` parks every rank
 at the same iteration boundary via the control barrier and returns the
-consistent partial result.
+consistent partial result (``converged=False``, no error).
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from ..metrics.registry import MetricsRegistry
 from ..mpi.wavefront import KBASweep3D
 from ..obs.context import current_context
 from ..obs.log import get_logger, log_event
-from ..sweep.flux import SolveResult, SweepTally, flux_digest
+from ..sweep.flux import Convergence, SolveResult, SweepTally, flux_digest
 from ..sweep.input import InputDeck
 from . import runtime
 from .frames import KIND_TRACE
@@ -58,6 +61,26 @@ _log = get_logger("cluster.driver")
 TRANSPORTS = ("local", "socket")
 ENGINES = ("cell", "tile")
 SPAWNS = ("fork", "cli")
+
+
+def barrier_verdict(
+    control: Convergence,
+    arrivals: list[tuple[float, float]],
+    drain: threading.Event,
+) -> str:
+    """The one decision of a cluster iteration barrier, for both
+    transports: the ranks' ``(diff, scale)`` max-allreduce goes through
+    the job's :class:`~repro.sweep.flux.Convergence` (history and stop
+    rule), and the verdict is STOP on convergence or on a requested
+    drain (which marks the job drained), else GO."""
+    if control.record(max(d for d, _ in arrivals), max(s for _, s in arrivals)):
+        return STOP
+    if drain.is_set():
+        control.drained = True
+        log_event(_log, logging.INFO, "draining at iteration boundary",
+                  iteration=len(control.history))
+        return STOP
+    return GO
 
 
 def default_cluster_config():
@@ -363,13 +386,14 @@ class ClusterDriver:
     def solve(self) -> ClusterReport:
         self.start()
         t0 = time.perf_counter()
+        control = Convergence(self.deck.epsilon)
         traces: dict[int, dict[str, Any]] = {}
         if self.transport == "local":
-            reports, drained = self._solve_local()
+            reports = self._solve_local(control)
         else:
-            reports, drained, traces = self._solve_socket()
+            reports, traces = self._solve_socket(control)
         wall = time.perf_counter() - t0
-        report = self._fold(reports, drained, wall, traces)
+        report = self._fold(reports, control, wall, traces)
         log_event(
             _log, logging.INFO, "cluster solve done",
             transport=self.transport, ranks=self.size,
@@ -378,9 +402,9 @@ class ClusterDriver:
         )
         return report
 
-    def _solve_local(self) -> tuple[list[RankReport], bool]:
+    def _solve_local(self, control: Convergence) -> list[RankReport]:
         fabric = LocalFabric(self.size, recv_timeout=self.recv_timeout)
-        hub = _IterationHub(self.size, self._drain)
+        hub = _IterationHub(self.size, control, self._drain)
 
         def rank_program(endpoint) -> RankReport:
             try:
@@ -393,7 +417,7 @@ class ClusterDriver:
                 hub.abort()
                 raise
 
-        return fabric.run(rank_program), hub.drained
+        return fabric.run(rank_program)
 
     def _recv_control(
         self, rank: int, traces: dict[int, dict[str, Any]]
@@ -421,8 +445,8 @@ class ClusterDriver:
             return msg
 
     def _solve_socket(
-        self,
-    ) -> tuple[list[RankReport], bool, dict[int, dict[str, Any]]]:
+        self, control: Convergence
+    ) -> tuple[list[RankReport], dict[int, dict[str, Any]]]:
         size = self.size
         chans = self._channels
         traces: dict[int, dict[str, Any]] = {}
@@ -443,23 +467,18 @@ class ClusterDriver:
                 addrs[rank] = (self.bind_host, int(msg["port"]))
             for rank in range(size):
                 chans[rank].send({"t": "addrs", "addrs": addrs})
-            drained = False
             for _ in range(self.deck.iterations):
+                arrivals = []
                 for rank in range(size):
                     msg = self._recv_control(rank, traces)
                     if msg.get("t") != "iter":
                         raise ClusterError(f"expected iter, got {msg!r}")
                     self._note_clock(rank, msg.get("t_wall"))
-                verdict = STOP if self._drain.is_set() else GO
-                if verdict == STOP:
-                    log_event(
-                        _log, logging.INFO, "draining at iteration boundary",
-                        iteration=int(msg.get("i", -1)) + 1,
-                    )
+                    arrivals.append((msg["diff"], msg["scale"]))
+                verdict = barrier_verdict(control, arrivals, self._drain)
                 for rank in range(size):
                     chans[rank].send({"t": verdict})
                 if verdict == STOP:
-                    drained = True
                     break
             reports: list[RankReport] = []
             for rank in range(size):
@@ -467,7 +486,7 @@ class ClusterDriver:
                 if msg.get("t") != "result":
                     raise ClusterError(f"expected result, got {msg!r}")
                 reports.append(msg["report"])
-            return reports, drained, traces
+            return reports, traces
         except BaseException:
             self._closed = True
             self._reap(force=True)
@@ -478,7 +497,7 @@ class ClusterDriver:
     def _fold(
         self,
         reports: list[RankReport],
-        drained: bool,
+        control: Convergence,
         wall: float,
         traces: dict[int, dict[str, Any]] | None = None,
     ) -> ClusterReport:
@@ -494,36 +513,24 @@ class ClusterDriver:
             if r.trace is not None:
                 traces.setdefault(r.rank, r.trace)
                 r.trace = None
-        completed = min(r.iterations for r in reports)
-        if any(r.iterations != completed for r in reports):
+        tiles = [r.result for r in reports]
+        if any(t.iterations != len(control.history) for t in tiles):
             raise ClusterError(
                 "ranks parked at different iteration boundaries: "
-                f"{[r.iterations for r in reports]}"
+                f"{[t.iterations for t in tiles]}"
             )
-        history: list[float] = []
-        for i in range(completed):
-            gdiff = reports[0].diffs[i]
-            gscale = reports[0].scales[i]
-            for r in reports[1:]:
-                gdiff = max(gdiff, r.diffs[i])
-                gscale = max(gscale, r.scales[i])
-            history.append(gdiff / gscale if gscale else 0.0)
-        fixups = sum(r.fixups for r in reports)
-        leakage = reports[0].leakage
-        for r in reports[1:]:
-            leakage = leakage + r.leakage
+        fixups = sum(t.tally.fixups for t in tiles)
+        leakage = tiles[0].tally.leakage
+        for t in tiles[1:]:  # not sum(): Python 3.12 compensates floats
+            leakage = leakage + t.tally.leakage
         global_flux = np.zeros((deck.nm, *deck.grid.shape))
         for r in reports:
             plan = self._kba.plan(r.rank)
             global_flux[
                 :, plan.x0:plan.x0 + plan.nx, plan.y0:plan.y0 + plan.ny, :
-            ] = r.flux
-        result = SolveResult(
-            flux=global_flux,
-            iterations=completed,
-            history=history,
-            tally=SweepTally(fixups=fixups, leakage=leakage),
-            converged=not drained,
+            ] = r.result.flux
+        result = control.result(
+            global_flux, SweepTally(fixups=fixups, leakage=leakage)
         )
         registry = MetricsRegistry()
         from ..metrics.attribution import ingest_rank_transport
@@ -541,7 +548,7 @@ class ClusterDriver:
             engine=self.engine,
             P=self.P,
             Q=self.Q,
-            drained=drained,
+            drained=control.drained,
             reports=reports,
             registry=registry,
             octant_walls=octant_walls,
@@ -553,16 +560,18 @@ class ClusterDriver:
 
 class _IterationHub:
     """In-process iteration barrier for the local transport: all ranks
-    arrive, the verdict (GO, or STOP once a drain was requested) is
-    computed once, everyone leaves with it -- the thread twin of the
-    socket driver's control-channel round."""
+    arrive, the :func:`barrier_verdict` is computed once, everyone
+    leaves with it -- the thread twin of the socket driver's
+    control-channel round."""
 
-    def __init__(self, size: int, drain: threading.Event) -> None:
+    def __init__(
+        self, size: int, control: Convergence, drain: threading.Event
+    ) -> None:
         self.size = size
-        self.drained = False
+        self._control = control
         self._drain = drain
         self._cond = threading.Condition()
-        self._count = 0
+        self._arrivals: list[tuple[float, float]] = []
         self._gen = 0
         self._verdict = GO
         self._aborted = False
@@ -572,20 +581,18 @@ class _IterationHub:
             self._aborted = True
             self._cond.notify_all()
 
-    def barrier(self, i: int, diff: float, scale: float) -> str:
+    def barrier(self, diff: float, scale: float) -> str:
         with self._cond:
             if self._aborted:
                 raise ClusterError("cluster job aborted (peer rank failed)")
             gen = self._gen
-            self._count += 1
-            if self._count == self.size:
-                self._count = 0
+            self._arrivals.append((diff, scale))
+            if len(self._arrivals) == self.size:
+                self._verdict = barrier_verdict(
+                    self._control, self._arrivals, self._drain
+                )
+                self._arrivals = []
                 self._gen += 1
-                if self._drain.is_set():
-                    self._verdict = STOP
-                    self.drained = True
-                else:
-                    self._verdict = GO
                 self._cond.notify_all()
                 return self._verdict
             while self._gen == gen and not self._aborted:

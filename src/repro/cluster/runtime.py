@@ -7,12 +7,13 @@ transport endpoint, and reports its tile flux, tallies and walls for the
 driver's serial-rank-order fold.  It runs on a
 :class:`~repro.cluster.transport.LocalFabric` thread (the in-process
 path behind ``KBASweep3D`` and ``CellClusterSweep3D``) or in a
-``repro cluster-rank`` process over sockets.  The only collective the
-loop needs (the per-iteration max-allreduce feeding the convergence
-history) runs through the driver, which doubles as the drain barrier:
-after every iteration each rank reports ``(diff, scale)`` and waits for
-GO or STOP, so a SIGTERM'd parent can park the whole job at one
-consistent iteration boundary.
+``repro cluster-rank`` process over sockets.  The rank runs the one
+source iteration (:func:`repro.sweep.flux.source_iteration`) with the
+driver's barrier as its stop rule -- the only collective the loop
+needs: after every iteration each rank reports ``(diff, scale)`` and
+waits for GO or STOP.  The driver takes the max-allreduce, decides
+convergence against the deck's epsilon, and parks the whole job at one
+consistent iteration boundary on convergence or on a SIGTERM drain.
 
 ``repro cluster-rank --connect HOST:PORT --rank N`` enters
 :func:`rank_main`: connect, HELLO, then serve manifests until BYE.  The
@@ -39,7 +40,7 @@ from ..mpi.wavefront import KBASweep3D, RankBoundary
 from ..obs.context import adopt_payload
 from ..obs.flight import enable_flight, flight
 from ..obs.log import get_logger, log_event
-from ..sweep.flux import SweepTally
+from ..sweep.flux import SolveResult, SweepTally, source_iteration
 from ..sweep.input import InputDeck
 from .frames import (
     KIND_CONTROL,
@@ -105,12 +106,9 @@ class RankReport:
     """One rank's result, refolded by the driver in serial rank order."""
 
     rank: int
-    iterations: int
-    fixups: int
-    leakage: float
-    diffs: list[float]
-    scales: list[float]
-    flux: np.ndarray
+    #: the rank's tile solve: flux, iterations and tallies (no history;
+    #: the driver's barrier keeps that)
+    result: SolveResult
     octant_walls: list[float]
     span_s: float
     transport: dict[str, Any]
@@ -137,49 +135,38 @@ def _make_sweeper(manifest: RankManifest, local: InputDeck):
 def run_rank_solve(
     manifest: RankManifest,
     endpoint: Endpoint,
-    barrier: Callable[[int, float, float], str],
+    barrier: Callable[[float, float], str],
 ) -> RankReport:
     """One rank's source iteration over ``endpoint``.
 
-    ``barrier(iteration, diff, scale)`` is the parent-mediated
-    allreduce/drain seam: it must return :data:`GO` to continue or
-    :data:`STOP` to park at this iteration boundary.
+    ``barrier(diff, scale)`` is the parent-mediated allreduce/drain
+    seam: after every sweep the rank reports its tile's max-norm flux
+    change and scale, and the barrier returns :data:`GO` to continue or
+    :data:`STOP` to park at this iteration boundary (converged or
+    drained -- the parent decides, and keeps the history).
     """
-    from ..sweep.moments import build_moment_source
-
     deck = manifest.deck
     kba = KBASweep3D(deck, P=manifest.P, Q=manifest.Q)
     plan = kba.plan(endpoint.rank)
     local = deck.tile((plan.x0, plan.y0, 0), plan.local_grid(deck.grid))
     sweeper = _make_sweeper(manifest, local)
-    quad = sweeper.quad
-
-    flux = np.zeros((deck.nm, *local.grid.shape))
-    total = SweepTally()
-    diffs: list[float] = []
-    scales: list[float] = []
     octant_walls = [0.0] * 8
-    done = 0
+
+    def sweep(msrc: np.ndarray) -> tuple[np.ndarray, SweepTally]:
+        boundary = RankBoundary(
+            local, sweeper.quad, endpoint, kba.cart, deck.mmi, deck.mk
+        )
+        new_flux, tally, _ = sweeper.sweep(msrc, boundary=boundary)
+        for o in range(8):
+            octant_walls[o] += boundary.octant_walls[o]
+        return new_flux, tally
+
     t0 = time.perf_counter()
     try:
-        for i in range(deck.iterations):
-            msrc = build_moment_source(local, flux)
-            boundary = RankBoundary(
-                local, quad, endpoint, kba.cart, deck.mmi, deck.mk
-            )
-            new_flux, tally, _ = sweeper.sweep(msrc, boundary=boundary)
-            total.fixups += tally.fixups
-            total.leakage = boundary.leakage
-            for o in range(8):
-                octant_walls[o] += boundary.octant_walls[o]
-            diff = float(np.max(np.abs(new_flux[0] - flux[0])))
-            scale = float(np.max(np.abs(new_flux[0])))
-            diffs.append(diff)
-            scales.append(scale)
-            flux = new_flux
-            done = i + 1
-            if barrier(i, diff, scale) != GO:
-                break
+        result = source_iteration(
+            local, sweep,
+            stop=lambda diff, scale: barrier(diff, scale) != GO,
+        )
         span = time.perf_counter() - t0
         metrics = None
         if manifest.engine == "cell" and getattr(
@@ -201,12 +188,7 @@ def run_rank_solve(
             }
         return RankReport(
             rank=endpoint.rank,
-            iterations=done,
-            fixups=total.fixups,
-            leakage=total.leakage,
-            diffs=diffs,
-            scales=scales,
-            flux=flux,
+            result=result,
             octant_walls=octant_walls,
             span_s=span,
             transport=endpoint.stats.to_dict(),
@@ -326,9 +308,9 @@ def rank_main(connect: str, rank: int, timeout: float = DEFAULT_RECV_TIMEOUT) ->
                 for r, (h, p) in addrs_msg["addrs"].items()
             })
 
-            def barrier(i: int, diff: float, scale: float) -> str:
+            def barrier(diff: float, scale: float) -> str:
                 ctl.send({
-                    "t": "iter", "rank": rank, "i": i,
+                    "t": "iter", "rank": rank,
                     "diff": diff, "scale": scale, "t_wall": time.time(),
                 })
                 verdict = ctl.recv()

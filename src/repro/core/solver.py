@@ -29,7 +29,7 @@ import numpy as np
 
 from ..cell.chip import CellBE
 from ..errors import ConfigurationError
-from ..sweep.flux import SolveResult, SweepTally, relative_change
+from ..sweep.flux import SolveResult, SweepTally, source_iteration
 from ..sweep.input import InputDeck
 from ..sweep.kernel import dd_line_block_solve
 from ..sweep.moments import MomentBasis
@@ -497,27 +497,10 @@ class CellSweep3D:
         return flux, tally
 
     def solve(self) -> SolveResult:
-        """Source iteration, mirroring the reference driver exactly."""
-        deck = self.deck
-        from ..sweep.moments import build_moment_source
-
-        flux = np.zeros((deck.nm, *deck.grid.shape))
-        history: list[float] = []
-        total = SweepTally()
-        for _ in range(deck.iterations):
-            msrc = build_moment_source(deck, flux)
-            new_flux, tally = self.sweep_once(msrc)
-            total.fixups += tally.fixups
-            total.leakage = tally.leakage
-            history.append(relative_change(new_flux[0], flux[0]))
-            flux = new_flux
-        return SolveResult(
-            flux=flux,
-            iterations=deck.iterations,
-            history=history,
-            tally=total,
-            converged=True,
-        )
+        """Source iteration, the reference driver around this machine's
+        sweep (``sweep_once`` is looked up per solve, so a patched seam
+        sees every sweep)."""
+        return source_iteration(self.deck, self.sweep_once)
 
     # -- timing bridge -----------------------------------------------------------------
 

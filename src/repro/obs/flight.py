@@ -35,6 +35,7 @@ from typing import Any
 
 from .context import current_context
 from .log import ROOT_LOGGER, record_fields
+from .merge import events_to_wire
 
 #: ring capacity (notes + log records), per process
 DEFAULT_CAPACITY = 512
@@ -106,10 +107,7 @@ class FlightRecorder:
                 {
                     "total_events": len(bus.events),
                     "now_cycles": bus.now,
-                    "tail": [
-                        [ev.seq, ev.ts, ev.dur, ev.track, ev.name, ev.args]
-                        for ev in tail
-                    ],
+                    "tail": events_to_wire(tail),
                 }
             )
         return {

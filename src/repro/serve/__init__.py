@@ -11,10 +11,11 @@ referee: a server-solved flux is bit-identical to running
 :class:`~repro.core.solver.CellSweep3D` directly.
 """
 
+from ..sweep.deckfile import format_deck as deck_to_text
 from ..sweep.flux import flux_digest
 from .app import ServeApp, serve_forever
 from .client import ServeClient, ServeClientError
-from .decks import deck_cost, deck_from_request, deck_to_text, example_decks
+from .decks import deck_cost, deck_from_request, example_decks
 from .jobs import DONE, FAILED, QUEUED, RUNNING, Job, JobStore
 from .queueing import (
     AdmissionPolicy,

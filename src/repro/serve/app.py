@@ -61,13 +61,8 @@ from ..obs.context import (
 )
 from ..obs.flight import flight
 from ..obs.log import get_logger, log_event
-from .decks import (
-    deck_cost,
-    deck_from_request,
-    deck_label,
-    deck_to_text,
-    example_decks,
-)
+from ..sweep.deckfile import format_deck
+from .decks import deck_cost, deck_from_request, deck_label, example_decks
 from .httpd import (
     HttpError,
     Request,
@@ -155,7 +150,7 @@ class ServeApp:
         ctx = current_context()
         job = self.store.create(
             tenant=str(doc.get("tenant", "default")),
-            deck_text=deck_to_text(deck),
+            deck_text=format_deck(deck),
             label=deck_label(deck),
             cost=deck_cost(deck),
             isa=bool(doc.get("isa", True)),

@@ -9,9 +9,10 @@
 * ``{"cube": 16, "sn": 4, "nm": 2, "iterations": 1, "fixup": false}``
   -- the CLI's cubic-deck shorthand.
 
-Whatever the source, the job record keeps the *canonical deck text* so
-a stored job is reproducible offline (paste the text into a ``.deck``
-file and run ``repro solve --deck``), and the estimated service demand
+Whatever the source, the job record keeps the *canonical deck text*
+(:func:`repro.sweep.deckfile.format_deck`) so a stored job is
+reproducible offline (paste the text into a ``.deck`` file and run
+``repro solve --deck``), and the estimated service demand
 (:func:`deck_cost`) feeds the fair queue.
 """
 
@@ -21,8 +22,7 @@ import pathlib
 
 from ..errors import InputDeckError
 from ..sweep.deckfile import parse_deck
-from ..sweep.geometry import Grid
-from ..sweep.input import InputDeck
+from ..sweep.input import InputDeck, cube_deck
 
 #: the repository's named example decks
 DECK_DIR = pathlib.Path(__file__).resolve().parents[3] / "examples" / "decks"
@@ -50,59 +50,14 @@ def deck_label(deck: InputDeck) -> str:
             f"x{deck.iterations}")
 
 
-def deck_to_text(deck: InputDeck) -> str:
-    """Canonical deck-file text round-tripping through
-    :func:`repro.sweep.deckfile.parse_deck` to the identical deck."""
-    g = deck.grid
-    lines = [
-        f"nx = {g.nx}", f"ny = {g.ny}", f"nz = {g.nz}",
-        f"dx = {g.dx!r}", f"dy = {g.dy!r}", f"dz = {g.dz!r}",
-        f"sn = {deck.sn}", f"nm = {deck.nm}",
-        f"sigma_t = {deck.sigma_t!r}",
-        f"scattering_ratio = {deck.scattering_ratio!r}",
-        f"anisotropy = {deck.anisotropy!r}",
-        f"source = {deck.source!r}",
-        f"iterations = {deck.iterations}",
-        f"fixup = {'true' if deck.fixup else 'false'}",
-        f"mk = {deck.mk}", f"mmi = {deck.mmi}",
-    ]
-    if deck.epsilon is not None:
-        lines.append(f"epsilon = {deck.epsilon!r}")
-    if any(deck.reflect_low):
-        lines.append("reflect_low = " + " ".join(
-            "true" if r else "false" for r in deck.reflect_low
-        ))
-    if deck.source_box is not None:
-        lines.append("source_box = " + " ".join(map(str, deck.source_box)))
-    if deck.material_box is not None:
-        lines.append("material_box = " + " ".join(map(str, deck.material_box)))
-        lines.append(f"material_sigma_t = {deck.material_sigma_t!r}")
-        lines.append(
-            f"material_scattering_ratio = {deck.material_scattering_ratio!r}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def _cube_deck_from_request(doc: dict) -> InputDeck:
-    n = int(doc["cube"])
-    kwargs: dict = {}
-    for key in ("sn", "nm", "iterations", "mk", "mmi"):
-        if key in doc:
-            kwargs[key] = int(doc[key])
-    if "fixup" in doc:
-        kwargs["fixup"] = bool(doc["fixup"])
-    if "sigma_t" in doc:
-        kwargs["sigma_t"] = float(doc["sigma_t"])
-    if "scattering_ratio" in doc:
-        kwargs["scattering_ratio"] = float(doc["scattering_ratio"])
-    if "mk" not in kwargs:
-        divisors = [m for m in range(1, n + 1) if n % m == 0]
-        kwargs["mk"] = max(divisors, key=lambda m: (min(m, 10), -abs(m - 10)))
-    if "mmi" not in kwargs:
-        sn = kwargs.get("sn", 6)
-        per_octant = sn * (sn + 2) // 8
-        kwargs["mmi"] = 3 if per_octant % 3 == 0 else 1
-    return InputDeck(grid=Grid.cube(n), **kwargs)
+    fields = {key: int(doc[key]) for key in
+              ("sn", "nm", "iterations", "mk", "mmi") if key in doc}
+    fields.update((key, float(doc[key])) for key in
+                  ("sigma_t", "scattering_ratio") if key in doc)
+    return cube_deck(
+        int(doc["cube"]), fixup=bool(doc.get("fixup", True)), **fields
+    )
 
 
 def deck_from_request(doc: dict) -> InputDeck:

@@ -122,31 +122,21 @@ def accelerated_solve(deck: InputDeck, epsilon: float = 1e-6,
                       max_iterations: int | None = None):
     """Source iteration with DSA, to tolerance.
 
-    Returns ``(flux_moments, iterations, history)``.  Compare with the
-    unaccelerated :class:`~repro.sweep.serial.SerialSweep3D` at the same
-    epsilon to see the spectral-radius collapse (tested).
+    Returns ``(flux_moments, iterations, history)``; raises
+    :class:`~repro.errors.ConvergenceError` when ``max_iterations``
+    (default ``deck.iterations``) sweeps do not reach ``epsilon``.
+    Compare with the unaccelerated
+    :class:`~repro.sweep.serial.SerialSweep3D` at the same epsilon to
+    see the spectral-radius collapse (tested).
     """
-    from .flux import relative_change
+    from .flux import source_iteration
     from .serial import SerialSweep3D
 
     solver = SerialSweep3D(deck)
-    dsa = DSAAccelerator(deck)
-    flux = np.zeros((deck.nm, *deck.grid.shape))
-    history: list[float] = []
-    limit = max_iterations or deck.iterations
-    for iteration in range(1, limit + 1):
-        msrc = solver.moment_source_from(flux)
-        new_flux, _ = solver.sweep_once(msrc)
-        corrected0 = dsa.correct(flux[0], new_flux[0])
-        change = relative_change(corrected0, flux[0])
-        history.append(change)
-        flux = new_flux
-        flux[0] = corrected0
-        if change < epsilon:
-            return flux, iteration, history
-    from ..errors import ConvergenceError
-
-    raise ConvergenceError(
-        f"DSA-accelerated iteration did not reach {epsilon} in {limit} "
-        f"sweeps (last change {history[-1]:.3e})"
+    run = deck.with_(
+        epsilon=epsilon, iterations=max_iterations or deck.iterations
     )
+    result = source_iteration(
+        run, solver.sweep_once, correct=DSAAccelerator(deck).correct
+    )
+    return result.flux, result.iterations, result.history

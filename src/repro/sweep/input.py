@@ -278,18 +278,30 @@ def benchmark_deck(fixup: bool = True) -> InputDeck:
     return InputDeck(grid=Grid.cube(50), fixup=fixup)
 
 
-def cube_deck(n: int, fixup: bool = True, mk: int | None = None) -> InputDeck:
-    """A cubic deck of edge ``n`` for the Figure 9 grind-time sweep.
+def cube_deck(
+    n: int,
+    fixup: bool = True,
+    mk: int | None = None,
+    mmi: int | None = None,
+    **fields,
+) -> InputDeck:
+    """A cubic deck of edge ``n``: the Figure 9 grind-time sweep's, and
+    the ``--cube`` shorthand of ``repro`` and ``repro serve``.
 
     ``mk`` must factor the cube edge; among the divisors we keep the
     pipeline deep by maximizing ``min(mk, 10)`` (a too-small mk makes
     jkm diagonals so short that most SPEs idle), breaking ties toward
-    the benchmark's mk = 10.
+    the benchmark's mk = 10.  ``mmi`` is 3 when it factors the angles
+    per octant, else 1.  Other ``fields`` pass through to
+    :class:`InputDeck`.
     """
     if mk is None:
         divisors = [m for m in range(1, n + 1) if n % m == 0]
         mk = max(divisors, key=lambda m: (min(m, 10), -abs(m - 10)))
-    return InputDeck(grid=Grid.cube(n), fixup=fixup, mk=mk)
+    if mmi is None:
+        sn = fields.get("sn", InputDeck.sn)
+        mmi = 3 if (sn * (sn + 2) // 8) % 3 == 0 else 1
+    return InputDeck(grid=Grid.cube(n), fixup=fixup, mk=mk, mmi=mmi, **fields)
 
 
 def small_deck(

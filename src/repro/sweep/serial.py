@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigurationError, ConvergenceError
-from .flux import SolveResult, SweepTally, relative_change
+from ..errors import ConfigurationError
+from .flux import SolveResult, SweepTally, source_iteration
 from .geometry import hyperplanes, oriented_view
 from .input import InputDeck
 from .kernel import dd_solve
@@ -246,12 +246,6 @@ class SerialSweep3D:
 
     # -- source iteration ---------------------------------------------------------
 
-    def moment_source_from(self, flux: np.ndarray) -> np.ndarray:
-        """Scattering + external source moments for the next sweep."""
-        from .moments import build_moment_source
-
-        return build_moment_source(self.deck, flux)
-
     def solve(self) -> SolveResult:
         """Run source iteration per the deck's iteration control.
 
@@ -260,33 +254,4 @@ class SerialSweep3D:
         input.  With an epsilon, iteration stops at convergence and raises
         :class:`ConvergenceError` if the budget is exhausted first.
         """
-        deck = self.deck
-        flux = np.zeros((deck.nm, *deck.grid.shape))
-        history: list[float] = []
-        total = SweepTally()
-        converged = deck.epsilon is None
-        iterations = 0
-        for _ in range(deck.iterations):
-            msrc = self.moment_source_from(flux)
-            new_flux, tally = self.sweep_once(msrc)
-            total.fixups += tally.fixups
-            total.leakage = tally.leakage  # last sweep's boundary loss
-            change = relative_change(new_flux[0], flux[0])
-            history.append(change)
-            flux = new_flux
-            iterations += 1
-            if deck.epsilon is not None and change < deck.epsilon:
-                converged = True
-                break
-        if deck.epsilon is not None and not converged:
-            raise ConvergenceError(
-                f"no convergence to {deck.epsilon} within "
-                f"{deck.iterations} iterations (last change {history[-1]:.3e})"
-            )
-        return SolveResult(
-            flux=flux,
-            iterations=iterations,
-            history=history,
-            tally=total,
-            converged=converged,
-        )
+        return source_iteration(self.deck, self.sweep_once)

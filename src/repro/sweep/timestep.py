@@ -33,8 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import InputDeckError
-from .flux import SolveResult, SweepTally, relative_change
+from .flux import SolveResult, SweepTally, source_iteration
 from .input import InputDeck
+from .moments import build_moment_source
 from .serial import SerialSweep3D
 
 
@@ -76,7 +77,8 @@ class TimeDependentSweep3D:
     ----------
     deck:
         The spatial/angular problem (its ``iterations``/``epsilon``
-        control the *inner* source iteration per time step).
+        control the *inner* source iteration per time step, exactly as
+        a steady solve: an unmet epsilon raises).
     velocity:
         Particle speed ``v`` in the ``1/(v dt)`` time-absorption term.
     dt:
@@ -122,28 +124,19 @@ class TimeDependentSweep3D:
         step's *angular* flux feeding the time source -- the exact
         backward-Euler fixed point (a converged step with
         ``psi == psi_prev`` reproduces the steady equation exactly)."""
-        from .moments import build_moment_source
-
         solver = self._solver
-        deck = self.step_deck
         time_source = self.time_absorption * psi_prev
-        flux = flux_prev.copy()  # warm start
         psi = psi_prev
-        tally = SweepTally()
-        iterations = 0
-        for _ in range(deck.iterations):
-            msrc = build_moment_source(deck, flux)
-            new_flux, sweep_tally, psi = solver.sweep_angular(
+
+        def sweep(msrc: np.ndarray) -> tuple[np.ndarray, SweepTally]:
+            nonlocal psi
+            flux, tally, psi = solver.sweep_angular(
                 msrc, angular_source=time_source
             )
-            tally.fixups += sweep_tally.fixups
-            tally.leakage = sweep_tally.leakage
-            change = relative_change(new_flux[0], flux[0])
-            flux = new_flux
-            iterations += 1
-            if deck.epsilon is not None and change < deck.epsilon:
-                break
-        return flux, psi, tally, iterations
+            return flux, tally
+
+        result = source_iteration(self.step_deck, sweep, flux=flux_prev)
+        return result.flux, psi, result.tally, result.iterations
 
     def run(self, num_steps: int, flux0: np.ndarray | None = None) -> TransientResult:
         """Advance ``num_steps`` from ``flux0`` (default: cold start).
@@ -161,7 +154,7 @@ class TimeDependentSweep3D:
         else:
             flux = flux0.copy()
             steady = SerialSweep3D(self.deck)
-            _, _, psi = steady.sweep_angular(steady.moment_source_from(flux))
+            _, _, psi = steady.sweep_angular(build_moment_source(deck, flux))
         out = TransientResult()
         t = 0.0
         for _ in range(num_steps):

@@ -8,7 +8,9 @@ the two transports must agree exactly on every folded tally --
 payloads travel as raw float64 bytes, each rank computes serially, and
 the driver refolds in serial rank order, so there is no tolerance
 anywhere in the chain.  (``CellClusterSweep3D`` and ``KBASweep3D`` are
-the local path itself, so they are not referees here.)
+the local path itself, so they are not referees here.)  The epsilon
+referee deck rides the matrix as one more input: the barrier's verdict
+must stop it at the serial iteration count, with the serial history.
 """
 
 from __future__ import annotations
@@ -18,13 +20,17 @@ import pytest
 
 from repro.cluster.driver import default_cluster_config, run_cluster_solve
 from repro.core.projections import cluster_projection
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ConvergenceError
 from repro.sweep import SerialSweep3D
 from repro.sweep.flux import flux_digest
 from repro.sweep.input import small_deck
 
 GRIDS = ((1, 2), (2, 2), (2, 4))
 TRANSPORTS = ("local", "socket")
+#: (grid, deck) inputs of the matrix: the fixed-iteration deck on every
+#: grid, and the epsilon referee deck on one
+CASES = {f"{p}x{q}": ((p, q), "fixed") for p, q in GRIDS}
+CASES["2x1-epsilon"] = ((2, 1), "epsilon")
 
 
 def make_deck():
@@ -32,39 +38,60 @@ def make_deck():
 
 
 @pytest.fixture(scope="module")
-def serial_sha():
-    return flux_digest(SerialSweep3D(make_deck()).solve().flux)
+def decks(epsilon_deck):
+    return {"fixed": make_deck(), "epsilon": epsilon_deck}
 
 
-@pytest.fixture(scope="module", params=GRIDS, ids=lambda g: f"{g[0]}x{g[1]}")
-def grid_reference(request):
-    """The local leg of each grid, solved once; the socket leg must
+@pytest.fixture(scope="module")
+def serial(decks):
+    return {name: SerialSweep3D(deck).solve() for name, deck in decks.items()}
+
+
+@pytest.fixture(scope="module", params=list(CASES))
+def grid_reference(request, decks):
+    """The local leg of each case, solved once; the socket leg must
     match its folded tallies exactly."""
-    p, q = request.param
-    return (p, q), run_cluster_solve(
-        make_deck(), p, q, transport="local", engine="cell"
+    (p, q), name = CASES[request.param]
+    return (p, q), name, run_cluster_solve(
+        decks[name], p, q, transport="local", engine="cell"
     )
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
 def test_driver_matches_in_process_cluster(
-    serial_sha, grid_reference, transport
+    decks, serial, grid_reference, transport
 ):
-    (p, q), local = grid_reference
+    (p, q), name, local = grid_reference
+    deck, reference = decks[name], serial[name]
     report = local if transport == "local" else run_cluster_solve(
-        make_deck(), p, q, transport=transport, engine="cell", spawn="fork"
+        deck, p, q, transport=transport, engine="cell", spawn="fork"
     )
-    assert report.flux_digest == serial_sha
+    assert report.flux_digest == flux_digest(reference.flux)
     ref = local.result
     np.testing.assert_array_equal(ref.flux, report.result.flux)
     assert ref.tally.leakage == report.result.tally.leakage
     assert ref.tally.fixups == report.result.tally.fixups
-    assert ref.history == report.result.history
-    assert report.result.iterations == make_deck().iterations
+    assert ref.history == report.result.history == reference.history
+    assert report.result.iterations == reference.iterations
+    assert report.result.converged and not report.drained
     # and the wire carried exactly what the analytic model predicts
-    projection = cluster_projection(make_deck(), default_cluster_config(), p, q)
+    projection = cluster_projection(
+        deck.with_(iterations=reference.iterations),
+        default_cluster_config(), p, q,
+    )
     assert report.msgs_sent == projection.msgs_per_solve
     assert report.bytes_sent == projection.bytes_per_solve
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+def test_unmet_epsilon_raises(epsilon_deck, transport):
+    """Budget exhausted before epsilon: the barrier raises as serial
+    does, never a silent ``converged=True``."""
+    with pytest.raises(ConvergenceError, match="within 3 iterations"):
+        run_cluster_solve(
+            epsilon_deck.with_(iterations=3), 2, 1,
+            transport=transport, engine="cell", spawn="fork",
+        )
 
 
 def test_local_transport_matches_kba_tile():

@@ -81,6 +81,22 @@ class TestReferee:
         assert result["flux"]["total"] == float(direct.scalar_flux.sum())
         assert result["fixups"] == direct.tally.fixups
 
+    def test_epsilon_deck_job_stops_at_convergence(self, epsilon_deck):
+        """A served epsilon deck stops where every engine does."""
+        from repro.sweep import SerialSweep3D
+        from repro.sweep.deckfile import format_deck
+
+        def scenario(client, app):
+            job = client.submit(deck=format_deck(epsilon_deck))
+            return client.wait(job["id"])
+
+        doc = run_server(scenario)
+        assert doc["state"] == "done", doc.get("error")
+        assert parse_deck(doc["deck"]) == epsilon_deck
+        reference = SerialSweep3D(epsilon_deck).solve()
+        assert doc["result"]["iterations"] == reference.iterations == 9
+        assert doc["result"]["flux"]["sha256"] == flux_digest(reference.flux)
+
     def test_flux_digest_is_the_exact_bytes(self):
         arr = np.arange(8.0).reshape(2, 4)
         assert flux_digest(arr) == hashlib.sha256(arr.tobytes()).hexdigest()

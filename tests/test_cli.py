@@ -12,6 +12,30 @@ def run(capsys, *argv: str) -> str:
     return capsys.readouterr().out
 
 
+class TestCubeShorthand:
+    """``--cube`` and a served ``{"cube": n}`` build one deck rule
+    (:func:`repro.sweep.input.cube_deck`); ``(mk, mmi)`` as recorded
+    before the rule was shared."""
+
+    @pytest.mark.parametrize("n, sn, mk, mmi", [
+        (16, 6, 16, 3), (16, 4, 16, 3), (50, 6, 10, 3), (50, 8, 10, 1),
+        (7, 4, 7, 3), (13, 2, 13, 1), (12, 6, 12, 3),
+    ])
+    def test_mk_and_mmi_pinned(self, n, sn, mk, mmi):
+        from repro.cli import _build_deck
+        from repro.serve.decks import deck_from_request
+
+        args = build_parser().parse_args(
+            ["solve", "--cube", str(n), "--sn", str(sn)]
+        )
+        cli = _build_deck(args)
+        served = deck_from_request({"cube": n, "sn": sn})
+        assert (cli.mk, cli.mmi) == (served.mk, served.mmi) == (mk, mmi)
+        # each caller keeps its own defaults
+        assert not cli.fixup and served.fixup
+        assert (served.nm, served.iterations) == (4, 12)
+
+
 class TestSolve:
     def test_serial_engine(self, capsys):
         out = run(capsys, "solve", "--cube", "6", "--sn", "4", "--nm", "2",
