@@ -4,8 +4,9 @@ Optimizing Sweep3D on the Cell Broadband Engine" (IPDPS 2007).
 Subpackages
 -----------
 ``repro.cell``
-    Cell Broadband Engine simulator (SPU ISA + pipeline, local stores,
-    MFC/DMA, EIB, memory banks, mailboxes/signals/atomics).
+    Cell Broadband Engine simulator: the parts a Sweep3D solve drives
+    (SPU ISA + pipeline, local stores, MFC/DMA, memory banks,
+    mailboxes, local-store pokes and atomics).
 ``repro.sweep``
     Discrete-ordinates Sweep3D numerics: quadrature, diamond-difference
     kernel with flux fixups, MK/MMI pipelining, serial reference solver.

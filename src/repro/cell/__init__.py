@@ -1,26 +1,24 @@
 """Cell Broadband Engine simulator substrate.
 
-Functional + timing models of the hardware the paper tunes for: the SPU
-dual-issue pipeline and SIMD ISA, 256 KB local stores, MFC DMA queues and
-DMA lists, the EIB, the 16-bank memory controller, mailboxes, signals and
-the atomic unit.  See DESIGN.md Sec. 2.1 for the module map.
+Functional + timing models of the parts of the chip a Sweep3D solve
+drives: the SPU dual-issue pipeline and SIMD ISA, 256 KB local stores,
+MFC DMA queues and DMA lists, the 16-bank memory controller, mailboxes
+and PPE local-store pokes, and the atomic unit.  See DESIGN.md Sec. 2.1
+for the module map.
 """
 
 from . import constants
 from .atomic import AtomicDomain
 from .chip import CellBE, ChipTraffic
-from .clock import CycleBudget, CycleClock
 from .dma import (
     AddressSpace,
     DMACommand,
     DMAKind,
     DMAListCommand,
     HostArray,
-    LSToLSCommand,
     bank_of,
     is_peak_rate,
 )
-from .eib import EIBModel
 from .isa import Instruction, InstructionStream, OpClass, Pipe, SPUContext, Vec
 from .local_store import LocalStore, LSBuffer
 from .mailbox import Mailbox, MailboxPair
@@ -37,8 +35,7 @@ from .pipeline import PipelineReport, simulate, simulate_cached
 from .ppe import PPE
 from .registers import PressureReport, analyze_pressure, kernel_code_bytes, kernel_pressure
 from .schedule_view import format_schedule, occupancy_histogram
-from .signals import SignalRegister, SignalUnit
-from .spe import SPE, SPU
+from .spe import SPE
 
 __all__ = [
     "AddressSpace",
@@ -47,17 +44,13 @@ __all__ = [
     "ChipTraffic",
     "CompiledProgram",
     "ExecutionPlan",
-    "CycleBudget",
-    "CycleClock",
     "DMACommand",
     "DMAKind",
     "DMAListCommand",
-    "EIBModel",
     "HostArray",
     "Instruction",
     "InstructionStream",
     "LSBuffer",
-    "LSToLSCommand",
     "LocalStore",
     "MFC",
     "Mailbox",
@@ -73,10 +66,7 @@ __all__ = [
     "kernel_code_bytes",
     "kernel_pressure",
     "occupancy_histogram",
-    "SignalRegister",
-    "SignalUnit",
     "SPE",
-    "SPU",
     "SPUContext",
     "TraceContext",
     "TransferCost",

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import AtomicError
-from . import constants
 
 #: Cycles for one atomic load-and-reserve or store-conditional round trip
 #: through the atomic unit (cache-line granularity over the EIB).
@@ -38,8 +37,6 @@ class AtomicDomain:
     values: dict[str, int] = field(default_factory=dict)
     #: name -> set of unit ids holding a reservation
     _reservations: dict[str, set[str]] = field(default_factory=dict)
-    #: total atomic-unit cycles charged (for the perf model)
-    cycles: float = 0.0
 
     def define(self, name: str, initial: int = 0) -> None:
         """Create a shared variable."""
@@ -53,7 +50,6 @@ class AtomicDomain:
         if name not in self.values:
             raise AtomicError(f"unknown atomic variable {name!r}")
         self._reservations[name].add(unit)
-        self.cycles += ATOMIC_OP_CYCLES
         return self.values[name]
 
     def store_conditional(self, unit: str, name: str, value: int) -> bool:
@@ -64,7 +60,6 @@ class AtomicDomain:
         """
         if name not in self.values:
             raise AtomicError(f"unknown atomic variable {name!r}")
-        self.cycles += ATOMIC_OP_CYCLES
         holders = self._reservations[name]
         if unit not in holders:
             return False
@@ -83,8 +78,9 @@ class AtomicDomain:
         """Retry loop of load-reserve/store-conditional.
 
         Returns ``(previous_value, attempts)``.  Contention shows up as
-        extra attempts, each charged :data:`ATOMIC_OP_CYCLES` twice -- the
-        quantity the distributed-scheduler model uses.
+        extra attempts, each costing :data:`ATOMIC_OP_CYCLES` twice -- the
+        cycles the distributed scheduler records per claim as
+        ``spe*.sync_wait_ticks``.
         """
         attempts = 0
         while True:

@@ -1,9 +1,10 @@
 """Whole-chip composition: one Cell Broadband Engine.
 
 A :class:`CellBE` owns the PPE, the eight SPEs, the shared main-memory
-address space, the bus/memory timing models, the atomic domain and a
-chip-level clock.  Application layers (:mod:`repro.core`) drive Sweep3D
-through this object; the performance model reads its counters back.
+address space, the memory timing model and the atomic domain.
+Application layers (:mod:`repro.core`) drive Sweep3D through this
+object; its simulated costs reach the metrics registry and trace bus it
+installs chip-wide, and :meth:`CellBE.traffic` sums the MFC statistics.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ from ..errors import ConfigurationError
 from ..metrics.registry import NULL_REGISTRY
 from ..trace.bus import NULL_BUS
 from .atomic import AtomicDomain
-from .clock import CycleClock
 from .dma import AddressSpace
-from .eib import EIBModel
 from .mic import MemoryTimingModel
 from .ppe import PPE
 from .spe import SPE
@@ -60,9 +59,7 @@ class CellBE:
             for i in range(num_spes)
         ]
         self.address_space = AddressSpace()
-        self.eib = EIBModel()
         self.atomics = AtomicDomain()
-        self.clock = CycleClock()
         #: chip-wide trace bus; the null bus until ``install_trace``
         self.trace = NULL_BUS
         #: chip-wide metrics registry; the null registry until
@@ -83,22 +80,18 @@ class CellBE:
         """Point every instrumented unit of the chip at ``bus``.
 
         One bus observes the whole machine: the per-SPE MFCs, the shared
-        memory-controller and EIB models, mailbox pairs and signal
-        registers, plus anything that reads ``chip.trace`` dynamically
-        (sync protocols, schedulers, the solver).  Also stamps the
-        machine metadata the DMA-hazard sanitizer's capacity checks
-        need.  Install :data:`repro.trace.NULL_BUS` to switch tracing
-        back off.
+        memory-controller model and the mailbox pairs, plus anything that
+        reads ``chip.trace`` dynamically (sync protocols, schedulers, the
+        solver).  Also stamps the machine metadata the DMA-hazard
+        sanitizer's capacity checks need.  Install
+        :data:`repro.trace.NULL_BUS` to switch tracing back off.
         """
         self.trace = bus
         self.memory_timing.trace = bus
-        self.eib.trace = bus
         for spe in self.spes:
             spe.trace = bus
             spe.mfc.trace = bus
             spe.mailboxes.trace = bus
-            spe.signals.sig1.trace = bus
-            spe.signals.sig2.trace = bus
         if bus.enabled:
             bus.machine_info = {
                 "num_spes": self.num_spes,
@@ -168,17 +161,3 @@ class CellBE:
             commands=sum(s.mfc.stats.commands for s in self.spes),
             list_elements=sum(s.mfc.stats.list_elements for s in self.spes),
         )
-
-    def total_spu_flops(self) -> int:
-        """Floating-point operations retired across all SPUs."""
-        return sum(s.spu.stats.flops for s in self.spes)
-
-    def reset_counters(self) -> None:
-        """Zero every statistic (between benchmark configurations)."""
-        for spe in self.spes:
-            spe.mfc.stats.__init__()
-            spe.spu.stats.__init__()
-            spe.sync_budget.buckets.clear()
-        self.ppe.sync_budget.buckets.clear()
-        self.atomics.cycles = 0.0
-        self.clock.reset()

@@ -54,7 +54,8 @@ SP_PEAK_FLOPS: float = NUM_SPES * SP_FLOPS_PER_FMA * CLOCK_HZ
 #: Main-memory (MIC) peak bandwidth, bytes/s ("25.6 Gigabytes/second").
 MIC_BANDWIDTH: float = gb_per_s(25.6)
 
-#: Element Interconnect Bus aggregate peak bandwidth, bytes/s.
+#: Element Interconnect Bus aggregate peak bandwidth, bytes/s.  Quoted
+#: only: the MIC saturates first (Sec. 6), so no model reads it.
 EIB_BANDWIDTH: float = gb_per_s(204.8)
 
 #: Number of interleaved main-memory banks (Sec. 5: "the 16 main memory
@@ -91,5 +92,6 @@ MAILBOX_OUTBOUND_DEPTH: int = 1
 
 #: Sustained SPE-to-SPE local-store transfer rate: 16 bytes read plus
 #: 16 bytes written every SPU cycle per SPE port (Sec. 2 states 16+16 bytes
-#: per cycle across the EIB).
+#: per cycle across the EIB).  Quoted only: the port moves no data
+#: between local stores, so no model reads it.
 LS_PORT_BYTES_PER_CYCLE: int = 16

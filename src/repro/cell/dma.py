@@ -320,17 +320,6 @@ class DMAListCommand:
             (self.ls_buffer.offset + self.ls_offset, self.total_bytes),
         )
 
-    @property
-    def peak_rate(self) -> bool:
-        cursor = self.ls_offset
-        ok = True
-        for off, size in self.elements_spec:
-            ok = ok and is_peak_rate(
-                self.host.ea_of(off), self.ls_buffer.offset + cursor, size
-            )
-            cursor += size
-        return ok
-
     def elements(self) -> list[DMAElement]:
         return [DMAElement(self.host.ea_of(off), size) for off, size in self.elements_spec]
 
@@ -346,68 +335,4 @@ class DMAListCommand:
             cursor += size
 
 
-@dataclass
-class LSToLSCommand:
-    """An SPE-to-SPE local-store transfer.
-
-    "DMA operations can transfer data between the local store and any
-    resources connected via the on-chip interconnect (i.e. main memory,
-    the LS of another SPE, or an I/O device)" (Sec. 2).  LS-to-LS moves
-    ride the EIB only -- they never touch the 25.6 GB/s memory interface,
-    which is why the architecture can sustain them at per-port rates.
-    """
-
-    kind: DMAKind              # GET: remote -> local; PUT: local -> remote
-    remote: LSBuffer           # the other SPE's buffer
-    remote_offset: int
-    ls_buffer: LSBuffer        # the issuing SPE's buffer
-    ls_offset: int
-    size: int
-    tag: int = 0
-
-    def __post_init__(self) -> None:
-        validate_transfer_size(self.size)
-        if not 0 <= self.tag < 32:
-            raise DMAError(f"MFC tag must be in [0, 32), got {self.tag}")
-        for name, buf, off in (
-            ("remote", self.remote, self.remote_offset),
-            ("local", self.ls_buffer, self.ls_offset),
-        ):
-            if off + self.size > buf.nbytes:
-                raise DMAError(
-                    f"LS-to-LS transfer of {self.size} B at {name} offset "
-                    f"{off} overruns buffer {buf.label!r} ({buf.nbytes} B)"
-                )
-        validate_alignment(
-            self.remote.offset + self.remote_offset,
-            self.ls_buffer.offset + self.ls_offset,
-            self.size,
-        )
-
-    @property
-    def total_bytes(self) -> int:
-        return self.size
-
-    def ls_regions(self) -> tuple[tuple[int, int], ...]:
-        """The issuing SPE's local footprint (the remote store belongs
-        to another track; its MFC sees nothing of this command)."""
-        return ((self.ls_buffer.offset + self.ls_offset, self.size),)
-
-    def elements(self) -> list[DMAElement]:
-        """LS-to-LS transfers touch no main-memory banks."""
-        return []
-
-    def execute(self) -> None:
-        rview = self.remote.as_bytes()[
-            self.remote_offset : self.remote_offset + self.size
-        ]
-        lview = self.ls_buffer.as_bytes()[
-            self.ls_offset : self.ls_offset + self.size
-        ]
-        if self.kind is DMAKind.GET:
-            lview[:] = rview
-        else:
-            rview[:] = lview
-
-
-AnyDMACommand = DMACommand | DMAListCommand | LSToLSCommand
+AnyDMACommand = DMACommand | DMAListCommand

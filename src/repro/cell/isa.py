@@ -147,10 +147,6 @@ class InstructionStream:
         self.instructions.append(instr)
         return instr
 
-    def extend(self, other: "InstructionStream") -> None:
-        """Append all instructions from ``other``."""
-        self.instructions.extend(other.instructions)
-
     @property
     def flops(self) -> int:
         """Total floating-point operations in the stream."""
@@ -449,7 +445,3 @@ class SPUContext:
     def branch(self, label: str = "loop") -> None:
         """Record a (correctly hinted) loop branch."""
         self.stream.emit(f"br:{label}", OpClass.BRANCH, None)
-
-    def nop(self) -> None:
-        """Record an explicit scheduling nop."""
-        self.stream.emit("nop", OpClass.NOP, None)

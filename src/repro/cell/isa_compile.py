@@ -501,10 +501,6 @@ class CompiledProgram:
         self._bool_views: list[np.ndarray] = []
         self._n = -1
 
-    @property
-    def instructions(self) -> int:
-        return len(self.stream)
-
     def _arity_error(self, got: int) -> PipelineError:
         expected = len(self.inputs)
         if got < expected:

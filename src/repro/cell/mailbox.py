@@ -9,8 +9,8 @@ PPE-side mailbox access goes through slow MMIO.
 
 The model enforces the blocking semantics (a read from an empty mailbox
 and a write to a full mailbox *stall* on hardware; here they raise unless
-the caller uses the ``try_`` variants) and charges the documented costs to
-a :class:`~repro.cell.clock.CycleBudget`.
+the caller uses the ``try_`` variants).  Each access returns its documented
+cycle cost and reports it to the metrics registry and trace bus.
 """
 
 from __future__ import annotations
@@ -75,10 +75,6 @@ class Mailbox:
                 f"a hardware reader would stall here"
             )
         return value
-
-    @property
-    def count(self) -> int:
-        return len(self.entries)
 
 
 class MailboxPair:

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 from ..metrics.registry import NULL_REGISTRY
 from ..trace.bus import MIC_TRACK, NULL_BUS
 from . import constants
-from .dma import AnyDMACommand, DMACommand, DMAElement, DMAListCommand, LSToLSCommand
+from .dma import AnyDMACommand, DMACommand, DMAElement, DMAListCommand
 
 #: Cycles for the SPU to enqueue one MFC command (channel writes for EA,
 #: LSA, size, tag, opcode) plus controller decode.  Order of 100 cycles on
@@ -178,26 +178,18 @@ class MemoryTimingModel:
         payload = 0
         elements: list[DMAElement] = []
         overhead = 0.0
-        ls_to_ls_bytes = 0
         for cmd in commands:
             payload += cmd.total_bytes
             elements.extend(cmd.elements())
             if isinstance(cmd, DMAListCommand):
                 overhead += COMMAND_OVERHEAD_CYCLES
                 overhead += LIST_ELEMENT_OVERHEAD_CYCLES * len(cmd.elements_spec)
-            elif isinstance(cmd, LSToLSCommand):
-                # rides the EIB at the per-port rate; no memory banks.
-                overhead += COMMAND_OVERHEAD_CYCLES
-                ls_to_ls_bytes += cmd.total_bytes
             elif isinstance(cmd, DMACommand):
                 overhead += COMMAND_OVERHEAD_CYCLES
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unknown DMA command type {type(cmd)!r}")
         touched = blocks_touched(elements) * constants.MEMORY_BANK_STRIDE
-        bw_cycles = (
-            touched / BYTES_PER_CYCLE
-            + ls_to_ls_bytes / constants.LS_PORT_BYTES_PER_CYCLE
-        )
+        bw_cycles = touched / BYTES_PER_CYCLE
         if self.overlap_commands and len(commands) > 1:
             # All overheads but the first hide behind earlier transfers,
             # to the extent the data movement is long enough to cover them.

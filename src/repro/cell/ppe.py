@@ -15,10 +15,7 @@ costs: MMIO accesses to SPE resources and direct local-store pokes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..errors import CellError
-from .clock import CycleBudget
 from .spe import SPE
 
 #: PPE MMIO store into an SPE's local store ("direct local store memory
@@ -26,15 +23,9 @@ from .spe import SPE
 #: A posted store is far cheaper than a mailbox MMIO *read*.
 PPE_LS_POKE_CYCLES: int = 120
 
-#: PPE MMIO load from an SPE's local store (polling a completion word).
-PPE_LS_PEEK_CYCLES: int = 320
 
-
-@dataclass
 class PPE:
-    """The control processor, with its synchronization cost ledger."""
-
-    sync_budget: CycleBudget = field(default_factory=CycleBudget)
+    """The control processor's local-store access path."""
 
     def poke_ls(self, spe: SPE, offset: int, values: bytes) -> int:
         """Write ``values`` directly into an SPE local store over MMIO.
@@ -52,16 +43,4 @@ class PPE:
         import numpy as np
 
         memory[offset : offset + len(values)] = np.frombuffer(values, dtype=np.uint8)
-        self.sync_budget.charge("ls_poke", PPE_LS_POKE_CYCLES)
         return PPE_LS_POKE_CYCLES
-
-    def peek_ls(self, spe: SPE, offset: int, size: int) -> tuple[bytes, int]:
-        """Read ``size`` bytes from an SPE local store over MMIO."""
-        memory = spe.local_store._memory
-        if offset < 0 or offset + size > memory.size:
-            raise CellError(
-                f"LS peek of {size} B at {offset:#x} outside the "
-                f"{memory.size}-byte local store of SPE {spe.spe_id}"
-            )
-        self.sync_budget.charge("ls_peek", PPE_LS_PEEK_CYCLES)
-        return bytes(memory[offset : offset + size].tobytes()), PPE_LS_PEEK_CYCLES

@@ -1,70 +1,25 @@
-"""SPU / SPE composition: one synergistic processing element.
+"""SPE composition: one synergistic processing element.
 
 An SPE = SPU core + 256 KB local store + MFC (Sec. 2).  This module wires
-the per-SPE pieces together and keeps per-SPE counters the performance
-model reads back (kernel cycles from pipeline reports, DMA traffic from
-the MFC, synchronization cycles from mailboxes/signals).
+the per-SPE pieces together: the local-store allocator, the MFC with its
+always-on DMA statistics, and the mailbox pair.  Kernel cycles come from
+the pipeline model (:mod:`repro.cell.pipeline`) and simulated costs are
+recorded in the chip's metrics registry and trace bus.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..metrics.registry import NULL_REGISTRY
 from ..trace.bus import NULL_BUS
-from .clock import CycleBudget
-from .isa import SPUContext
 from .local_store import LocalStore
 from .mfc import MFC
 from .mailbox import MailboxPair
 from .mic import MemoryTimingModel
-from .pipeline import PipelineReport, simulate
-from .signals import SignalUnit
 from . import constants
 
 
-@dataclass
-class SPUStats:
-    """Aggregated compute statistics for one SPU."""
-
-    kernel_invocations: int = 0
-    cycles: float = 0.0
-    flops: int = 0
-    dual_issues: int = 0
-
-    def absorb(self, report: PipelineReport, invocations: int = 1) -> None:
-        """Accumulate ``invocations`` executions of a simulated kernel."""
-        self.kernel_invocations += invocations
-        self.cycles += report.cycles * invocations
-        self.flops += report.flops * invocations
-        self.dual_issues += report.dual_issues * invocations
-
-
-class SPU:
-    """The compute core of an SPE.
-
-    ``run`` executes a kernel builder (a callable that populates an
-    :class:`SPUContext`) functionally and charges its pipeline-simulated
-    cycle cost to the SPU's statistics.
-    """
-
-    def __init__(self, spe_id: int) -> None:
-        self.spe_id = spe_id
-        self.stats = SPUStats()
-
-    def context(self, name: str, double: bool = True) -> SPUContext:
-        """A fresh recording context for one kernel body."""
-        return SPUContext(f"spe{self.spe_id}:{name}", double=double)
-
-    def retire(self, ctx: SPUContext, invocations: int = 1) -> PipelineReport:
-        """Pipeline-simulate a finished context and absorb its cost."""
-        report = simulate(ctx.stream)
-        self.stats.absorb(report, invocations)
-        return report
-
-
 class SPE:
-    """One synergistic processing element: SPU + LS + MFC + sync units."""
+    """One synergistic processing element: LS + MFC + mailboxes."""
 
     def __init__(
         self,
@@ -77,13 +32,9 @@ class SPE:
         24 KB is representative of the paper's compute kernel plus the
         runtime stub."""
         self.spe_id = spe_id
-        self.spu = SPU(spe_id)
         self.local_store = LocalStore(ls_capacity, reserved_code_bytes=code_bytes)
         self.mfc = MFC(spe_id, timing=timing)
         self.mailboxes = MailboxPair(spe_id)
-        self.signals = SignalUnit(spe_id)
-        #: synchronization cycle costs attributed to this SPE
-        self.sync_budget = CycleBudget()
         #: trace bus shared chip-wide (see ``CellBE.install_trace``)
         self.trace = NULL_BUS
         #: metrics registry shared chip-wide (see ``CellBE.install_metrics``)

@@ -44,10 +44,6 @@ class RowSpec:
     byte_offset: int
     nbytes: int
 
-    @property
-    def ea(self) -> int:
-        return self.host.ea_of(self.byte_offset)
-
 
 class HostState:
     """Main-memory image of the Sweep3D state on the simulated Cell."""

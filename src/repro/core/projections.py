@@ -88,10 +88,6 @@ class ClusterProjection:
     msgs_per_solve: int
     bytes_per_solve: int
 
-    @property
-    def ranks(self) -> int:
-        return self.P * self.Q
-
 
 def cluster_projection(
     deck: InputDeck, base: MachineConfig, P: int, Q: int

@@ -13,8 +13,9 @@ Both schedulers run *functionally* here: the centralized one pushes
 work ids through the configured sync protocol; the distributed one has
 the SPEs claim chunks with a real load-reserve/store-conditional
 fetch-and-add on the shared atomic domain.  Both produce identical work
-assignments in aggregate; they differ in who pays cycles, which the
-performance model reads back.
+assignments in aggregate; they differ in who pays cycles, which they
+record in the chip's metrics registry (``ppe.*`` against
+``spe*.sync_wait_ticks``).
 """
 
 from __future__ import annotations
@@ -127,9 +128,6 @@ class DistributedScheduler:
             )
             if old >= len(chunks):  # pragma: no cover - loop bound guards
                 raise SchedulerError("work counter overran the chunk list")
-            spe.sync_budget.charge(
-                "atomic_claim", 2 * ATOMIC_OP_CYCLES * attempts
-            )
             if self.chip.metrics.enabled:
                 m = self.chip.metrics
                 m.add_cycles(

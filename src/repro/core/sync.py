@@ -9,8 +9,8 @@ the PPE", the paper cut 1.48 s to 1.33 s.
 
 Both protocols are implemented *functionally* against the simulated
 hardware (real mailbox FIFOs; real bytes poked into the local store;
-real 8-byte DMA completion words) and charge their documented cycle
-costs, which the performance model picks up per scheduled chunk.
+real 8-byte DMA completion words) and report their documented cycle
+costs per scheduled chunk to the chip's metrics registry and trace bus.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import struct
 import numpy as np
 
 from ..cell.chip import CellBE
-from ..cell.mailbox import PPE_MAILBOX_MMIO_CYCLES, SPU_MAILBOX_ACCESS_CYCLES
+from ..cell.mailbox import PPE_MAILBOX_MMIO_CYCLES
 from ..cell.ppe import PPE_LS_POKE_CYCLES
 from ..cell.spe import SPE
 from ..errors import SchedulerError
@@ -50,11 +50,9 @@ class MailboxSync:
         critical-path cycles (the dispatch loop is serialized on the
         PPE, which is why this number matters eight-fold)."""
         ppe_cycles = spe.mailboxes.ppe_send(work_id)
-        value, spu_cycles = spe.mailboxes.spu_receive()
+        value, _ = spe.mailboxes.spu_receive()
         if value != work_id:  # pragma: no cover - protocol invariant
             raise SchedulerError(f"mailbox delivered {value}, expected {work_id}")
-        spe.sync_budget.charge("mailbox_recv", spu_cycles)
-        self.chip.ppe.sync_budget.charge("mailbox_send", ppe_cycles)
         if self.chip.trace.enabled:
             self.chip.trace.span(
                 PPE_TRACK, "SyncDispatch", ppe_cycles, spe=spe.spe_id,
@@ -64,12 +62,10 @@ class MailboxSync:
 
     def complete(self, spe: SPE, work_id: int) -> int:
         """SPE signals completion; PPE collects it.  Returns PPE cycles."""
-        spu_cycles = spe.mailboxes.spu_send(work_id)
-        spe.sync_budget.charge("mailbox_send", spu_cycles)
+        spe.mailboxes.spu_send(work_id)
         value, ppe_cycles = spe.mailboxes.ppe_receive()
         if value != work_id:  # pragma: no cover - protocol invariant
             raise SchedulerError(f"mailbox returned {value}, expected {work_id}")
-        self.chip.ppe.sync_budget.charge("mailbox_recv", ppe_cycles)
         if self.chip.trace.enabled:
             self.chip.trace.span(
                 PPE_TRACK, "SyncComplete", ppe_cycles, spe=spe.spe_id,
@@ -116,7 +112,6 @@ class LSPokeSync:
         got = struct.unpack("<Q", bytes(buf.as_bytes()[:8].tobytes()))[0]
         if got != work_id:  # pragma: no cover - protocol invariant
             raise SchedulerError(f"LS doorbell held {got}, expected {work_id}")
-        spe.sync_budget.charge("ls_poll", SPU_LS_POLL_CYCLES)
         if self.chip.metrics.enabled:
             m = self.chip.metrics
             m.add_cycles(
@@ -134,8 +129,6 @@ class LSPokeSync:
         # SPE writes its completion word home (modelled cost only; the
         # actual store keeps the protocol honest for tests).
         self._completion[spe.spe_id, 0] = work_id
-        spe.sync_budget.charge("completion_dma", SPE_COMPLETION_DMA_CYCLES)
-        self.chip.ppe.sync_budget.charge("completion_poll", PPE_CACHED_POLL_CYCLES)
         if self.chip.metrics.enabled:
             m = self.chip.metrics
             m.add_cycles(

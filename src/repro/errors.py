@@ -39,10 +39,6 @@ class MailboxError(CellError):
     """Mailbox protocol violation (read from empty, write to full mailbox)."""
 
 
-class SignalError(CellError):
-    """Signal-notification register misuse."""
-
-
 class AtomicError(CellError):
     """Atomic-unit protocol violation (update without reservation, ...)."""
 

@@ -13,19 +13,6 @@ from dataclasses import dataclass
 from ..errors import CommunicatorError
 
 
-def dims_create(size: int) -> tuple[int, int]:
-    """Choose a near-square (P, Q) factorisation of ``size``
-    (the MPI_Dims_create heuristic)."""
-    if size < 1:
-        raise CommunicatorError(f"size must be >= 1, got {size}")
-    best = (1, size)
-    for p in range(1, int(size**0.5) + 1):
-        if size % p == 0:
-            best = (p, size // p)
-    # prefer the more-square orientation with P <= Q
-    return best
-
-
 @dataclass(frozen=True)
 class Cart2D:
     """A P x Q Cartesian layout over ``P * Q`` ranks.

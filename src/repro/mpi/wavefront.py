@@ -30,7 +30,7 @@ from ..sweep.flux import SolveResult
 from ..sweep.geometry import Grid
 from ..sweep.input import InputDeck
 from ..sweep.quadrature import Quadrature, OCTANT_SIGNS
-from .topology import Cart2D, dims_create, split_extent
+from .topology import Cart2D, split_extent
 
 if TYPE_CHECKING:
     from ..cluster.transport import Endpoint
@@ -230,14 +230,7 @@ class KBASweep3D:
     refolded in serial rank order.
     """
 
-    def __init__(
-        self,
-        deck: InputDeck,
-        P: int | None = None,
-        Q: int | None = None,
-    ):
-        if P is None or Q is None:
-            P, Q = dims_create(P or Q or 4) if (P or Q) else dims_create(4)
+    def __init__(self, deck: InputDeck, P: int, Q: int):
         self.deck = deck
         self.cart = Cart2D(P, Q)
         if P > deck.grid.nx or Q > deck.grid.ny:

@@ -137,10 +137,6 @@ class FlightRecorder:
         path.write_text(json.dumps(payload, sort_keys=True, default=repr) + "\n")
         return path
 
-    def clear(self) -> None:
-        self.entries.clear()
-        self._buses = []
-
 
 class NullFlightRecorder:
     """The disabled recorder: one attribute read, no state, no cost."""
@@ -161,9 +157,6 @@ class NullFlightRecorder:
         return {"flight": 1, "reason": reason, "enabled": False, "entries": []}
 
     def dump_to_file(self, reason: str, path=None):
-        return None
-
-    def clear(self) -> None:
         return None
 
 

@@ -22,7 +22,6 @@ from .queueing import (
     DeckTooLargeError,
     DrainingError,
     FairQueue,
-    PayloadTooLargeError,
     QueueFullError,
     ServeLimits,
     size_class,
@@ -38,7 +37,6 @@ __all__ = [
     "FairQueue",
     "Job",
     "JobStore",
-    "PayloadTooLargeError",
     "QUEUED",
     "QueueFullError",
     "RUNNING",

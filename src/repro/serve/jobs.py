@@ -247,14 +247,6 @@ class JobStore:
             fresh = [e for e in job.events if e["seq"] > seq]
             return fresh, job.state in TERMINAL
 
-    def counts(self) -> dict[str, int]:
-        """Jobs per state (the queue-depth gauges' source of truth)."""
-        with self._lock:
-            out = {QUEUED: 0, RUNNING: 0, DONE: 0, FAILED: 0}
-            for job in self._jobs.values():
-                out[job.state] += 1
-            return out
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._jobs)

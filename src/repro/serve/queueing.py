@@ -27,9 +27,10 @@ by arrival sequence -- which is what makes the starvation tests in
 ``tests/serve/test_queueing.py`` exact rather than statistical.
 
 :class:`AdmissionPolicy` is the front door's bouncer, checked *before*
-a job object is built or the pool is touched: queue depth, payload
-size and deck size each map to a distinct HTTP status (429 / 413 /
-400), and a draining server answers 503.
+a job object is built or the pool is touched: queue depth and deck
+size each map to a distinct HTTP status (429 / 400), and a draining
+server answers 503.  An oversize body never gets this far:
+:func:`repro.serve.httpd.read_request` answers 413 before reading it.
 """
 
 from __future__ import annotations
@@ -53,10 +54,6 @@ MEDIUM_MAX_CELLS = 32 ** 3
 
 class QueueFullError(ReproError):
     """Admission refused: the queue is at its depth limit (HTTP 429)."""
-
-
-class PayloadTooLargeError(ReproError):
-    """Admission refused: request body over the byte limit (HTTP 413)."""
 
 
 class DeckTooLargeError(ReproError):
@@ -96,13 +93,6 @@ class AdmissionPolicy:
 
     def __init__(self, limits: ServeLimits) -> None:
         self.limits = limits
-
-    def check_body(self, content_length: int) -> None:
-        if content_length > self.limits.max_body_bytes:
-            raise PayloadTooLargeError(
-                f"request body {content_length} bytes exceeds the "
-                f"{self.limits.max_body_bytes}-byte limit"
-            )
 
     def check_deck(self, cells: int) -> None:
         if cells > self.limits.max_cells:

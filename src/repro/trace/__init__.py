@@ -2,7 +2,7 @@
 
 ``repro.trace`` is the observability layer: a :class:`TraceBus` of
 typed, timestamped events emitted by every instrumented hardware unit
-(MFC DMA queues, the memory controller, mailboxes, signals, the sync
+(MFC DMA queues, the memory controller, mailboxes, the sync
 protocols, the schedulers, the kernel), Perfetto/Chrome-trace export, a
 plain-text timeline summary, and a DMA-hazard sanitizer that replays
 the stream checking the double-buffering discipline.
@@ -18,7 +18,6 @@ then load ``trace.json`` at https://ui.perfetto.dev.  See
 """
 
 from .bus import (
-    EIB_TRACK,
     EVENT_NAMES,
     MIC_TRACK,
     NULL_BUS,
@@ -54,7 +53,6 @@ __all__ = [
     "spe_track",
     "PPE_TRACK",
     "MIC_TRACK",
-    "EIB_TRACK",
     "to_chrome_trace",
     "write_chrome_trace",
     "timeline_summary",

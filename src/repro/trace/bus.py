@@ -4,10 +4,9 @@ The paper's surprises -- DMA latency dominating compute, the PPE
 dispatch loop becoming the bottleneck, memory-bank conflicts -- were
 found by *observing* the machine, not by reading end-of-run counters.
 This module is the observability layer the reproduction was missing: a
-:class:`TraceBus` that every instrumented unit (MFC, MIC, EIB,
-mailboxes, signals, sync protocols, schedulers, the solver) emits
-events into, with one *track* per hardware unit (``PPE``, ``SPE0`` ..
-``SPE7``, ``MIC``, ``EIB``).
+:class:`TraceBus` that every instrumented unit (MFC, MIC, mailboxes,
+sync protocols, schedulers, the solver) emits events into, with one
+*track* per hardware unit (``PPE``, ``SPE0`` .. ``SPE7``, ``MIC``).
 
 Timestamps are simulated SPU cycles on a single monotonic timeline: the
 functional solver executes its staged program serially, and the bus
@@ -36,10 +35,8 @@ EVENT_NAMES: frozenset[str] = frozenset(
         "DmaEnqueue",      # MFC command queued (instant; carries LS regions)
         "DmaComplete",     # tag-group drain through the MIC (span)
         "MicBankAccess",   # one costed batch at the memory controller (instant)
-        "EibFlow",         # bus-level flow accounting (instant)
         "MailboxSend",     # mailbox write, either side (instant)
         "MailboxRecv",     # mailbox read, either side (instant)
-        "SignalNotify",    # signal-notification register write (instant)
         "SyncDispatch",    # PPE hands work to an SPE (span, PPE cycles)
         "SyncComplete",    # PPE collects a completion (span, PPE cycles)
         "BufferSwap",      # streaming layer selects a working-set buffer set
@@ -165,4 +162,3 @@ def spe_track(spe_id: int) -> str:
 #: Canonical non-SPE track names.
 PPE_TRACK = "PPE"
 MIC_TRACK = "MIC"
-EIB_TRACK = "EIB"

@@ -25,14 +25,14 @@ from collections import Counter
 from typing import Any
 
 from ..cell import constants
-from .bus import EIB_TRACK, MIC_TRACK, PPE_TRACK, TraceBus, TraceEvent
+from .bus import MIC_TRACK, PPE_TRACK, TraceBus, TraceEvent
 
 #: SPU cycles per exported microsecond (3.2 GHz = 3200 cycles/us).
 CYCLES_PER_US: float = constants.CLOCK_HZ / 1e6
 
 #: Stable thread ids for the Chrome trace: PPE first, SPEs next, then
 #: the shared units, so Perfetto renders the machine top-to-bottom.
-_FIXED_TIDS = {PPE_TRACK: 0, MIC_TRACK: 100, EIB_TRACK: 101}
+_FIXED_TIDS = {PPE_TRACK: 0, MIC_TRACK: 100}
 
 
 def _tid(track: str) -> int:

@@ -53,7 +53,7 @@ class Hazard:
     tag: int | None     # MFC tag of the offending command (if any)
     message: str
 
-    def __str__(self) -> str:  # pragma: no cover - repr convenience
+    def __str__(self) -> str:
         return f"[{self.kind}] {self.track} @#{self.seq}: {self.message}"
 
 
@@ -196,5 +196,5 @@ def format_hazards(hazards: list[Hazard]) -> str:
         return "sanitizer: 0 hazards"
     out = [f"sanitizer: {len(hazards)} hazard(s)"]
     for hz in hazards:
-        out.append(f"  [{hz.kind}] {hz.track} @#{hz.seq}: {hz.message}")
+        out.append(f"  {hz}")
     return "\n".join(out)

@@ -27,34 +27,14 @@ def kib(n: float) -> int:
     return int(n * KIB)
 
 
-def mib(n: float) -> int:
-    """``n`` binary megabytes, in bytes."""
-    return int(n * MIB)
-
-
 def gb_per_s(n: float) -> float:
     """``n`` gigabytes/second, in bytes/second (decimal GB, as the paper uses)."""
     return n * GB
 
 
-def gflops(n: float) -> float:
-    """``n`` Gflop/s, in flop/s."""
-    return n * 1e9
-
-
 def ghz(n: float) -> float:
     """``n`` GHz, in Hz."""
     return n * 1e9
-
-
-def cycles_to_seconds(cycles: float, clock_hz: float) -> float:
-    """Convert a cycle count at ``clock_hz`` into seconds."""
-    return cycles / clock_hz
-
-
-def seconds_to_cycles(seconds: float, clock_hz: float) -> float:
-    """Convert seconds into (fractional) cycles at ``clock_hz``."""
-    return seconds * clock_hz
 
 
 def align_up(value: int, alignment: int) -> int:

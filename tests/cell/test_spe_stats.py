@@ -1,45 +1,11 @@
-"""Tests for SPE/SPU composition details and statistics."""
+"""Tests for SPE composition details."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cell.chip import CellBE
-from repro.cell.spe import SPE, SPUStats
+from repro.cell.spe import SPE
 from repro.errors import LocalStoreError
-
-
-class TestSPUStats:
-    def test_absorb_scales_by_invocations(self):
-        chip = CellBE(num_spes=1)
-        spu = chip.spes[0].spu
-        ctx = spu.context("k")
-        a = ctx.spu_splats(2.0)
-        ctx.spu_madd(a, a, a)
-        report = spu.retire(ctx, invocations=7)
-        assert spu.stats.kernel_invocations == 7
-        assert spu.stats.cycles == report.cycles * 7
-        assert spu.stats.flops == report.flops * 7
-        assert spu.stats.dual_issues == report.dual_issues * 7
-
-    def test_stats_accumulate_across_kernels(self):
-        stats = SPUStats()
-        chip = CellBE(num_spes=1)
-        spu = chip.spes[0].spu
-        for _ in range(3):
-            ctx = spu.context("k")
-            a = ctx.spu_splats(1.0)
-            ctx.spu_add(a, a)
-        # retire only the last context twice
-        spu.retire(ctx)
-        spu.retire(ctx)
-        assert spu.stats.kernel_invocations == 2
-        del stats
-
-    def test_context_names_carry_spe_id(self):
-        chip = CellBE(num_spes=2)
-        ctx = chip.spes[1].spu.context("sweep")
-        assert ctx.stream.name == "spe1:sweep"
 
 
 class TestCodeReservation:
@@ -59,7 +25,3 @@ class TestCodeReservation:
     def test_oversized_code_rejected(self):
         with pytest.raises(LocalStoreError):
             SPE(0, code_bytes=300 * 1024)
-
-    def test_sync_budget_starts_empty(self):
-        spe = SPE(0)
-        assert spe.sync_budget.total() == 0.0

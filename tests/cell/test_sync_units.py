@@ -1,17 +1,16 @@
-"""Tests for mailboxes, signals and the atomic unit."""
+"""Tests for mailboxes and the atomic unit."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cell.atomic import ATOMIC_OP_CYCLES, AtomicDomain
+from repro.cell.atomic import AtomicDomain
 from repro.cell.mailbox import (
     PPE_MAILBOX_MMIO_CYCLES,
     SPU_MAILBOX_ACCESS_CYCLES,
     MailboxPair,
 )
-from repro.cell.signals import SignalUnit
-from repro.errors import AtomicError, MailboxError, SignalError
+from repro.errors import AtomicError, MailboxError
 
 
 class TestMailboxes:
@@ -61,41 +60,6 @@ class TestMailboxes:
         _, spu_cost = mb.spu_receive()
         assert spu_cost == SPU_MAILBOX_ACCESS_CYCLES
         assert PPE_MAILBOX_MMIO_CYCLES > 10 * SPU_MAILBOX_ACCESS_CYCLES
-
-
-class TestSignals:
-    def test_or_mode_accumulates_producer_bits(self):
-        unit = SignalUnit(0)
-        unit.sig1.write(0b001)
-        unit.sig1.write(0b100)
-        value, _ = unit.sig1.read()
-        assert value == 0b101
-
-    def test_overwrite_mode(self):
-        unit = SignalUnit(0, or_mode=False)
-        unit.sig1.write(1)
-        unit.sig1.write(2)
-        assert unit.sig1.read()[0] == 2
-
-    def test_read_clears(self):
-        unit = SignalUnit(0)
-        unit.sig1.write(5)
-        unit.sig1.read()
-        with pytest.raises(SignalError):
-            unit.sig1.read()
-
-    def test_try_read_polls(self):
-        unit = SignalUnit(0)
-        value, _ = unit.sig1.try_read()
-        assert value is None
-        unit.sig1.write(3)
-        value, _ = unit.sig1.try_read()
-        assert value == 3
-
-    def test_32_bit_range(self):
-        unit = SignalUnit(0)
-        with pytest.raises(SignalError):
-            unit.sig1.write(2**32)
 
 
 class TestAtomicUnit:
@@ -149,9 +113,3 @@ class TestAtomicUnit:
         for i in range(8):
             dom.fetch_and_add(f"spe{i}", "ctr", 1)
         assert dom.values["ctr"] == 8
-
-    def test_cycles_charged(self):
-        dom = AtomicDomain()
-        dom.define("ctr", 0)
-        dom.fetch_and_add("spe0", "ctr", 1)
-        assert dom.cycles == 2 * ATOMIC_OP_CYCLES

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cell.atomic import ATOMIC_OP_CYCLES
 from repro.cell.chip import CellBE
 from repro.core.scheduler import CentralizedScheduler, DistributedScheduler
 from repro.core.sync import LSPokeSync, MailboxSync
 from repro.core.worklist import Chunk
+from repro.metrics.registry import MetricsRegistry, spe_metric, ticks
 
 
 @pytest.fixture
@@ -17,13 +19,15 @@ def chip():
 
 class TestMailboxSync:
     def test_round_trip(self, chip):
+        registry = MetricsRegistry()
+        chip.install_metrics(registry)
         sync = MailboxSync(chip)
         spe = chip.spes[3]
         sync.dispatch(spe, 17)
         sync.complete(spe, 17)
-        assert chip.ppe.sync_budget.buckets["mailbox_send"] > 0
-        assert chip.ppe.sync_budget.buckets["mailbox_recv"] > 0
-        assert spe.sync_budget.buckets["mailbox_recv"] > 0
+        assert registry.get("mailbox.ppe_ops") == 2
+        assert registry.get("ppe.mailbox_mmio_ticks") > 0
+        assert registry.get(spe_metric(3, "mailbox_wait_ticks")) > 0
 
     def test_ppe_cost_dominates(self, chip):
         # the architectural asymmetry that motivates the LS-poke protocol
@@ -75,17 +79,23 @@ class TestCentralizedScheduler:
 
 class TestDistributedScheduler:
     def test_executes_every_chunk_via_atomics(self, chip):
+        registry = MetricsRegistry()
+        chip.install_metrics(registry)
         sched = DistributedScheduler(chip)
         seen = []
         sched.run_diagonal(list(range(37)), 4, seen.append)
         assert sum(c.num_lines for c in seen) == 37
         flattened = [x for c in seen for x in c.lines]
         assert sorted(flattened) == list(range(37))
-        # atomic traffic was charged to the SPEs
-        assert any(
-            spe.sync_budget.buckets.get("atomic_claim", 0) > 0
+        # every claim attempt costs a load-reserve plus a
+        # store-conditional, charged to the claiming SPE
+        waited = sum(
+            registry.get(spe_metric(spe.spe_id, "sync_wait_ticks"))
             for spe in chip.spes
         )
+        attempts = registry.get("sched.atomic_attempts")
+        assert attempts >= 10
+        assert waited == ticks(2 * ATOMIC_OP_CYCLES) * attempts
 
     def test_counter_resets_between_diagonals(self, chip):
         sched = DistributedScheduler(chip)

@@ -7,19 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import CommunicatorError
-from repro.mpi import Cart2D, dims_create, split_extent
-
-
-class TestDimsCreate:
-    @pytest.mark.parametrize(
-        "size,expected", [(1, (1, 1)), (4, (2, 2)), (6, (2, 3)), (12, (3, 4)), (7, (1, 7))]
-    )
-    def test_near_square(self, size, expected):
-        assert dims_create(size) == expected
-
-    def test_invalid(self):
-        with pytest.raises(CommunicatorError):
-            dims_create(0)
+from repro.mpi import Cart2D, split_extent
 
 
 class TestCart2D:

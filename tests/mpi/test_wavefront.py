@@ -68,6 +68,9 @@ class TestValidation:
         deck = small_deck(n=4, sn=2, nm=1, iterations=1, mk=2)
         with pytest.raises(CommunicatorError):
             KBASweep3D(deck, P=5, Q=1)
+        # a half-given grid is an error, never a guessed 2x2
+        with pytest.raises(TypeError):
+            KBASweep3D(deck, P=4)
 
     def test_plan_covers_domain(self):
         deck = small_deck(n=7, sn=2, nm=1, iterations=1, mk=7)

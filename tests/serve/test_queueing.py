@@ -16,7 +16,6 @@ from repro.serve.queueing import (
     AdmissionPolicy,
     DeckTooLargeError,
     FairQueue,
-    PayloadTooLargeError,
     QueueFullError,
     ServeLimits,
     size_class,
@@ -127,12 +126,6 @@ class TestAdmission:
         policy.check_queue(1)
         with pytest.raises(QueueFullError):
             policy.check_queue(2)
-
-    def test_body_limit(self):
-        policy = AdmissionPolicy(ServeLimits(max_body_bytes=100))
-        policy.check_body(100)
-        with pytest.raises(PayloadTooLargeError):
-            policy.check_body(101)
 
     def test_deck_limit(self):
         policy = AdmissionPolicy(ServeLimits(max_cells=16 ** 3))

@@ -59,6 +59,17 @@ def run_server(scenario, limits: ServeLimits | None = None,
     return asyncio.run(main())
 
 
+def raw_request(port: int, data: bytes) -> tuple[bytes, bytes]:
+    """Send ``data`` on a fresh socket, half-close it, and return the
+    response's status code and body."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)
+        raw = b"".join(iter(lambda: sock.recv(4096), b""))
+    head, _, body = raw.partition(b"\r\n\r\n")
+    return head.split()[1], body
+
+
 class TestReferee:
     def test_server_flux_bit_identical_to_direct_solve(self):
         """The acceptance referee: server-solved flux == CellSweep3D
@@ -186,20 +197,27 @@ class TestHttpSurface:
             with pytest.raises(ServeClientError) as exc:
                 client._json("GET", "/nope")
             assert exc.value.status == 404
+
+            def raw_400(data: bytes, error: str) -> None:
+                status, body = raw_request(app.port, data)
+                assert status == b"400", (error, status)
+                assert json.loads(body) == {"error": error, "status": 400}
+
             # body shorter than its Content-Length, then half-close -> 400
-            with socket.create_connection(
-                ("127.0.0.1", app.port), timeout=30
-            ) as sock:
-                sock.sendall(b"POST /jobs HTTP/1.1\r\n"
-                             b"Content-Length: 100\r\n\r\n"
-                             b'{"cube":')
-                sock.shutdown(socket.SHUT_WR)
-                raw = b"".join(iter(lambda: sock.recv(4096), b""))
-            head, _, body = raw.partition(b"\r\n\r\n")
-            assert head.split()[1] == b"400"
-            assert json.loads(body) == {
-                "error": "truncated request body", "status": 400,
-            }
+            raw_400(b"POST /jobs HTTP/1.1\r\nContent-Length: 100\r\n\r\n"
+                    b'{"cube":', "truncated request body")
+            # hostile request heads -> 400 before any body is read
+            for size in (20 * 1024, 100 * 1024):
+                raw_400(b"GET /healthz HTTP/1.1\r\nX-Pad: "
+                        + b"a" * size + b"\r\n\r\n",
+                        "request head too large")
+            raw_400(b"GARBAGE\r\n\r\n", "malformed request line: 'GARBAGE'")
+            raw_400(b"GET /healthz HTTP/1.1\r\nno-colon-here\r\n\r\n",
+                    "malformed header line: 'no-colon-here'")
+            raw_400(b"POST /jobs HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
+                    "malformed Content-Length")
+            raw_400(b"POST /jobs HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+                    "negative Content-Length")
             # ... and the server is still serving
             assert client.healthz()["status"] == "ok"
             assert client.metric("repro_serve_jobs_rejected_invalid") >= 2.0
@@ -213,6 +231,12 @@ class TestHttpSurface:
             with pytest.raises(ServeClientError) as exc:
                 client.submit(deck="#" * 5000)
             assert exc.value.status == 413
+            # the limit is inclusive: a body of exactly 1024 bytes is
+            # read (and refused as a bad request, not as too large)
+            status, _ = raw_request(
+                app.port, b"POST /jobs HTTP/1.1\r\nContent-Length: 1024"
+                          b"\r\n\r\n" + b"x" * 1024)
+            assert status == b"400"
             assert client.metric("repro_serve_jobs_rejected_payload") == 1.0
 
         run_server(scenario, limits=ServeLimits(max_body_bytes=1024))

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.trace.bus import (
-    EIB_TRACK,
     EVENT_NAMES,
     MIC_TRACK,
     NULL_BUS,
@@ -87,9 +86,9 @@ class TestVocabulary:
     def test_track_names(self):
         assert spe_track(0) == "SPE0"
         assert spe_track(7) == "SPE7"
-        assert (PPE_TRACK, MIC_TRACK, EIB_TRACK) == ("PPE", "MIC", "EIB")
+        assert (PPE_TRACK, MIC_TRACK) == ("PPE", "MIC")
 
     def test_event_names_fixed(self):
         assert "DmaEnqueue" in EVENT_NAMES
         assert "KernelExec" in EVENT_NAMES
-        assert len(EVENT_NAMES) == 13
+        assert len(EVENT_NAMES) == 11
