@@ -123,15 +123,14 @@ def cluster_time(
         raise ConfigurationError(f"invalid chip grid {P}x{Q}")
     nx_chunks = split_extent(deck.grid.nx, P)
     ny_chunks = split_extent(deck.grid.ny, Q)
-    # the largest tile dominates each pipeline stage
-    local = deck.with_(
-        grid=deck.grid.__class__(
-            max(c for _, c in nx_chunks),
-            max(c for _, c in ny_chunks),
-            deck.grid.nz,
-            deck.grid.dx, deck.grid.dy, deck.grid.dz,
-        )
-    )
+    # the largest tile dominates each pipeline stage (its deck clamps
+    # source and material boxes to the tile, like a rank's)
+    local = deck.tile((0, 0, 0), deck.grid.__class__(
+        max(c for _, c in nx_chunks),
+        max(c for _, c in ny_chunks),
+        deck.grid.nz,
+        deck.grid.dx, deck.grid.dy, deck.grid.dz,
+    ))
     tile_seconds = predict(local, config).seconds
     quad = deck.quadrature()
     blocks_per_octant = (quad.per_octant // deck.mmi) * (deck.grid.nz // deck.mk)

@@ -1,16 +1,20 @@
 """CellSweep3D: the full Sweep3D solve on the simulated Cell BE.
 
-The functional half of the paper's implementation: the Figure-2 loop
-structure runs on the PPE; every jkm diagonal's I-lines are chunked and
-farmed to the SPEs (thread level); each chunk's working set is staged
-through the owning SPE's 256 KB local store by validated DMA commands or
-DMA lists (data-streaming level); results stream back before the
-diagonal barrier.  The host computes a diagonal the way the paper
-vectorises it -- across all of its independent I-lines at once, from one
-gather of the host arrays -- and *writes each chunk's results into* the
-local-store views the PUT program streams; ``tests/core/
-test_diagonal_gather.py`` referees that every chunk's GET delivered
-exactly the bytes the kernel consumed.
+The functional half of the paper's implementation is
+:class:`~repro.sweep.pipelining.TileSweeper`, the one Figure-2 loop
+nest: :class:`CellSweep3D` is that traversal over a
+:class:`~repro.core.porting.HostState` allocated in the simulated
+chip's main memory, with a per-diagonal step that hands the diagonal to
+the machine.  Every jkm diagonal's I-lines are chunked and farmed to the
+SPEs (thread level); each chunk's working set is staged through the
+owning SPE's 256 KB local store by validated DMA commands or DMA lists
+(data-streaming level); results stream back before the diagonal barrier.
+The host computes a diagonal the way the paper vectorises it -- across
+all of its independent I-lines at once, from one gather of the host
+arrays -- and *writes each chunk's results into* the local-store views
+the PUT program streams, so the PUT is the diagonal's scatter;
+``tests/core/test_diagonal_gather.py`` referees that every chunk's GET
+delivered exactly the bytes the kernel consumed.
 
 The flux produced must be -- and is, see
 ``tests/core/test_solver_equivalence.py`` -- *bit-identical* to the
@@ -32,21 +36,19 @@ from ..errors import ConfigurationError
 from ..sweep.flux import SolveResult, SweepTally, source_iteration
 from ..sweep.input import InputDeck
 from ..sweep.kernel import dd_line_block_solve
-from ..sweep.moments import MomentBasis
-from ..sweep.pipelining import angle_blocks, k_blocks, num_diagonals
-from ..sweep.quadrature import OCTANT_SIGNS
+from ..sweep.pipelining import BlockUnit, StagedLine, TileSweeper
 from ..metrics.registry import NULL_REGISTRY, spe_metric
 from ..trace.bus import NULL_BUS, spe_track
 from .levels import MachineConfig, Precision, SchedulerKind, SyncProtocol
 from .porting import HostState
 from .spe_kernel import simd_execute_block, simd_execute_blocks
 from .scheduler import CentralizedScheduler, DistributedScheduler
-from .streaming import ChunkBuffers, staged_lines_for_diagonal
+from .streaming import ChunkBuffers
 from .sync import LSPokeSync, MailboxSync
 from .worklist import Chunk
 
 
-class CellSweep3D:
+class CellSweep3D(TileSweeper):
     """Sweep3D on one simulated Cell Broadband Engine.
 
     ``workers > 1`` attaches a host-parallel execution engine
@@ -68,7 +70,6 @@ class CellSweep3D:
         workers: int = 1,
         pool: "str | object" = "fresh",
     ) -> None:
-        self.deck = deck
         self.config = config or MachineConfig(
             aligned_rows=True, double_buffer=True, simd=True,
             dma_lists=True, bank_offsets=True, sync=SyncProtocol.LS_POKE,
@@ -77,11 +78,6 @@ class CellSweep3D:
             raise ConfigurationError(
                 "CellSweep3D needs at least one SPE; PPE-only timing is "
                 "handled by repro.perf.processors"
-            )
-        if deck.has_reflection:
-            raise ConfigurationError(
-                "reflective boundaries are supported by the hyperplane "
-                "reference solver only (the paper's benchmark is vacuum)"
             )
         if self.config.isa_kernel:
             if deck.material_box is not None:
@@ -134,15 +130,7 @@ class CellSweep3D:
             )
         else:
             self._cycles_per_visit = 0.0
-        #: optional progress sink called once per completed (octant,
-        #: angle-block) unit in every execution mode: either an object
-        #: with a ``tick()`` method (e.g.
-        #: :class:`repro.metrics.heartbeat.Heartbeat`, the solve
-        #: server's per-job sink) or a plain zero-argument callable.
-        self.progress = None
-        self.host = HostState(deck, self.config, self.chip)
-        self.quad = deck.quadrature()
-        self.basis = MomentBasis(self.quad, deck.nm)
+        super().__init__(deck)
         self.buffers = [
             ChunkBuffers(spe, deck, self.config, self.host.row_len)
             for spe in self.chip.spes
@@ -158,7 +146,7 @@ class CellSweep3D:
             else CentralizedScheduler(self.chip, sync)
         )
         self._buffer_set = 0
-        #: the executing diagonal's results, filled by
+        #: the executing diagonal's results, split per chunk by
         #: :meth:`_prepare_diagonal` before dispatch and replayed chunk
         #: by chunk in :meth:`_execute_chunk`: ``(wpsi, phi_i_out, phi_j,
         #: phi_k, {chunk index: (row slice, fixups)})``.
@@ -169,6 +157,21 @@ class CellSweep3D:
             self._engine = ParallelEngine(
                 self, self.workers, pool=self._pool
             )
+
+    def _allocate(self) -> HostState:
+        """The sweep's arrays in the chip's main memory (padded rows,
+        bank offsets, DMA row addressing)."""
+        return HostState(self.deck, self.config, self.chip)
+
+    def _kernel(self):
+        """The configured line kernel -- the reference or, with
+        ``isa_kernel``, the compiled (``compile_isa``) or interpreted ISA
+        kernel -- looked up in this module at call time."""
+        if not self.config.isa_kernel:
+            return dd_line_block_solve
+        if self.config.compile_isa:
+            return simd_execute_blocks
+        return simd_execute_block
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -185,85 +188,7 @@ class CellSweep3D:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- one octant ------------------------------------------------------------
-
-    def _sweep_octant(self, octant: int, tally: SweepTally, boundary) -> None:
-        """Figure 2's loops for one octant, RECV/SEND through ``boundary``
-        (a :class:`~repro.sweep.pipelining.BoundaryIO`: vacuum+leakage for
-        a single chip, MPI messages for a multi-chip cluster)."""
-        for angles in angle_blocks(self.quad.per_octant, self.deck.mmi):
-            self._sweep_block(octant, angles, tally, boundary)
-            self._progress_tick()
-
-    def _sweep_block(
-        self, octant: int, angles: list[int], tally: SweepTally, boundary,
-        psi_sink: np.ndarray | None = None,
-    ) -> None:
-        """One (octant, angle-block) unit of Figure 2's loops.
-
-        This is the self-contained work unit of the host-parallel
-        engine: given the moment source and ``boundary`` inflows it
-        touches only the block's own face state, so independent blocks
-        can execute in separate processes.  ``psi_sink``, when given,
-        captures every line's cell-centred angular flux at
-        ``psi_sink[angle, k_g, j_g, :it]`` (global coordinates, already
-        unflipped) so the caller can replay the flux accumulation in
-        the serial order.
-        """
-        deck = self.deck
-        g = deck.grid
-        it, jt, kt = g.nx, g.ny, g.nz
-        base = octant * self.quad.per_octant
-        globals_ = [base + a for a in angles]
-        na = len(angles)
-        cxs = np.abs(self.quad.mu[globals_]) / g.dx
-        cys = np.abs(self.quad.eta[globals_]) / g.dy
-        czs = np.abs(self.quad.xi[globals_]) / g.dz
-        # restart the double-buffer rotation per block so a block's
-        # staged execution is independent of what ran before it (the
-        # buffer-set choice never affects results; pinning it makes the
-        # serial and parallel event streams line up unit for unit).
-        self._buffer_set = 0
-        self.host.phik[...] = 0.0  # vacuum at the oriented K entry
-        for k0 in k_blocks(kt, deck.mk):
-            # RECV W/E and N/S into the host face arrays
-            self.host.phii[...] = 0.0
-            self.host.phii[:na, :, :jt] = boundary.recv_i(
-                octant, angles, k0, jt, it
-            )
-            self.host.phij[...] = 0.0
-            self.host.phij[:na, :, :it] = boundary.recv_j(
-                octant, angles, k0, jt, it
-            )
-            self.host.phii_out[...] = 0.0
-            for d in range(num_diagonals(jt, deck.mk, deck.mmi)):
-                lines = staged_lines_for_diagonal(
-                    deck, octant, globals_, k0, d
-                )
-
-                def prepare(chunks: list[Chunk]) -> None:
-                    tally.fixups += self._prepare_diagonal(
-                        chunks, cxs, cys, czs, psi_sink
-                    )
-
-                self.scheduler.run_diagonal(
-                    lines, self.config.chunk_lines, self._execute_chunk,
-                    prepare=prepare,
-                )
-            # SEND W/E and N/S
-            boundary.send_i(
-                octant, angles, k0,
-                self.host.phii_out[:na, :, :jt].copy(),
-            )
-            boundary.send_j(
-                octant, angles, k0,
-                self.host.phij[:na, :, :it].copy(),
-            )
-        boundary.finish_octant(
-            octant, angles, self.host.phik[:na, :, :it].copy()
-        )
-
-    # -- metrics and progress ------------------------------------------------------
+    # -- metrics -------------------------------------------------------------------
 
     def _set_metrics(self, registry) -> None:
         """Swap the active metrics registry, solver and chip together.
@@ -277,25 +202,6 @@ class CellSweep3D:
         self.metrics = registry
         self.chip.install_metrics(registry)
 
-    def units_per_sweep(self) -> int:
-        """(octant, angle-block) work units in one full sweep -- the
-        denominator for progress reporting in every execution mode."""
-        blocks = len(list(angle_blocks(self.quad.per_octant, self.deck.mmi)))
-        return 8 * blocks
-
-    def _progress_tick(self) -> None:
-        """One completed work unit, forwarded to the progress sink (the
-        serial sweep calls this per block; the parallel engine per
-        collected unit).  Sinks may be tick()-objects or bare callables."""
-        sink = self.progress
-        if sink is None:
-            return
-        tick = getattr(sink, "tick", None)
-        if tick is not None:
-            tick()
-        else:
-            sink()
-
     def cycle_attribution(self):
         """The per-SPE "where the cycles went" breakdown of everything
         this solver's registry has collected (see
@@ -308,102 +214,54 @@ class CellSweep3D:
             self.metrics, self.chip.num_spes, self.deck.nm, self.deck.fixup
         )
 
-    # -- one diagonal on the host, one chunk on one SPE --------------------------
+    # -- one unit, one diagonal, one chunk on one SPE ---------------------------------
 
-    def _gather_diagonal(self, lines: list) -> dict:
-        """One fancy index per host array: the working set of every line
-        of a jkm diagonal, in host orientation -- the bytes the chunks'
-        ``stage_in`` programs deliver, ``chunk_lines`` rows at a time."""
-        host, it = self.host, self.deck.grid.nx
-        angle, mm, kk, j_o, j_g, k_g = np.array(
-            [(ln.angle, ln.mm, ln.kk, ln.j_o, ln.j_g, ln.k_g) for ln in lines],
-            dtype=np.intp,
-        ).T
-        return {
-            "angle": angle, "mm": mm, "j_g": j_g, "k_g": k_g,
-            "msrc": np.stack([m[k_g, j_g, :it] for m in host.msrc_storage]),
-            # uniform decks hand the kernel the scalar instead
-            "sigt": (host.sigt[k_g, j_g, :it]
-                     if self.deck.material_box is not None else None),
-            "phij": host.phij[mm, kk, :it],
-            "phik": host.phik[mm, j_o, :it],
-            "phii": host.phii[mm, kk, j_o],
-        }
+    def _sweep_unit(
+        self, unit: BlockUnit, tally: SweepTally, boundary,
+        psi_sink: np.ndarray | None = None,
+    ) -> None:
+        # restart the double-buffer rotation per unit so a unit's staged
+        # execution is independent of what ran before it (the buffer-set
+        # choice never affects results; pinning it makes the serial and
+        # parallel event streams line up unit for unit).
+        self._buffer_set = 0
+        super()._sweep_unit(unit, tally, boundary, psi_sink)
+
+    def _diagonal_step(
+        self, lines: list[StagedLine], gd: dict, wpsi: np.ndarray,
+        phi_i_out: np.ndarray, line_fixups: np.ndarray,
+    ) -> None:
+        """Hand the solved diagonal to the machine: the scheduler chunks
+        it over the SPEs, and each chunk's replay stages the chunk in and
+        its results out -- the PUT program is the scatter."""
+        self.scheduler.run_diagonal(
+            lines, self.config.chunk_lines, self._execute_chunk,
+            prepare=lambda chunks: self._prepare_diagonal(
+                chunks, wpsi, phi_i_out, gd["phij"], gd["phik"], line_fixups
+            ),
+        )
 
     def _prepare_diagonal(
-        self, chunks: list[Chunk],
-        cxs: np.ndarray, cys: np.ndarray, czs: np.ndarray,
-        psi_sink: np.ndarray | None = None,
-    ) -> int:
-        """Solve every line of one jkm diagonal in one kernel call.
-
-        The compute hook of every kernel: the reference
-        :func:`~repro.sweep.kernel.dd_line_block_solve` or, with
-        ``isa_kernel``, the compiled (``compile_isa``) or interpreted ISA
-        kernel, which share its signature.  The kernel is looked up by
-        module-global name at call time and called once on the
-        diagonal's gather; one ``np.add.reduceat`` splits its per-line
-        fixup counts per chunk.  A diagonal's lines are mutually
-        independent and their working sets never alias -- ``(j, kk)``
-        fixes ``mm = d - j - kk``, so lines have distinct ``(mm, kk)``
-        phij rows, ``(mm, j_o)`` phik rows, ``(mm, kk, j_o)`` phii cells
-        and ``(k_g, j_g)`` flux rows -- so the host arrays read here
-        hold exactly the bytes each chunk's ``stage_in`` will stage, and
-        no chunk's ``stage_out`` lands on another's inputs.  Host-clock
-        work only: DMA, sync, metrics and trace run per chunk in
-        :meth:`_execute_chunk`.  Returns the diagonal's fixup count.
-        """
-        if not chunks:
-            return 0
-        deck = self.deck
-        it = deck.grid.nx
-        lines = [ln for ch in chunks for ln in ch.lines]
-        rev = slice(None, None, -1) if lines[0].reverse_i else slice(None)
-        g = self._gather_diagonal(lines)
-        angle, mm = g["angle"], g["mm"]
-        # combine the angular source from the moment rows, with the
-        # reference's exact accumulation order (MomentBasis.combine).
-        src = self.basis.combine(
-            self.basis.src_pn[:, angle][..., None], g["msrc"][:, :, rev]
-        )
-        phi_i, phi_j, phi_k = g["phii"], g["phij"], g["phik"]
-        cx, cy, cz = cxs[mm], cys[mm], czs[mm]
+        self, chunks: list[Chunk], wpsi: np.ndarray, phi_i_out: np.ndarray,
+        phi_j: np.ndarray, phi_k: np.ndarray, line_fixups: np.ndarray,
+    ) -> None:
+        """Split one diagonal's kernel results per chunk before dispatch;
+        one ``np.add.reduceat`` splits the per-line fixup counts.  The
+        chunks are consecutive runs of the diagonal's lines, and the
+        lines' working sets never alias, so the host arrays the chunks
+        stage in hold exactly the bytes the kernel read, and no chunk's
+        ``stage_out`` lands on another's inputs.  Host-clock work only:
+        DMA, sync, metrics and trace run per chunk in
+        :meth:`_execute_chunk`."""
         bounds = [0]
         for ch in chunks:
             bounds.append(bounds[-1] + len(ch.lines))
-        chunk_rows = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        # pass the scalar when the material is uniform so the arithmetic
-        # matches the reference kernel's scalar path bit for bit.
-        sigma = (
-            deck.sigma_t if deck.material_box is None
-            else g["sigt"][:, rev]
-        )
-        if not self.config.isa_kernel:
-            kernel = dd_line_block_solve
-        elif self.config.compile_isa:
-            kernel = simd_execute_blocks
-        else:
-            kernel = simd_execute_block
-        line_fixups = np.zeros(len(lines), dtype=np.intp)
-        psi_c, phi_i_out, _ = kernel(
-            src, sigma, phi_i, phi_j, phi_k, cx, cy, cz,
-            fixup=deck.fixup, line_fixups=line_fixups,
-        )
         fixups = np.add.reduceat(line_fixups, bounds[:-1]).tolist()
-        if psi_sink is not None:
-            # capture the cell-centred angular flux in global (k, j, i)
-            # coordinates: the host-parallel engine replays the flux
-            # accumulation from these rows in the serial order.
-            psi_sink[angle, g["k_g"], g["j_g"], :it] = psi_c[:, rev]
-        # w*Pn * Phi of Figure 6 for the whole diagonal; each chunk adds
-        # its rows to the flux it staged in.
-        wpsi = self.basis.wpn[:, angle][:, :, None] * psi_c
         self._diag_solution = (
             wpsi, phi_i_out, phi_j, phi_k,
-            {ch.index: (rows, fx)
-             for ch, rows, fx in zip(chunks, chunk_rows, fixups)},
+            {ch.index: (slice(lo, hi), fx)
+             for ch, lo, hi, fx in zip(chunks, bounds, bounds[1:], fixups)},
         )
-        return sum(fixups)
 
     def _execute_chunk(self, chunk: Chunk) -> None:
         """Replay one chunk on its SPE: stage in, put this chunk's rows
@@ -460,36 +318,16 @@ class CellSweep3D:
     ) -> tuple[np.ndarray, SweepTally, object]:
         """One full transport sweep through the simulated machine.
 
-        Same contract as :meth:`repro.sweep.pipelining.TileSweeper.sweep`,
-        so a :class:`CellSweep3D` can serve as the per-rank tile solver of
-        the KBA wavefront (a cluster of simulated Cell chips).
+        :meth:`TileSweeper.sweep`'s contract, so a :class:`CellSweep3D`
+        can serve as the per-rank tile solver of the KBA wavefront (a
+        cluster of simulated Cell chips).  With workers attached, the
+        engine runs the units of a vacuum sweep.
         """
-        if moment_source.shape != (self.deck.nm, *self.deck.grid.shape):
-            raise ConfigurationError(
-                f"moment_source must be {(self.deck.nm, *self.deck.grid.shape)}, "
-                f"got {moment_source.shape}"
-            )
         if self._engine is not None:
             parallel = self._engine.sweep(moment_source, boundary)
             if parallel is not None:
                 return parallel
-        return self._sweep_serial(moment_source, boundary)
-
-    def _sweep_serial(
-        self, moment_source: np.ndarray, boundary=None
-    ) -> tuple[np.ndarray, SweepTally, object]:
-        """The serial sweep body."""
-        if boundary is None:
-            from ..sweep.pipelining import VacuumBoundary
-
-            boundary = VacuumBoundary(self.deck, self.quad)
-        self.host.zero_flux()
-        self.host.load_moment_source(moment_source)
-        tally = SweepTally()
-        for octant in range(8):
-            self._sweep_octant(octant, tally, boundary)
-        tally.leakage = getattr(boundary, "leakage", 0.0)
-        return self.host.flux_logical(), tally, boundary
+        return super().sweep(moment_source, boundary)
 
     def sweep_once(self, moment_source: np.ndarray) -> tuple[np.ndarray, SweepTally]:
         """One sweep with vacuum boundaries (single-chip convenience)."""

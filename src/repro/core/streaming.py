@@ -48,6 +48,7 @@ from ..cell.spe import SPE
 from ..errors import ConfigurationError
 from ..metrics.registry import spe_metric
 from ..sweep.input import InputDeck
+from ..sweep.pipelining import StagedLine
 from ..trace.bus import spe_track
 from .levels import MachineConfig
 from .porting import HostState, RowSpec
@@ -59,49 +60,6 @@ PUT_TAG = 5
 #: Entry cap of the process-global transfer-plan cache (cleared
 #: wholesale on overflow; a miss only costs a rebuild).
 PLAN_CACHE_MAX_ENTRIES: int = 1 << 15
-
-
-@dataclass(frozen=True)
-class StagedLine:
-    """One I-line's identity in both oriented and global coordinates."""
-
-    mm: int        # angle index within the block
-    kk: int        # K-plane within the block (oriented)
-    j_o: int       # J row (oriented)
-    j_g: int       # J row (global storage)
-    k_g: int       # K plane (global storage)
-    angle: int     # global ordinate index
-    reverse_i: bool  # sweep direction along the row
-
-
-def staged_lines_for_diagonal(
-    deck: InputDeck, octant: int, globals_: list[int], k0: int, d: int
-) -> list[StagedLine]:
-    """The :class:`StagedLine` descriptors of one jkm diagonal.
-
-    Pure function of the deck geometry and the (octant, angle block,
-    K block, diagonal) coordinates -- the property that lets
-    :mod:`repro.parallel` worker processes rebuild a diagonal's work
-    from a few integers instead of pickling line lists.
-    """
-    from ..sweep.pipelining import diagonal_lines
-    from ..sweep.quadrature import OCTANT_SIGNS
-
-    g = deck.grid
-    jt, kt = g.ny, g.nz
-    sx, sy, sz = OCTANT_SIGNS[octant]
-    return [
-        StagedLine(
-            mm=mm,
-            kk=kk,
-            j_o=j,
-            j_g=j if sy > 0 else jt - 1 - j,
-            k_g=(k0 + kk) if sz > 0 else kt - 1 - (k0 + kk),
-            angle=globals_[mm],
-            reverse_i=sx < 0,
-        )
-        for (j, kk, mm) in diagonal_lines(jt, deck.mk, deck.mmi, d)
-    ]
 
 
 @dataclass(frozen=True, slots=True)

@@ -24,13 +24,8 @@ deck shape (:mod:`repro.parallel.pool`).
 from .engine import ParallelEngine
 from .pool import PersistentPool, global_pool, resolve_pool
 from .shm import AttachedArrays, SegmentRegistry, SharedArrayPool
-from .workunits import (
-    BlockUnit,
-    RecordingVacuumBoundary,
-    UnitResult,
-    enumerate_block_units,
-    replay_flux,
-)
+from .workunits import RecordingVacuumBoundary, UnitResult, replay_flux
+from ..sweep.pipelining import BlockUnit, enumerate_block_units
 
 __all__ = [
     "ParallelEngine",

@@ -39,15 +39,9 @@ from ..cell.isa_compile import STATS, stats_delta
 from ..errors import ParallelError
 from ..obs.flight import flight as _flight
 from ..sweep.flux import SweepTally
-from ..sweep.pipelining import VacuumBoundary
+from ..sweep.pipelining import BlockUnit, VacuumBoundary
 from .shm import AttachedArrays, SharedArrayPool
-from .workunits import (
-    BlockUnit,
-    RecordingVacuumBoundary,
-    UnitResult,
-    enumerate_block_units,
-    replay_flux,
-)
+from .workunits import RecordingVacuumBoundary, UnitResult, replay_flux
 
 #: host arrays that live in shared memory (name prefixes; everything
 #: else stays process-private in each worker's attached solver)
@@ -90,9 +84,8 @@ class ParallelEngine:
         self._closed = False
         self._dirty = False  # an aborted sweep poisons queues/segments
         g = solver.deck.grid
-        self.units: list[BlockUnit] = enumerate_block_units(
-            solver.deck, solver.quad
-        )
+        #: the solver's unit enumeration, shared with every worker
+        self.units = solver.units
         num_angles = 8 * solver.quad.per_octant
         self.psi = self.shm.alloc(
             "parallel-psi", (num_angles, g.nz, g.ny, solver.host.row_len)
@@ -211,7 +204,7 @@ class ParallelEngine:
                     if ev.dur:
                         bus.now += ev.dur
         solver.host.zero_flux()
-        replay_flux(solver.host, self.psi, solver.quad, solver.basis, solver.deck)
+        replay_flux(solver.host, self.psi, self.units, solver.basis)
         tally.leakage = boundary.leakage
         return solver.host.flux_logical(), tally, boundary
 
@@ -238,11 +231,12 @@ class _BoundBlockState:
         self.solver = _attach_solver(
             payload["deck"], payload["config"], self.attached
         )
-        self.units = enumerate_block_units(self.solver.deck, self.solver.quad)
         self.psi = self.attached.get("parallel-psi")
 
     def execute(self, index: int) -> UnitResult:
-        return _execute_block_unit(self.solver, self.units[index], self.psi)
+        return _execute_block_unit(
+            self.solver, self.solver.units[index], self.psi
+        )
 
     def close(self) -> None:
         self.attached.close()
@@ -263,9 +257,7 @@ def _execute_block_unit(solver, unit: BlockUnit, psi: np.ndarray) -> UnitResult:
     prev_metrics = capture_unit_metrics(solver)
     compile_before = STATS.snapshot()
     try:
-        solver._sweep_block(
-            unit.octant, list(unit.angles), tally, boundary, psi_sink=psi
-        )
+        solver._sweep_unit(unit, tally, boundary, psi_sink=psi)
     finally:
         metrics_delta = release_unit_metrics(solver, prev_metrics)
     events = list(bus.events[start_idx:]) if bus.enabled else None

@@ -27,26 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..sweep.input import InputDeck
-from ..sweep.pipelining import VacuumBoundary, angle_blocks
+from ..sweep.pipelining import BlockUnit, VacuumBoundary
 from ..sweep.quadrature import Quadrature
-
-
-@dataclass(frozen=True)
-class BlockUnit:
-    """One independent (octant, angle-block) slice of a sweep."""
-
-    index: int
-    octant: int
-    angles: tuple[int, ...]  # ordinate indices local to the octant
-
-
-def enumerate_block_units(deck: InputDeck, quad: Quadrature) -> list[BlockUnit]:
-    """All units of one sweep, in the serial execution order."""
-    units: list[BlockUnit] = []
-    for octant in range(8):
-        for angles in angle_blocks(quad.per_octant, deck.mmi):
-            units.append(BlockUnit(len(units), octant, tuple(angles)))
-    return units
 
 
 @dataclass
@@ -84,24 +66,20 @@ class RecordingVacuumBoundary(VacuumBoundary):
         super()._tally(contribution)
 
 
-def replay_flux(host, psi: np.ndarray, quad: Quadrature, basis, deck: InputDeck) -> None:
+def replay_flux(host, psi: np.ndarray, units: list[BlockUnit], basis) -> None:
     """Accumulate the captured angular flux into ``host.flux_storage``
     in the serial order.
 
     ``psi[a, k, j, :it]`` holds angle ``a``'s cell-centred flux in
     global storage coordinates.  The serial solver updates each flux
-    row once per angle, in (octant asc, angle-block asc, angle asc)
-    order, with one elementwise multiply-add per visit; iterating
-    angles in that order over the whole grid performs the identical
-    chain, element for element."""
-    it = deck.grid.nx
+    row once per angle, in unit order and angle order within a unit,
+    with one elementwise multiply-add per visit; iterating ``units``
+    (the sweep's serial enumeration) over the whole grid performs the
+    identical chain, element for element."""
+    it = host.deck.grid.nx
     wpn = basis.wpn
-    for octant in range(8):
-        base = octant * quad.per_octant
-        for angles in angle_blocks(quad.per_octant, deck.mmi):
-            for a_local in angles:
-                a = base + a_local
-                pa = psi[a, :, :, :it]
-                for n in range(deck.nm):
-                    fs = host.flux_storage[n]
-                    fs[:, :, :it] = wpn[n, a] * pa + fs[:, :, :it]
+    for unit in units:
+        for a in unit.ordinates:
+            pa = psi[a, :, :, :it]
+            for n, fs in enumerate(host.flux_storage):
+                fs[:, :, :it] = wpn[n, a] * pa + fs[:, :, :it]

@@ -11,6 +11,9 @@ anywhere in the chain.  (``CellClusterSweep3D`` and ``KBASweep3D`` are
 the local path itself, so they are not referees here.)  The epsilon
 referee deck rides the matrix as one more input: the barrier's verdict
 must stop it at the serial iteration count, with the serial history.
+So does a source/shield deck whose material box straddles the rank
+tiles, on the cell and the tile engine: per-cell cross-section rows are
+gathered on both sides of every rank boundary.
 """
 
 from __future__ import annotations
@@ -23,23 +26,38 @@ from repro.core.projections import cluster_projection
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.sweep import SerialSweep3D
 from repro.sweep.flux import flux_digest
-from repro.sweep.input import small_deck
+from repro.sweep.geometry import Grid
+from repro.sweep.input import InputDeck, small_deck
 
 GRIDS = ((1, 2), (2, 2), (2, 4))
 TRANSPORTS = ("local", "socket")
 #: (grid, deck) inputs of the matrix: the fixed-iteration deck on every
-#: grid, and the epsilon referee deck on one
+#: grid, the epsilon referee deck on one, and the shield deck on one
 CASES = {f"{p}x{q}": ((p, q), "fixed") for p, q in GRIDS}
 CASES["2x1-epsilon"] = ((2, 1), "epsilon")
+CASES["2x2-shield"] = ((2, 2), "shield")
 
 
 def make_deck():
     return small_deck(n=8, sn=4, nm=2, iterations=2)
 
 
+def shield_deck() -> InputDeck:
+    """7x6x5 source/shield deck whose material box straddles the rank
+    tiles of a 2 x 2 grid, so per-cell sigma_t rows (and fixups) are
+    gathered on both sides of every rank boundary."""
+    return InputDeck(
+        grid=Grid(7, 6, 5), sn=4, nm=2, mk=5, iterations=2,
+        scattering_ratio=0.9, source=1.5, source_box=(0, 3, 1, 4, 1, 4),
+        material_box=(3, 6, 0, 6, 0, 5),
+        material_sigma_t=8.0, material_scattering_ratio=0.1,
+    )
+
+
 @pytest.fixture(scope="module")
 def decks(epsilon_deck):
-    return {"fixed": make_deck(), "epsilon": epsilon_deck}
+    return {"fixed": make_deck(), "epsilon": epsilon_deck,
+            "shield": shield_deck()}
 
 
 @pytest.fixture(scope="module")
@@ -94,16 +112,19 @@ def test_unmet_epsilon_raises(epsilon_deck, transport):
         )
 
 
-def test_local_transport_matches_kba_tile():
+def test_local_transport_matches_kba_tile(decks, serial):
     """The local transport on the NumPy tile engine -- the path
     ``KBASweep3D`` runs -- against the serial reference."""
-    deck = make_deck()
-    ref = SerialSweep3D(deck).solve()
-    report = run_cluster_solve(deck, 2, 2, transport="local", engine="tile")
-    np.testing.assert_array_equal(ref.flux, report.result.flux)
-    assert report.result.tally.leakage == pytest.approx(
-        ref.tally.leakage, rel=1e-12
-    )
+    for name in ("fixed", "shield"):
+        ref = serial[name]
+        report = run_cluster_solve(
+            decks[name], 2, 2, transport="local", engine="tile"
+        )
+        np.testing.assert_array_equal(ref.flux, report.result.flux)
+        assert report.result.tally.fixups == ref.tally.fixups
+        assert report.result.tally.leakage == pytest.approx(
+            ref.tally.leakage, rel=1e-12
+        )
 
 
 def test_local_and_socket_agree():

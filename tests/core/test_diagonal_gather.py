@@ -1,7 +1,7 @@
 """Every chunk's GET program delivers the bytes the kernel consumed.
 
 The line kernel reads one gather of the host arrays per jkm diagonal
-(``CellSweep3D._gather_diagonal``), not the local store, so a wrong GET
+(``TileSweeper._gather_diagonal``), not the local store, so a wrong GET
 address for ``msrc``/``sigt``/``phii`` no longer corrupts the flux --
 only ``flux``/``phij``/``phik`` still round-trip through the local
 store.  The flux SHA therefore stopped refereeing the staging of the
@@ -20,6 +20,7 @@ import pytest
 from repro.core import solver as solver_mod
 from repro.core import streaming
 from repro.core.levels import MachineConfig, SchedulerKind, SyncProtocol
+from repro.sweep import pipelining
 from repro.sweep.geometry import Grid
 from repro.sweep.input import InputDeck
 from repro.sweep.serial import SerialSweep3D
@@ -51,7 +52,8 @@ def refereed_solve(deck: InputDeck, config: MachineConfig, monkeypatch):
     it = deck.grid.nx
     state = {"gather": None, "chunk": None, "checked": 0, "ragged": 0}
     S = solver_mod.CellSweep3D
-    real_gather = S.__dict__["_gather_diagonal"]
+    T = pipelining.TileSweeper
+    real_gather = T.__dict__["_gather_diagonal"]
     real_execute = S.__dict__["_execute_chunk"]
     real_stage_in = streaming.ChunkBuffers.__dict__["stage_in"]
 
@@ -90,7 +92,7 @@ def refereed_solve(deck: InputDeck, config: MachineConfig, monkeypatch):
         state["checked"] += 1
         state["ragged"] += L < config.chunk_lines
 
-    monkeypatch.setattr(S, "_gather_diagonal", gather)
+    monkeypatch.setattr(T, "_gather_diagonal", gather)
     monkeypatch.setattr(S, "_execute_chunk", execute)
     monkeypatch.setattr(streaming.ChunkBuffers, "stage_in", stage_in)
     with S(deck, config) as cell:
@@ -148,14 +150,14 @@ def test_command_path_delivers_the_gathered_rows(monkeypatch):
 def test_referee_notices_a_kernel_operand_that_was_not_staged(monkeypatch):
     """The referee is live: hand the kernel an I-inflow the GET program
     did not deliver and the first ``stage_in`` trips it."""
-    real_gather = solver_mod.CellSweep3D.__dict__["_gather_diagonal"]
+    real_gather = pipelining.TileSweeper.__dict__["_gather_diagonal"]
 
     def shifted(self, lines):
         g = real_gather(self, lines)
         g["phii"] = g["phii"] + 1.0
         return g
 
-    monkeypatch.setattr(solver_mod.CellSweep3D, "_gather_diagonal", shifted)
+    monkeypatch.setattr(pipelining.TileSweeper, "_gather_diagonal", shifted)
     with pytest.raises(AssertionError):
         refereed_solve(
             material_deck(),

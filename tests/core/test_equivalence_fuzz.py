@@ -1,8 +1,10 @@
 """Property test: solver equivalence over randomized problems.
 
 The keystone equivalence (serial == tile == Cell-simulated) is asserted
-over randomly drawn decks -- grid shapes, cross sections, scattering,
-fixups, chunk sizes -- not just hand-picked ones.
+over randomly drawn decks -- grid shapes up to 7 cells a side (primes
+included), cross sections, scattering, fixups, chunk sizes, an optional
+source box and an optional material box, whose per-cell cross sections
+reach the kernel as gathered ``sigt`` rows -- not just hand-picked ones.
 """
 
 from __future__ import annotations
@@ -20,10 +22,20 @@ from repro.sweep.serial import SerialSweep3D
 
 
 @st.composite
+def boxes(draw, shape):
+    """A non-empty half-open ``(x0, x1, y0, y1, z0, z1)`` inside ``shape``."""
+    bounds = []
+    for n in shape:
+        lo = draw(st.integers(0, n - 1))
+        bounds += [lo, draw(st.integers(lo + 1, n))]
+    return tuple(bounds)
+
+
+@st.composite
 def decks(draw):
-    nx = draw(st.integers(3, 6))
-    ny = draw(st.integers(3, 6))
-    nz = draw(st.integers(2, 6))
+    nx = draw(st.integers(3, 7))
+    ny = draw(st.integers(3, 7))
+    nz = draw(st.integers(2, 7))
     mk = draw(st.sampled_from([m for m in range(1, nz + 1) if nz % m == 0]))
     sn = draw(st.sampled_from([2, 4]))
     per_octant = sn * (sn + 2) // 8
@@ -45,6 +57,10 @@ def decks(draw):
         fixup=draw(st.booleans()),
         mk=mk,
         mmi=mmi,
+        source_box=draw(st.none() | boxes((nx, ny, nz))),
+        material_box=draw(st.none() | boxes((nx, ny, nz))),
+        material_sigma_t=draw(st.floats(0.2, 8.0)),
+        material_scattering_ratio=draw(st.floats(0.0, 0.8)),
     )
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.levels import MachineConfig, SchedulerKind, SyncProtocol
 from repro.core.solver import CellSweep3D
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SweepError
 from repro.sweep import SerialSweep3D, small_deck, verify
 
 
@@ -157,7 +157,7 @@ class TestMachineAccounting:
 
     def test_bad_moment_source_shape(self, deck):
         solver = CellSweep3D(deck, MachineConfig())
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(SweepError):
             solver.sweep_once(np.zeros((deck.nm, 2, 2, 2)))
 
     def test_timing_bridge(self, deck):

@@ -5,14 +5,16 @@
 lowered from (``rows_for_chunk`` -> ``_commands`` -> ``issue`` -> MFC ->
 MIC) stays in the tree as the referee.  Two levels:
 
-* **machine level**, over the whole configuration matrix (on the
-  ragged prime and shield decks under ``-m slow``; tier-1 runs every
-  value of every factor there): the same diagonals staged in and out on
-  two identical machines, one per path, must leave the same local-store
-  bytes, the same host bytes, the same ``TagStats`` (``cycles`` bit for
-  bit), the same trace events and the same metrics;
+* **machine level**, over the whole configuration matrix (under
+  ``-m slow``; tier-1 runs every value of every factor on every deck):
+  the same diagonals staged in and out on two identical machines, one
+  per path, must leave the same local-store bytes, the same host bytes,
+  the same ``TagStats`` (``cycles`` bit for bit), the same trace events
+  and the same metrics;
 * **solver level**, on a few configurations per deck: the flux equals
-  the serial reference and the exported trace is byte-identical.
+  the serial reference and the exported trace is byte-identical (the
+  full-size shield deck under ``-m slow``; tier-1 solves a smaller
+  material-box deck in its place).
 
 Plus the behaviour of the process-global cache itself.
 """
@@ -33,14 +35,14 @@ from repro.core import streaming
 from repro.core.levels import MachineConfig, SyncProtocol
 from repro.core.porting import HostState
 from repro.core.solver import CellSweep3D
-from repro.core.streaming import ChunkBuffers, staged_lines_for_diagonal
+from repro.core.streaming import ChunkBuffers
 from repro.core.worklist import assign_cyclic
 from repro.metrics.registry import MetricsRegistry
 from repro.parallel.pool import PersistentPool
 from repro.sweep import SerialSweep3D
 from repro.sweep.geometry import Grid
 from repro.sweep.input import InputDeck, small_deck
-from repro.sweep.pipelining import num_diagonals
+from repro.sweep.pipelining import num_diagonals, staged_lines_for_diagonal
 from repro.trace.bus import TraceBus
 from repro.trace.export import to_chrome_trace
 from repro.trace.sanitizer import sanitize
@@ -57,11 +59,24 @@ def shield_deck() -> InputDeck:
     )
 
 
+def material_deck() -> InputDeck:
+    """6x7x5 with a material box (``test_diagonal_gather``'s shape):
+    per-cell ``sigt`` rows at a tier-1 size."""
+    return InputDeck(
+        grid=Grid(6, 7, 5), sn=4, nm=2, mk=5, iterations=1,
+        scattering_ratio=0.9, source_box=(1, 4, 2, 5, 1, 4),
+        material_box=(4, 6, 0, 7, 0, 5),
+        material_sigma_t=8.0, material_scattering_ratio=0.1,
+    )
+
+
 DECKS = {
     "cube": small_deck(n=6, sn=4, nm=2, iterations=1, mk=3),
     "shield": shield_deck(),
     "prime": InputDeck(grid=Grid(7, 5, 3), sn=4, nm=2, mk=3, iterations=1),
 }
+#: the solver-level decks: the machine-level ones plus the material box
+SOLVE_DECKS = dict(DECKS, material=material_deck())
 
 
 def path(planned: bool):
@@ -169,16 +184,14 @@ def check_replay_is_the_command_path(deck_name, configs):
 
 @pytest.mark.parametrize("deck_name", DECKS)
 def test_replay_is_the_command_path_on_every_machine(deck_name):
-    # the full matrix on the cube deck; the ragged decks run it under
-    # -m slow (test_full_matrix_on_the_ragged_decks)
-    check_replay_is_the_command_path(
-        deck_name, MATRIX if deck_name == "cube" else FACTOR_VALUES
-    )
+    # every factor value; the full matrix runs under -m slow
+    # (test_full_matrix_on_every_deck)
+    check_replay_is_the_command_path(deck_name, FACTOR_VALUES)
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("deck_name", ["prime", "shield"])
-def test_full_matrix_on_the_ragged_decks(deck_name):
+@pytest.mark.parametrize("deck_name", DECKS)
+def test_full_matrix_on_every_deck(deck_name):
     check_replay_is_the_command_path(deck_name, MATRIX)
 
 
@@ -225,20 +238,8 @@ def solver_config(**overrides) -> MachineConfig:
     return MachineConfig(**base)
 
 
-@pytest.mark.parametrize(
-    "deck_name, overrides",
-    [
-        ("cube", dict()),
-        ("cube", dict(dma_lists=False, num_spes=8, chunk_lines=3)),
-        ("cube", dict(double_buffer=False, aligned_rows=False,
-                      bank_offsets=False, num_spes=1, chunk_lines=1)),
-        ("prime", dict(num_spes=8)),
-        ("prime", dict(dma_lists=False, chunk_lines=3)),
-        ("shield", dict(num_spes=8)),
-    ],
-)
-def test_solve_is_observably_identical(deck_name, overrides):
-    deck = DECKS[deck_name]
+def check_solve_is_observably_identical(deck_name, overrides):
+    deck = SOLVE_DECKS[deck_name]
     reference = SerialSweep3D(deck).solve()
     seen = []
     for planned in (False, True):
@@ -258,6 +259,27 @@ def test_solve_is_observably_identical(deck_name, overrides):
     assert planned_run[1] == blob
     assert planned_run[2] == hazards == []
     assert planned_run[3] == metrics
+
+
+@pytest.mark.parametrize(
+    "deck_name, overrides",
+    [
+        ("cube", dict()),
+        ("cube", dict(dma_lists=False, num_spes=8, chunk_lines=3)),
+        ("cube", dict(double_buffer=False, aligned_rows=False,
+                      bank_offsets=False, num_spes=1, chunk_lines=1)),
+        ("prime", dict(num_spes=8)),
+        ("prime", dict(dma_lists=False, chunk_lines=3)),
+        ("material", dict(num_spes=8)),
+    ],
+)
+def test_solve_is_observably_identical(deck_name, overrides):
+    check_solve_is_observably_identical(deck_name, overrides)
+
+
+@pytest.mark.slow
+def test_solve_is_observably_identical_on_the_shield_deck():
+    check_solve_is_observably_identical("shield", dict(num_spes=8))
 
 
 # -- the cache -------------------------------------------------------------------

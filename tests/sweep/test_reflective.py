@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import InputDeckError, SweepError, ConfigurationError
+from repro.errors import InputDeckError, SweepError
 from repro.sweep import SerialSweep3D, TileSweeper, small_deck, verify
 from repro.sweep.geometry import Grid
 
@@ -106,7 +106,7 @@ class TestValidationAndGuards:
         deck = small_deck(n=4, sn=2, nm=1, mk=2).with_(
             reflect_low=(True, False, False)
         )
-        with pytest.raises(ConfigurationError, match="hyperplane"):
+        with pytest.raises(SweepError, match="hyperplane"):
             CellSweep3D(deck, MachineConfig())
 
     def test_mirror_ordinate_involution(self):
