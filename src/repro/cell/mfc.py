@@ -17,6 +17,7 @@ each command batch through the shared :class:`~repro.cell.mic.MemoryTimingModel`
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import MutableSequence
 from dataclasses import dataclass, field
 
 from ..errors import MFCError
@@ -100,6 +101,9 @@ class MFC:
         self.trace = NULL_BUS
         #: metrics registry (chip-wide; see ``CellBE.install_metrics``)
         self.metrics = NULL_REGISTRY
+        #: when set, every retired batch appends its cycles to it (the
+        #: owning solver records a unit's schedule through an ``array``)
+        self.cycle_log: MutableSequence[float] | None = None
 
     # -- queue management --------------------------------------------------
 
@@ -165,7 +169,10 @@ class MFC:
         stats.bytes_get += delta[2]
         stats.bytes_put += delta[3]
         stats.element_sizes.update(delta[4])
-        stats.cycles += cost.total_cycles
+        cycles = cost.total_cycles
+        stats.cycles += cycles
+        if self.cycle_log is not None:
+            self.cycle_log.append(cycles)
         if self.metrics.enabled:
             m = self.metrics
             m.add_cycles(spe_metric(self.spe_id, "dma_wait_ticks"), cost.total_cycles)

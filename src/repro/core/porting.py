@@ -27,7 +27,6 @@ congruence the bank offsets break up.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,14 +67,16 @@ class HostState(SweepState):
         self.row_bytes = row_len * dt.itemsize
         # phii rows stay 128-byte alignable
         self._phii_row = -(-g.ny // 16) * 16
-        slots = itertools.count()
+        #: the chip arrays of this image, in allocation order
+        self.array_names: list[str] = []
 
         def alloc(name: str, shape: tuple[int, ...]) -> np.ndarray:
             # the n-th array starts n banks further on
-            slot = next(slots)
             offset = (
-                slot % constants.NUM_MEMORY_BANKS if config.bank_offsets else 0
+                len(self.array_names) % constants.NUM_MEMORY_BANKS
+                if config.bank_offsets else 0
             )
+            self.array_names.append(name)
             return chip.host_alloc(name, shape, bank_offset=offset)
 
         super().__init__(deck, row_len, self._phii_row, alloc)

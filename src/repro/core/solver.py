@@ -14,7 +14,11 @@ all of its independent I-lines at once, from one gather of the host
 arrays -- and *writes each chunk's results into* the local-store views
 the PUT program streams, so the PUT is the diagonal's scatter;
 ``tests/core/test_diagonal_gather.py`` referees that every chunk's GET
-delivered exactly the bytes the kernel consumed.
+delivered exactly the bytes the kernel consumed.  That chunk-by-chunk
+simulation runs for the first work unit of a deck shape in each (J, K)
+sweep direction, which records what the unit added to the machine;
+the later units of that direction scatter like the tile and replay the
+record (:meth:`CellSweep3D._sweep_unit`).
 
 The flux produced must be -- and is, see
 ``tests/core/test_solver_equivalence.py`` -- *bit-identical* to the
@@ -29,6 +33,10 @@ configuration.  :meth:`CellSweep3D.timing` is the bridge.
 
 from __future__ import annotations
 
+from array import array
+from functools import reduce
+from operator import add
+
 import numpy as np
 
 from ..cell.chip import CellBE
@@ -36,14 +44,16 @@ from ..errors import ConfigurationError
 from ..sweep.flux import SolveResult, SweepTally, source_iteration
 from ..sweep.input import InputDeck
 from ..sweep.kernel import dd_line_block_solve
-from ..sweep.pipelining import BlockUnit, StagedLine, TileSweeper
+from ..sweep.pipelining import BlockUnit, DiagonalIndex, StagedLine, TileSweeper
+from ..sweep.quadrature import OCTANT_SIGNS
 from ..metrics.registry import NULL_REGISTRY, spe_metric
 from ..trace.bus import NULL_BUS, spe_track
 from .levels import MachineConfig, Precision, SchedulerKind, SyncProtocol
 from .porting import HostState
 from .spe_kernel import simd_execute_block, simd_execute_blocks
 from .scheduler import CentralizedScheduler, DistributedScheduler
-from .streaming import ChunkBuffers
+from . import streaming
+from .streaming import ChunkBuffers, UnitSchedule
 from .sync import LSPokeSync, MailboxSync
 from .worklist import Chunk
 
@@ -132,10 +142,10 @@ class CellSweep3D(TileSweeper):
             self._cycles_per_visit = 0.0
         super().__init__(deck)
         self.buffers = [
-            ChunkBuffers(spe, deck, self.config, self.host.row_len)
+            ChunkBuffers(spe, deck, self.config, self.host.row_len, self.host)
             for spe in self.chip.spes
         ]
-        sync = (
+        self.sync = (
             LSPokeSync(self.chip)
             if self.config.sync is SyncProtocol.LS_POKE
             else MailboxSync(self.chip)
@@ -143,9 +153,16 @@ class CellSweep3D(TileSweeper):
         self.scheduler = (
             DistributedScheduler(self.chip)
             if self.config.scheduler is SchedulerKind.DISTRIBUTED
-            else CentralizedScheduler(self.chip, sync)
+            else CentralizedScheduler(self.chip, self.sync)
         )
         self._buffer_set = 0
+        #: True while a unit replays its recorded schedule (see
+        #: :meth:`_sweep_unit`); its diagonals then take the tile step
+        self._replaying = False
+        #: units this solver replayed rather than simulated
+        self.replayed_units = 0
+        #: global ordinates of the executing unit (its chunks' lines)
+        self._unit_ordinates: tuple[int, ...] = ()
         #: the executing diagonal's results, split per chunk by
         #: :meth:`_prepare_diagonal` before dispatch and replayed chunk
         #: by chunk in :meth:`_execute_chunk`: ``(wpsi, phi_i_out, phi_j,
@@ -220,22 +237,119 @@ class CellSweep3D(TileSweeper):
         self, unit: BlockUnit, tally: SweepTally, boundary,
         psi_sink: np.ndarray | None = None,
     ) -> None:
+        """Figure 2's loops for one unit, on the machine.
+
+        The first unit of a shape to sweep in a (J, K) direction
+        simulates the machine chunk by chunk and records what it added
+        (:class:`UnitSchedule`); every later unit sweeping that way
+        scatters each diagonal like the tile and replays the record.
+        The units alike are those that stage the same rows in the same
+        order: ``rows_for_chunk`` reads a line's block-local angle and
+        its storage rows, never its ordinate (and ``mmi`` factors the
+        angles per octant, so every angle block is the same size), and
+        the I direction only reverses a row inside the local store (the
+        transfer plans are keyed without it).  Traced and metered
+        solves, and the command-path referee, always simulate."""
         # restart the double-buffer rotation per unit so a unit's staged
         # execution is independent of what ran before it (the buffer-set
         # choice never affects results; pinning it makes the serial and
         # parallel event streams line up unit for unit).
         self._buffer_set = 0
-        super()._sweep_unit(unit, tally, boundary, psi_sink)
+        self._unit_ordinates = unit.ordinates
+        config = self.config
+        if config.trace or config.metrics or streaming.simulate_every_sweep():
+            super()._sweep_unit(unit, tally, boundary, psi_sink)
+            return
+        key = (
+            tuple(b.layout for b in self.buffers), config, self.shape.key,
+            OCTANT_SIGNS[unit.octant][1:],
+        )
+        schedule = streaming.lookup_schedule(key)
+        if schedule is not None:
+            self._replaying = True
+            try:
+                super()._sweep_unit(unit, tally, boundary, psi_sink)
+            finally:
+                self._replaying = False
+            self._replay(schedule)
+            self.replayed_units += 1
+            return
+        mfcs = [spe.mfc for spe in self.chip.spes]
+        before = [
+            (m.stats.commands, m.stats.list_elements, m.stats.bytes_get,
+             m.stats.bytes_put, m.stats.element_sizes.copy())
+            for m in mfcs
+        ]
+        chunks = self.scheduler.chunks_dispatched
+        for m in mfcs:
+            m.cycle_log = array("d")
+        try:
+            super()._sweep_unit(unit, tally, boundary, psi_sink)
+            logs = [m.cycle_log for m in mfcs]
+        finally:
+            for m in mfcs:
+                m.cycle_log = None
+        streaming.publish_schedule(key, self._record(before, logs, chunks))
+
+    def _record(self, before: list, logs: list[array],
+                chunks: int) -> UnitSchedule:
+        """What the unit just simulated added to the machine, from the
+        MFC statistics before it (``before``), the cycles each MFC
+        retired during it (``logs``) and the dispatch count before it."""
+        spes = []
+        for spe, (c0, e0, g0, p0, sizes0), log in zip(
+            self.chip.spes, before, logs
+        ):
+            if not log:  # no work dispatched to this SPE
+                continue
+            st = spe.mfc.stats
+            spes.append((
+                spe.spe_id,
+                (st.commands - c0, st.list_elements - e0,
+                 st.bytes_get - g0, st.bytes_put - p0),
+                tuple((st.element_sizes - sizes0).items()), log,
+                self.sync.words(spe.spe_id),
+            ))
+        return UnitSchedule(
+            tuple(spes), self.scheduler.chunks_dispatched - chunks,
+            self.chip.atomics.values.get("work_head"), self._buffer_set,
+        )
+
+    def _replay(self, schedule: UnitSchedule) -> None:
+        """Add a recorded unit's machine accounting to this chip: the
+        MFC statistics (cycles batch by batch, so the float sum is the
+        simulated one) and the scheduler, sync and atomic end state."""
+        spes = self.chip.spes
+        for spe_id, (commands, elements, got, put), sizes, cycles, words in (
+            schedule.spes
+        ):
+            st = spes[spe_id].mfc.stats
+            st.commands += commands
+            st.list_elements += elements
+            st.bytes_get += got
+            st.bytes_put += put
+            st.element_sizes.update(dict(sizes))
+            st.cycles = reduce(add, cycles, st.cycles)
+            self.sync.restore_words(spe_id, words)
+        self.scheduler.chunks_dispatched += schedule.chunks
+        if schedule.work_head is not None:
+            self.chip.atomics.plain_store("ppe", "work_head", schedule.work_head)
+        self._buffer_set = schedule.buffer_set
 
     def _diagonal_step(
-        self, lines: list[StagedLine], gd: dict, wpsi: np.ndarray,
+        self, ix: DiagonalIndex, gd: dict, wpsi: np.ndarray,
         phi_i_out: np.ndarray, line_fixups: np.ndarray,
     ) -> None:
         """Hand the solved diagonal to the machine: the scheduler chunks
         it over the SPEs, and each chunk's replay stages the chunk in and
-        its results out -- the PUT program is the scatter."""
+        its results out -- the PUT program is the scatter.  A unit that
+        replays its schedule scatters like the tile instead."""
+        if self._replaying:
+            super()._diagonal_step(ix, gd, wpsi, phi_i_out, line_fixups)
+            return
         self.scheduler.run_diagonal(
-            lines, self.config.chunk_lines, self._execute_chunk,
+            ix.staged_lines(self._unit_ordinates), self.config.chunk_lines,
+            self._execute_chunk,
             prepare=lambda chunks: self._prepare_diagonal(
                 chunks, wpsi, phi_i_out, gd["phij"], gd["phik"], line_fixups
             ),

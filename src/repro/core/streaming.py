@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import threading
 from array import array
 from dataclasses import dataclass
 
@@ -98,8 +99,10 @@ class TransferPlan:
 class _PlanCache:
     """The process-global plan cache.  Keys are values, never object
     identities, so an entry outlives the solver that built it and is
-    inherited by forked pool workers.  Plain dicts: one solve thread
-    per process fills them, and a lost race costs one rebuild."""
+    inherited by forked pool workers.  Plain dicts: every lookup and
+    store is one dict operation, atomic under the GIL, so the solvers of
+    concurrent rank threads (the in-process cluster fabric) share them;
+    a lost race costs one rebuild."""
 
     def __init__(self) -> None:
         #: (layout id, chunk line coordinates) -> plan
@@ -163,6 +166,92 @@ def clear_plan_cache() -> None:
     _CACHE.clear()
 
 
+#: Entry cap of the process-global schedule cache, one entry per
+#: (layout, configuration, sweep shape, J and K direction); cleared
+#: wholesale on overflow like the plan cache.
+SCHEDULE_CACHE_MAX_ENTRIES: int = 1 << 10
+
+
+@dataclass(frozen=True, slots=True)
+class UnitSchedule:
+    """What one (octant, angle-block) unit's machine simulation adds to
+    the chip, recorded by the first unit to sweep its shape in its J and
+    K directions and replayed by every later one: the unit's DMA, sync
+    and scheduling are a pure function of the deck shape, those
+    directions and the machine, never of the data, of the I direction
+    or of which angles the block holds.
+
+    ``spes`` holds, per SPE the unit dispatched work to, ``(spe id,
+    (commands, list elements, bytes got, bytes put), (element size,
+    count) pairs, per-batch cycles in retirement order (a float
+    ``array``, 8 bytes a batch), sync words)``;
+    the sync words are what the protocol left for that SPE (``None``
+    when it leaves nothing).  ``chunks`` is the unit's dispatch count,
+    ``work_head`` the shared work counter it left (``None`` without
+    one) and ``buffer_set`` the double-buffer rotation's end state."""
+
+    spes: tuple[tuple[int, tuple[int, int, int, int],
+                      tuple[tuple[int, int], ...], array,
+                      tuple[int, int] | None], ...]
+    chunks: int
+    work_head: int | None
+    buffer_set: int
+
+
+class _ScheduleCache:
+    """The process-global unit schedules, keyed by value like the plan
+    cache.  A lookup is one dict read; publishing (one per simulated
+    unit) takes a lock, so the solvers of concurrent rank threads never
+    lose a count or clear a just-published entry."""
+
+    def __init__(self) -> None:
+        self.schedules: dict[tuple, UnitSchedule] = {}
+        self.recorded = 0
+        self._lock = threading.Lock()
+
+    def publish(self, key: tuple, schedule: UnitSchedule) -> None:
+        with self._lock:
+            if len(self.schedules) >= SCHEDULE_CACHE_MAX_ENTRIES:
+                self.schedules.clear()
+            self.schedules[key] = schedule
+            self.recorded += 1
+
+
+_SCHEDULES = _ScheduleCache()
+
+
+def lookup_schedule(key: tuple) -> UnitSchedule | None:
+    """The recorded schedule under ``key``, or ``None``."""
+    return _SCHEDULES.schedules.get(key)
+
+
+def publish_schedule(key: tuple, schedule: UnitSchedule) -> None:
+    """Make a recorded unit schedule available to every solver."""
+    _SCHEDULES.publish(key, schedule)
+
+
+def schedule_cache_info() -> dict[str, int]:
+    """Occupancy and lifetime recordings of this process's schedule
+    cache."""
+    return {
+        "entries": len(_SCHEDULES.schedules),
+        "capacity": SCHEDULE_CACHE_MAX_ENTRIES,
+        "recorded": _SCHEDULES.recorded,
+    }
+
+
+def clear_schedule_cache() -> None:
+    """Drop every unit schedule (tests; never needed for correctness)."""
+    with _SCHEDULES._lock:
+        _SCHEDULES.schedules.clear()
+
+
+def simulate_every_sweep() -> bool:
+    """True inside :func:`_command_path`: every unit runs the full
+    machine, and no schedule is replayed or recorded."""
+    return not _planned
+
+
 class ChunkBuffers:
     """Local-store working-set buffers for one SPE.
 
@@ -172,7 +261,7 @@ class ChunkBuffers:
     """
 
     def __init__(self, spe: SPE, deck: InputDeck, config: MachineConfig,
-                 row_len: int) -> None:
+                 row_len: int, host: HostState | None = None) -> None:
         self.spe = spe
         self.deck = deck
         self.config = config
@@ -211,6 +300,14 @@ class ChunkBuffers:
         self._ls_units: list[dict[tuple, np.ndarray]] = [
             {} for _ in range(self.sets)
         ]
+        if host is not None:
+            self._bind(host)
+
+    @property
+    def layout(self) -> int:
+        """The id of the layout this SPE's plans are cached under (-1
+        before the buffers are bound to a host image)."""
+        return self._layout
 
     @property
     def ls_bytes(self) -> int:
@@ -363,14 +460,15 @@ class ChunkBuffers:
         """Point plan replay at ``host`` and resolve the layout its
         plans are cached under: everything a program's addresses, batch
         boundaries and costs depend on besides the chunk's lines --
-        where each host array lives (shapes fix every row stride
-        ``rows_for_chunk`` uses), where this SPE's buffers live, and
-        the machine parameters."""
+        where each array of the host image lives (shapes fix every row
+        stride ``rows_for_chunk`` uses), where this SPE's buffers live,
+        and the machine parameters."""
         mfc = self.spe.mfc
+        space = host.chip.address_space
         self._layout = _CACHE.layout_id((
             tuple(
-                (a.name, a.ea, a.data.shape)
-                for a in host.chip.address_space.arrays()
+                (name, space[name].ea, space[name].data.shape)
+                for name in host.array_names
             ),
             tuple(
                 (name, b.offset, b.nbytes)
@@ -392,9 +490,11 @@ class ChunkBuffers:
         remains is where the bytes go and what each batch costs.  Every
         set holds the same buffers at offsets that are multiples of the
         16-byte DMA quantum (the coarsest alignment a transfer is held
-        to), so a program that is valid for one set is valid for all.  Entered with an empty queue, ``issue`` fills
-        it ``queue_depth`` commands at a time and waits on the tag in
-        between, so those are the batches.
+        to), so a program that is valid for one set is valid for all.
+
+        Entered with an empty queue, ``issue`` fills it ``queue_depth``
+        commands at a time and waits on the tag in between, so those are
+        the batches.
         """
         mfc = self.spe.mfc
         timing = mfc.timing

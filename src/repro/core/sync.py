@@ -73,6 +73,14 @@ class MailboxSync:
             )
         return ppe_cycles
 
+    def words(self, spe_id: int) -> None:
+        """What the protocol leaves behind for one SPE: nothing, every
+        round trip empties both mailboxes."""
+        return None
+
+    def restore_words(self, spe_id: int, words: None) -> None:
+        """Nothing to restore (see :meth:`words`)."""
+
     @property
     def dispatch_ppe_cycles(self) -> int:
         return PPE_MAILBOX_MMIO_CYCLES
@@ -142,6 +150,22 @@ class LSPokeSync:
                 spe=spe.spe_id, work_id=work_id, protocol=self.name,
             )
         return PPE_CACHED_POLL_CYCLES
+
+    def words(self, spe_id: int) -> tuple[int, int]:
+        """What the protocol leaves behind for one SPE: its doorbell
+        word (the last work id poked) and its completion word."""
+        doorbell = self._control[spe_id].as_bytes()[:8].tobytes()
+        return (struct.unpack("<Q", doorbell)[0],
+                int(self._completion[spe_id, 0]))
+
+    def restore_words(self, spe_id: int, words: tuple[int, int]) -> None:
+        """Leave the state :meth:`words` read, without its cycles: a
+        replayed schedule's end state."""
+        doorbell, completion = words
+        self._control[spe_id].as_bytes()[:8] = np.frombuffer(
+            struct.pack("<Q", doorbell), dtype=np.uint8
+        )
+        self._completion[spe_id, 0] = completion
 
     @property
     def dispatch_ppe_cycles(self) -> int:

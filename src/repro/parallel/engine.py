@@ -3,11 +3,12 @@
 The work unit is one ``(octant, angle-block)`` slice of the sweep.
 Workers build their own attached solver from the rebind payload (deck,
 config, shared-memory manifest), read the moment source from shared
-memory, execute the unit with the complete staged machinery (scheduler,
-sync protocol, DMA staging, kernel -- the diagonal-batched compiled
-executor included, when ``compile_isa`` is on) against their private
-face/flux arrays, and capture the unit's angular flux into a shared
-``psi`` array.  The parent then *replays* the flux accumulation and
+memory, execute the unit through the solver's own unit path (the
+complete staged machinery -- scheduler, sync protocol, DMA staging,
+kernel -- or, once that process has simulated a unit sweeping the same
+J and K directions, its recorded machine schedule, like the parent's)
+against their private face/flux arrays, and capture the unit's angular
+flux into a shared ``psi`` array.  The parent then *replays* the flux accumulation and
 refolds leakage in the serial order (see :mod:`.workunits`), so the
 reduction is deterministic by construction.  Per-unit trace-event
 buffers merge back into the parent's :class:`~repro.trace.bus.TraceBus`
@@ -246,8 +247,9 @@ class _BoundBlockState:
 
 
 def _execute_block_unit(solver, unit: BlockUnit, psi: np.ndarray) -> UnitResult:
-    """One (octant, angle-block) unit through the full staged machinery,
-    against this process's private faces and flux, capturing psi."""
+    """One (octant, angle-block) unit through the solver's unit path
+    (simulated or replayed, see ``CellSweep3D._sweep_unit``), against
+    this process's private faces and flux, capturing psi."""
     boundary = RecordingVacuumBoundary(solver.deck, solver.quad)
     tally = SweepTally()
     bus = solver.trace

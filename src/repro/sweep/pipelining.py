@@ -19,9 +19,10 @@ data dependency".
 
 :class:`TileSweeper` is that loop nest, once.  It enumerates the
 (octant, angle-block) units in serial order; per unit it runs the K
-blocks with their RECV; per jkm diagonal it enumerates the I-lines,
-gathers their working set from a :class:`SweepState` with one fancy
-index per array, solves them with one call of the line kernel
+blocks with their RECV; per jkm diagonal it takes the I-lines' index
+arrays from the process-wide :class:`SweepShape`, gathers their
+working set from a :class:`SweepState` with one fancy index per array,
+solves them with one call of the line kernel
 (:func:`~repro.sweep.kernel.dd_line_block_solve` or a kernel sharing its
 signature) and runs one per-diagonal step; SEND and ``finish_octant``
 close the blocks and the unit.  On its own the step scatters flux,
@@ -180,6 +181,107 @@ def staged_lines_for_diagonal(
     ]
 
 
+@dataclass(frozen=True, slots=True)
+class DiagonalIndex:
+    """One jkm diagonal's I-lines as index arrays, a column per
+    :class:`StagedLine` field and an entry per line, in
+    :func:`diagonal_lines` order: what the traversal gathers and
+    scatters with, one fancy index per array.  Every unit of an octant
+    shares them; a unit's global ordinates are ``ordinates[mm]``."""
+
+    mm: np.ndarray
+    kk: np.ndarray
+    j_o: np.ndarray
+    j_g: np.ndarray
+    k_g: np.ndarray
+    reverse_i: bool
+
+    def __len__(self) -> int:
+        return len(self.mm)
+
+    def staged_lines(self, ordinates: Sequence[int]) -> list[StagedLine]:
+        """The same lines of the unit with these global ``ordinates``
+        as :class:`StagedLine` descriptors, the chunk currency of the
+        simulated machine."""
+        rev = self.reverse_i
+        return [
+            StagedLine(mm, kk, j_o, j_g, k_g, ordinates[mm], rev)
+            for mm, kk, j_o, j_g, k_g in zip(
+                self.mm.tolist(), self.kk.tolist(), self.j_o.tolist(),
+                self.j_g.tolist(), self.k_g.tolist(),
+            )
+        ]
+
+
+class SweepShape:
+    """Every jkm diagonal's :class:`DiagonalIndex` of one sweep geometry.
+
+    The index arrays are a pure function of ``(jt, kt, mk, mmi)`` and
+    the octant, so they are built once per process (:func:`sweep_shape`)
+    instead of once per sweep.  An octant's diagonals are built on its
+    first use; the oriented ``(mm, kk, j_o)`` columns are shared by
+    every octant, the storage rows ``j_g``/``k_g`` by every octant of
+    the same signs.  Stores are single dict assignments, so solvers on
+    concurrent threads share a shape safely (a lost race costs one
+    rebuild).
+    """
+
+    def __init__(self, jt: int, kt: int, mk: int, mmi: int) -> None:
+        self.key = (jt, kt, mk, mmi)
+        self.k_starts = k_blocks(kt, mk)
+        #: oriented ``(mm, kk, j_o)`` columns per diagonal
+        self._base: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        for d in range(num_diagonals(jt, mk, mmi)):
+            j, kk, mm = np.array(
+                diagonal_lines(jt, mk, mmi, d), dtype=np.intp
+            ).reshape(-1, 3).T
+            self._base.append((mm, kk, j))
+        #: I-lines per diagonal (equal to :func:`diagonal_sizes`)
+        self.sizes = tuple(len(mm) for mm, _, _ in self._base)
+        self._rows: dict[tuple, list[np.ndarray]] = {}
+        self._octants: dict[int, tuple[tuple[DiagonalIndex, ...], ...]] = {}
+
+    def _storage_rows(self, key: tuple, column) -> list[np.ndarray]:
+        """One storage-row column per diagonal, memoized under ``key``."""
+        found = self._rows.get(key)
+        if found is None:
+            found = self._rows[key] = [column(*b) for b in self._base]
+        return found
+
+    def octant(self, octant: int) -> tuple[tuple[DiagonalIndex, ...], ...]:
+        """The octant's diagonals, one tuple per K block (in
+        :attr:`k_starts` order)."""
+        found = self._octants.get(octant)
+        if found is None:
+            found = self._octants[octant] = self._build(octant)
+        return found
+
+    def _build(self, octant: int) -> tuple[tuple[DiagonalIndex, ...], ...]:
+        jt, kt = self.key[0], self.key[1]
+        sx, sy, sz = OCTANT_SIGNS[octant]
+        j_g = self._storage_rows(
+            ("j", sy), lambda mm, kk, j: j if sy > 0 else jt - 1 - j
+        )
+        blocks = []
+        for k0 in self.k_starts:
+            k_g = self._storage_rows(
+                ("k", sz, k0),
+                lambda mm, kk, j: k0 + kk if sz > 0 else kt - 1 - k0 - kk,
+            )
+            blocks.append(tuple(
+                DiagonalIndex(mm, kk, j, jg, kg, sx < 0)
+                for (mm, kk, j), jg, kg in zip(self._base, j_g, k_g)
+            ))
+        return tuple(blocks)
+
+
+@lru_cache(maxsize=64)
+def sweep_shape(jt: int, kt: int, mk: int, mmi: int) -> SweepShape:
+    """The process-wide :class:`SweepShape` of one geometry, cached by
+    value so every solver of the same deck shape shares it."""
+    return SweepShape(jt, kt, mk, mmi)
+
+
 # ---------------------------------------------------------------------------
 # Boundary protocol
 # ---------------------------------------------------------------------------
@@ -336,6 +438,9 @@ class TileSweeper:
         self.basis = MomentBasis(self.quad, deck.nm)
         #: the (octant, angle-block) units of one sweep, in serial order
         self.units = enumerate_block_units(deck, self.quad)
+        #: every diagonal's index arrays, shared process-wide
+        g = deck.grid
+        self.shape = sweep_shape(g.ny, g.nz, deck.mk, deck.mmi)
         #: optional progress sink called once per completed unit: an
         #: object with a ``tick()`` method (e.g.
         #: :class:`repro.metrics.heartbeat.Heartbeat`, the solve
@@ -392,23 +497,24 @@ class TileSweeper:
         octant, angles = unit.octant, list(unit.angles)
         na = len(angles)
         ordinates = list(unit.ordinates)
+        ords = np.asarray(ordinates, dtype=np.intp)
         cxs = np.abs(quad.mu[ordinates]) / g.dx
         cys = np.abs(quad.eta[ordinates]) / g.dy
         czs = np.abs(quad.xi[ordinates]) / g.dz
         kernel = self._kernel()
         host.phik[...] = 0.0  # vacuum at the oriented K entry
-        for k0 in k_blocks(g.nz, deck.mk):
+        for k0, diagonals in zip(self.shape.k_starts, self.shape.octant(octant)):
             # RECV W/E and N/S into the face scratch
             host.phii[...] = 0.0
             host.phii[:na, :, :jt] = boundary.recv_i(octant, angles, k0, jt, it)
             host.phij[...] = 0.0
             host.phij[:na, :, :it] = boundary.recv_j(octant, angles, k0, jt, it)
             host.phii_out[...] = 0.0
-            for d in range(num_diagonals(jt, deck.mk, deck.mmi)):
-                lines = staged_lines_for_diagonal(deck, octant, ordinates, k0, d)
-                rev = slice(None, None, -1) if lines[0].reverse_i else slice(None)
-                gd = self._gather_diagonal(lines)
-                angle, mm = gd["angle"], gd["mm"]
+            for ix in diagonals:
+                rev = slice(None, None, -1) if ix.reverse_i else slice(None)
+                gd = self._gather_diagonal(ix)
+                mm = ix.mm
+                angle = ords[mm]
                 # the angular source from the moment rows, in the
                 # reference's accumulation order (MomentBasis.combine)
                 src = basis.combine(
@@ -419,7 +525,7 @@ class TileSweeper:
                 sigma = (
                     deck.sigma_t if gd["sigt"] is None else gd["sigt"][:, rev]
                 )
-                line_fixups = np.zeros(len(lines), dtype=np.intp)
+                line_fixups = np.zeros(len(ix), dtype=np.intp)
                 psi_c, phi_i_out, fixups = kernel(
                     src, sigma, gd["phii"], gd["phij"], gd["phik"],
                     cxs[mm], cys[mm], czs[mm],
@@ -427,16 +533,16 @@ class TileSweeper:
                 )
                 tally.fixups += fixups
                 if psi_sink is not None:
-                    psi_sink[angle, gd["k_g"], gd["j_g"], :it] = psi_c[:, rev]
+                    psi_sink[angle, ix.k_g, ix.j_g, :it] = psi_c[:, rev]
                 # w*Pn * Phi of Figure 6 for the whole diagonal
                 wpsi = basis.wpn[:, angle][:, :, None] * psi_c
-                self._diagonal_step(lines, gd, wpsi, phi_i_out, line_fixups)
+                self._diagonal_step(ix, gd, wpsi, phi_i_out, line_fixups)
             # SEND W/E and N/S
             boundary.send_i(octant, angles, k0, host.phii_out[:na, :, :jt].copy())
             boundary.send_j(octant, angles, k0, host.phij[:na, :, :it].copy())
         boundary.finish_octant(octant, angles, host.phik[:na, :, :it].copy())
 
-    def _gather_diagonal(self, lines: list[StagedLine]) -> dict:
+    def _gather_diagonal(self, ix: DiagonalIndex) -> dict:
         """One fancy index per array: the working set of every line of a
         jkm diagonal, in storage orientation -- what the paper's SPE
         threads DMA into their local stores.
@@ -447,13 +553,8 @@ class TileSweeper:
         rows, ``(mm, kk, j_o)`` phii cells and ``(k_g, j_g)`` flux rows.
         """
         host, it = self.host, self.deck.grid.nx
-        angle, mm, kk, j_o, j_g, k_g = np.array(
-            [(ln.angle, ln.mm, ln.kk, ln.j_o, ln.j_g, ln.k_g) for ln in lines],
-            dtype=np.intp,
-        ).T
+        mm, kk, j_o, j_g, k_g = ix.mm, ix.kk, ix.j_o, ix.j_g, ix.k_g
         return {
-            "angle": angle, "mm": mm, "kk": kk, "j_o": j_o,
-            "j_g": j_g, "k_g": k_g,
             "msrc": np.stack([m[k_g, j_g, :it] for m in host.msrc_storage]),
             # uniform decks hand the kernel the scalar instead
             "sigt": (host.sigt[k_g, j_g, :it]
@@ -464,7 +565,7 @@ class TileSweeper:
         }
 
     def _diagonal_step(
-        self, lines: list[StagedLine], gd: dict, wpsi: np.ndarray,
+        self, ix: DiagonalIndex, gd: dict, wpsi: np.ndarray,
         phi_i_out: np.ndarray, line_fixups: np.ndarray,
     ) -> None:
         """Scatter the diagonal's results into the state, one fancy
@@ -472,10 +573,8 @@ class TileSweeper:
         multiply-then-add as the reference), the outflow faces the
         kernel left in ``gd`` and the I-outflows."""
         host, it = self.host, self.deck.grid.nx
-        k_g, j_g, mm, kk, j_o = (
-            gd["k_g"], gd["j_g"], gd["mm"], gd["kk"], gd["j_o"]
-        )
-        if lines[0].reverse_i:
+        k_g, j_g, mm, kk, j_o = ix.k_g, ix.j_g, ix.mm, ix.kk, ix.j_o
+        if ix.reverse_i:
             wpsi = wpsi[:, :, ::-1]
         for flux, w in zip(host.flux_storage, wpsi):
             flux[k_g, j_g, :it] = w + flux[k_g, j_g, :it]

@@ -5,7 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.streaming import clear_schedule_cache
 from repro.sweep.input import small_deck
+
+
+@pytest.fixture(autouse=True)
+def cold_unit_schedules():
+    """Every test starts with no recorded unit schedules: its first Cell
+    sweep of a shape simulates the machine chunk by chunk whatever ran
+    before it, and its later sweeps replay, as in a fresh process."""
+    clear_schedule_cache()
 
 
 @pytest.fixture

@@ -167,20 +167,51 @@ class TestMachineAccounting:
 
 
 @pytest.mark.slow
-def test_benchmark_deck_one_iteration_matches_serial_reference():
-    """The paper's 50-cubed deck, one iteration, through the measured
+def test_benchmark_deck_two_iterations_match_serial_reference():
+    """The paper's 50-cubed deck, two iterations, through the measured
     Cell configuration: hundreds of lines per jkm diagonal instead of
-    the test decks' tens.  Seconds, not a fraction of one, so it runs
-    under ``-m slow`` (its own CI step), not in the default selection."""
+    the test decks' tens.  The first sweep simulates one unit per J and
+    K direction chunk by chunk and records its schedule; the other
+    units and the whole second sweep replay, so the second sweep must
+    add exactly the traffic the first one did, ``cycles`` bit for bit.  ``timing()`` is the analytic model (it reads no sweep or MFC
+    state), so its pin guards the model, not the replay.  Seconds, not
+    a fraction of one, so it runs under ``-m slow`` (its own CI step),
+    not in the default selection."""
     import dataclasses
 
+    from repro.core import streaming
     from repro.perf.processors import measured_cell_config
     from repro.serve.runner import flux_digest
     from repro.sweep.input import benchmark_deck
 
-    deck = dataclasses.replace(benchmark_deck(fixup=False), iterations=1)
+    deck = dataclasses.replace(benchmark_deck(fixup=False), iterations=2)
+    recorded = streaming.schedule_cache_info()["recorded"]
     with CellSweep3D(deck, measured_cell_config()) as solver:
+        traffic = []
+        sweep_once = solver.sweep_once
+
+        def counted(moment_source):
+            out = sweep_once(moment_source)
+            traffic.append([
+                (s.commands, s.list_elements, s.bytes_get, s.bytes_put,
+                 s.cycles)
+                for s in (spe.mfc.stats for spe in solver.chip.spes)
+            ])
+            return out
+
+        solver.sweep_once = counted
         result = solver.solve()
+    units = len(solver.units)
+    assert solver.replayed_units == 2 * units - 4
+    assert streaming.schedule_cache_info()["recorded"] - recorded == 4
     assert flux_digest(result.flux) == flux_digest(
         SerialSweep3D(deck).solve().flux
     )
+    assert solver.timing().seconds == 0.1694465036
+    first, both = traffic
+    # every batch costs whole cycles here, so the float deltas are exact
+    assert [
+        tuple(b - a for a, b in zip(one[:4], two[:4]))
+        + ((two[4] - one[4]).hex(),)
+        for one, two in zip(first, both)
+    ] == [one[:4] + (one[4].hex(),) for one in first]
