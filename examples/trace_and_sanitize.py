@@ -23,7 +23,7 @@ import sys
 from repro.cell.dma import DMAKind
 from repro.core import CellSweep3D
 from repro.core.optimizations import stage
-from repro.core.streaming import GET_TAGS, StagedLine
+from repro.core.streaming import GET_TAGS
 from repro.sweep import small_deck
 from repro.trace import (
     aggregate_stats,
@@ -70,23 +70,22 @@ def main() -> None:
     broken = CellSweep3D(deck, rung.config.with_(trace=True))
     bufs = broken.buffers[0]
 
-    def lines_at(k: int) -> list[StagedLine]:
-        # one line per program: this rung predates DMA lists, so each
-        # line is 8 individual commands and both programs fit the
-        # 16-entry MFC queue at once -- the hazard, not back-pressure,
-        # is what we are demonstrating.
-        return [
-            StagedLine(mm=0, kk=k, j_o=0, j_g=0, k_g=k, angle=0,
-                       reverse_i=False)
-        ]
+    # the first line of two of the sweep's diagonals, one per program:
+    # this rung predates DMA lists, so each line is 8 individual
+    # commands and both programs fit the 16-entry MFC queue at once --
+    # the hazard, not back-pressure, is what we are demonstrating.
+    diagonals = broken.shape.octant(0)[0]
+    first_line = slice(0, 1)
 
     bufs.issue(
-        bufs._program(broken.host, lines_at(0), DMAKind.GET, 0, GET_TAGS[0]),
+        bufs._program(broken.host, diagonals[0], first_line, DMAKind.GET, 0,
+                      GET_TAGS[0]),
         GET_TAGS[0],
     )
     # the bug: rotate into the same set while tag 2 is still in flight
     bufs.issue(
-        bufs._program(broken.host, lines_at(1), DMAKind.GET, 0, GET_TAGS[1]),
+        bufs._program(broken.host, diagonals[1], first_line, DMAKind.GET, 0,
+                      GET_TAGS[1]),
         GET_TAGS[1],
     )
 

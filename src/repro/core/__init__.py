@@ -26,7 +26,7 @@ from .spe_kernel import (
     simd_execute_block,
     simd_execute_blocks,
 )
-from .streaming import ChunkBuffers, StagedLine
+from .streaming import ChunkBuffers
 from .sync import LSPokeSync, MailboxSync
 from .worklist import Chunk, assign_cyclic, imbalance, make_chunks, makespan_lines, per_spe_line_counts
 
@@ -48,7 +48,6 @@ __all__ = [
     "RowSpec",
     "SchedulerKind",
     "SimdKernel",
-    "StagedLine",
     "SyncProtocol",
     "assign_cyclic",
     "cells_per_invocation",

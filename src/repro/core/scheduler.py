@@ -20,7 +20,7 @@ record in the chip's metrics registry (``ppe.*`` against
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 from ..cell.atomic import ATOMIC_OP_CYCLES
 from ..cell.chip import CellBE
@@ -51,7 +51,7 @@ class CentralizedScheduler:
         if trace.enabled:
             trace.instant(
                 PPE_TRACK, "WorkAssigned", chunk=chunk.index,
-                spe=chunk.spe, lines=len(chunk.lines),
+                spe=chunk.spe, lines=chunk.num_lines,
                 scheduler="centralized",
             )
         self.sync.dispatch(spe, chunk.index)
@@ -68,19 +68,20 @@ class CentralizedScheduler:
 
     def run_diagonal(
         self,
-        lines: Sequence,
+        num_lines: int,
         chunk_lines: int,
         execute: ExecuteFn,
         prepare: Callable[[list[Chunk]], None] | None = None,
     ) -> list[Chunk]:
-        """Dispatch one jkm diagonal's lines cyclically across the SPEs.
+        """Dispatch one jkm diagonal's ``num_lines`` rows cyclically
+        across the SPEs, in chunks of at most ``chunk_lines``.
 
         ``prepare`` sees the full chunk list before any dispatch --- the
         hook the solver uses to compute a diagonal's independent lines
         in one kernel call, whichever kernel.  It runs on the host clock
         only; the per-chunk dispatch protocol below is unchanged.
         """
-        chunks = assign_cyclic(lines, chunk_lines, len(self.chip.spes))
+        chunks = assign_cyclic(num_lines, chunk_lines, len(self.chip.spes))
         if prepare is not None:
             prepare(chunks)
         for chunk in chunks:
@@ -106,12 +107,12 @@ class DistributedScheduler:
 
     def run_diagonal(
         self,
-        lines: Sequence,
+        num_lines: int,
         chunk_lines: int,
         execute: ExecuteFn,
         prepare: Callable[[list[Chunk]], None] | None = None,
     ) -> list[Chunk]:
-        chunks = assign_cyclic(lines, chunk_lines, len(self.chip.spes))
+        chunks = assign_cyclic(num_lines, chunk_lines, len(self.chip.spes))
         if prepare is not None:
             # Chunk indices survive the re-wrapping below, so results
             # keyed by index reach the claiming SPE's execution.
@@ -138,11 +139,13 @@ class DistributedScheduler:
                 m.count("sched.atomic_attempts", attempts)
             chunk = chunks[old]
             # the claiming SPE executes it regardless of the cyclic hint
-            executed.append(Chunk(chunk.index, spe.spe_id, chunk.lines))
+            executed.append(
+                Chunk(chunk.index, spe.spe_id, chunk.start, chunk.stop)
+            )
             if self.chip.trace.enabled:
                 self.chip.trace.instant(
                     spe_track(spe.spe_id), "WorkAssigned", chunk=chunk.index,
-                    spe=spe.spe_id, lines=len(chunk.lines),
+                    spe=spe.spe_id, lines=chunk.num_lines,
                     scheduler="distributed", attempts=attempts,
                 )
             execute(executed[-1])

@@ -44,7 +44,7 @@ from ..errors import ConfigurationError
 from ..sweep.flux import SolveResult, SweepTally, source_iteration
 from ..sweep.input import InputDeck
 from ..sweep.kernel import dd_line_block_solve
-from ..sweep.pipelining import BlockUnit, DiagonalIndex, StagedLine, TileSweeper
+from ..sweep.pipelining import BlockUnit, DiagonalIndex, TileSweeper
 from ..sweep.quadrature import OCTANT_SIGNS
 from ..metrics.registry import NULL_REGISTRY, spe_metric
 from ..trace.bus import NULL_BUS, spe_track
@@ -161,12 +161,10 @@ class CellSweep3D(TileSweeper):
         self._replaying = False
         #: units this solver replayed rather than simulated
         self.replayed_units = 0
-        #: global ordinates of the executing unit (its chunks' lines)
-        self._unit_ordinates: tuple[int, ...] = ()
-        #: the executing diagonal's results, split per chunk by
+        #: the executing diagonal and its results, split per chunk by
         #: :meth:`_prepare_diagonal` before dispatch and replayed chunk
-        #: by chunk in :meth:`_execute_chunk`: ``(wpsi, phi_i_out, phi_j,
-        #: phi_k, {chunk index: (row slice, fixups)})``.
+        #: by chunk in :meth:`_execute_chunk`: ``(DiagonalIndex, wpsi,
+        #: phi_i_out, phi_j, phi_k, fixups per chunk index)``.
         self._diag_solution: tuple | None = None
         if self.workers > 1:
             from ..parallel.engine import ParallelEngine
@@ -247,15 +245,14 @@ class CellSweep3D(TileSweeper):
         order: ``rows_for_chunk`` reads a line's block-local angle and
         its storage rows, never its ordinate (and ``mmi`` factors the
         angles per octant, so every angle block is the same size), and
-        the I direction only reverses a row inside the local store (the
-        transfer plans are keyed without it).  Traced and metered
-        solves, and the command-path referee, always simulate."""
+        the I direction only reverses a row inside the local store,
+        which no DMA command sees.  Traced and metered solves, and the
+        command-path referee, always simulate."""
         # restart the double-buffer rotation per unit so a unit's staged
         # execution is independent of what ran before it (the buffer-set
         # choice never affects results; pinning it makes the serial and
         # parallel event streams line up unit for unit).
         self._buffer_set = 0
-        self._unit_ordinates = unit.ordinates
         config = self.config
         if config.trace or config.metrics or streaming.simulate_every_sweep():
             super()._sweep_unit(unit, tally, boundary, psi_sink)
@@ -348,33 +345,29 @@ class CellSweep3D(TileSweeper):
             super()._diagonal_step(ix, gd, wpsi, phi_i_out, line_fixups)
             return
         self.scheduler.run_diagonal(
-            ix.staged_lines(self._unit_ordinates), self.config.chunk_lines,
-            self._execute_chunk,
+            len(ix), self.config.chunk_lines, self._execute_chunk,
             prepare=lambda chunks: self._prepare_diagonal(
-                chunks, wpsi, phi_i_out, gd["phij"], gd["phik"], line_fixups
+                chunks, ix, wpsi, phi_i_out, gd["phij"], gd["phik"],
+                line_fixups,
             ),
         )
 
     def _prepare_diagonal(
-        self, chunks: list[Chunk], wpsi: np.ndarray, phi_i_out: np.ndarray,
-        phi_j: np.ndarray, phi_k: np.ndarray, line_fixups: np.ndarray,
+        self, chunks: list[Chunk], ix: DiagonalIndex, wpsi: np.ndarray,
+        phi_i_out: np.ndarray, phi_j: np.ndarray, phi_k: np.ndarray,
+        line_fixups: np.ndarray,
     ) -> None:
-        """Split one diagonal's kernel results per chunk before dispatch;
-        one ``np.add.reduceat`` splits the per-line fixup counts.  The
-        chunks are consecutive runs of the diagonal's lines, and the
-        lines' working sets never alias, so the host arrays the chunks
-        stage in hold exactly the bytes the kernel read, and no chunk's
-        ``stage_out`` lands on another's inputs.  Host-clock work only:
-        DMA, sync, metrics and trace run per chunk in
-        :meth:`_execute_chunk`."""
-        bounds = [0]
-        for ch in chunks:
-            bounds.append(bounds[-1] + len(ch.lines))
-        fixups = np.add.reduceat(line_fixups, bounds[:-1]).tolist()
+        """Keep diagonal ``ix``'s kernel results for its chunks, which
+        read them by their rows; one ``np.add.reduceat`` splits the
+        per-line fixup counts.  The chunks are consecutive runs of the
+        diagonal's rows, in index order, and the lines' working sets
+        never alias, so the host arrays the chunks stage in hold exactly
+        the bytes the kernel read, and no chunk's ``stage_out`` lands on
+        another's inputs.  Host-clock work only: DMA, sync, metrics and
+        trace run per chunk in :meth:`_execute_chunk`."""
+        fixups = np.add.reduceat(line_fixups, [ch.start for ch in chunks])
         self._diag_solution = (
-            wpsi, phi_i_out, phi_j, phi_k,
-            {ch.index: (slice(lo, hi), fx)
-             for ch, lo, hi, fx in zip(chunks, bounds, bounds[1:], fixups)},
+            ix, wpsi, phi_i_out, phi_j, phi_k, fixups.tolist(),
         )
 
     def _execute_chunk(self, chunk: Chunk) -> None:
@@ -382,8 +375,9 @@ class CellSweep3D(TileSweeper):
         of the diagonal's results where the kernel would have left them
         in the local store, account, stage out."""
         it = self.deck.grid.nx
-        lines: list[StagedLine] = list(chunk.lines)
-        L = len(lines)
+        ix, wpsi, phi_i_out, phi_j, phi_k, chunk_fixups = self._diag_solution
+        rows, L = chunk.rows, chunk.num_lines
+        fixups = chunk_fixups[chunk.index]
         bufs = self.buffers[chunk.spe]
         if self.config.double_buffer:
             s = self._buffer_set
@@ -391,10 +385,8 @@ class CellSweep3D(TileSweeper):
         else:
             s = 0
 
-        bufs.stage_in(self.host, lines, s)
+        bufs.stage_in(self.host, ix, rows, s)
         views = bufs.views(s)
-        wpsi, phi_i_out, phi_j, phi_k, chunk_rows = self._diag_solution
-        rows, fixups = chunk_rows.pop(chunk.index)
         views["phij"][:L, :it] = phi_j[rows]   # oriented scratch: no flip
         views["phik"][:L, :it] = phi_k[rows]
         # I-outflows take the inflow slots for the PUT program
@@ -403,7 +395,7 @@ class CellSweep3D(TileSweeper):
         # the same per-element multiply-then-add as the reference's
         # scalar loop.
         flux = views["flux"][:, :L, :it]
-        if lines[0].reverse_i:
+        if ix.reverse_i:
             flux = flux[:, :, ::-1]
         flux[...] = wpsi[:, rows] + flux
         if self.metrics.enabled:
@@ -423,7 +415,7 @@ class CellSweep3D(TileSweeper):
                 fixups=fixups,
                 regions=[list(r) for r in bufs.ls_regions(s)],
             )
-        bufs.stage_out(self.host, lines, s)
+        bufs.stage_out(self.host, ix, rows, s)
 
     # -- sweeps and source iteration -------------------------------------------------
 

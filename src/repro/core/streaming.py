@@ -20,8 +20,8 @@ The simulator applies the paper's own optimisation to itself: a chunk's
 validated command programs are assembled once and *lowered* to a
 :class:`TransferPlan` -- one row-index table per host array, plus what
 each MFC batch costs and adds to the traffic statistics -- kept in a
-process-global cache keyed by value (host layout, local-store layout,
-machine parameters and the chunk's line coordinates).  A warm
+process-global cache keyed by value (host layout, local-store layout and
+machine parameters, the diagonal's key and the chunk's row range).  A warm
 ``stage_in``/``stage_out`` replays the plan: one gather or scatter per
 host array, then the same statistics, metrics and trace events the
 command path produces, in the same order.  Plans are lowered from the
@@ -49,7 +49,7 @@ from ..cell.spe import SPE
 from ..errors import ConfigurationError
 from ..metrics.registry import spe_metric
 from ..sweep.input import InputDeck
-from ..sweep.pipelining import StagedLine
+from ..sweep.pipelining import DiagonalIndex
 from ..trace.bus import spe_track
 from .levels import MachineConfig
 from .porting import HostState, RowSpec
@@ -105,7 +105,7 @@ class _PlanCache:
     a lost race costs one rebuild."""
 
     def __init__(self) -> None:
-        #: (layout id, chunk line coordinates) -> plan
+        #: (layout id, diagonal key, first row, past the last row) -> plan
         self.plans: dict[tuple, TransferPlan] = {}
         #: layout value (see ``ChunkBuffers._bind``) -> small id, so the
         #: per-chunk key does not rehash the whole layout
@@ -407,39 +407,45 @@ class ChunkBuffers:
         ]
 
     def rows_for_chunk(
-        self, host: HostState, lines: list[StagedLine], direction: DMAKind
+        self, host: HostState, ix: DiagonalIndex, rows: slice,
+        direction: DMAKind,
     ) -> list[tuple[str, int, int, RowSpec]]:
-        """The (buffer, moment, line, host-row) tuples of a chunk's
-        working set.  GET fetches everything; PUT writes back the
-        read-modify-write subset (flux, faces, I-outflow)."""
+        """The (buffer, moment, line, host-row) tuples of the working set
+        of the chunk of diagonal ``ix`` at ``rows``.  GET fetches
+        everything; PUT writes back the read-modify-write subset (flux,
+        faces, I-outflow)."""
         nm = self.deck.nm
-        rows: list[tuple[str, int, int, RowSpec]] = []
-        for l, ln in enumerate(lines):
-            if direction is DMAKind.GET:
+        get = direction is DMAKind.GET
+        out: list[tuple[str, int, int, RowSpec]] = []
+        for l, (mm, kk, j_o, j_g, k_g) in enumerate(zip(
+            *(c[rows].tolist() for c in (ix.mm, ix.kk, ix.j_o, ix.j_g, ix.k_g))
+        )):
+            if get:
                 for n in range(nm):
-                    rows.append(("msrc", n, l, host.msrc_row(n, ln.j_g, ln.k_g)))
-                rows.append(("sigt", 0, l, host.sigt_row(ln.j_g, ln.k_g)))
+                    out.append(("msrc", n, l, host.msrc_row(n, j_g, k_g)))
+                out.append(("sigt", 0, l, host.sigt_row(j_g, k_g)))
             for n in range(nm):
-                rows.append(("flux", n, l, host.flux_row(n, ln.j_g, ln.k_g)))
-            rows.append(("phij", 0, l, host.phij_row(ln.mm, ln.kk)))
-            rows.append(("phik", 0, l, host.phik_row(ln.mm, ln.j_o)))
-            if direction is DMAKind.GET:
-                rows.append(("phii", 0, l, host.phii_cell(ln.mm, ln.kk, ln.j_o)))
+                out.append(("flux", n, l, host.flux_row(n, j_g, k_g)))
+            out.append(("phij", 0, l, host.phij_row(mm, kk)))
+            out.append(("phik", 0, l, host.phik_row(mm, j_o)))
+            if get:
+                out.append(("phii", 0, l, host.phii_cell(mm, kk, j_o)))
             else:
-                rows.append(("phii", 0, l, host.phii_out_cell(ln.mm, ln.kk, ln.j_o)))
-        return rows
+                out.append(("phii", 0, l, host.phii_out_cell(mm, kk, j_o)))
+        return out
 
     def _program(
         self,
         host: HostState,
-        lines: list[StagedLine],
+        ix: DiagonalIndex,
+        rows: slice,
         direction: DMAKind,
         s: int,
         tag: int,
     ) -> list:
         """The chunk's validated command program, built afresh."""
         return self._commands(
-            direction, self.rows_for_chunk(host, lines, direction), s, tag
+            direction, self.rows_for_chunk(host, ix, rows, direction), s, tag
         )
 
     def issue(self, commands: list, tag: int) -> None:
@@ -459,7 +465,7 @@ class ChunkBuffers:
     def _bind(self, host: HostState) -> None:
         """Point plan replay at ``host`` and resolve the layout its
         plans are cached under: everything a program's addresses, batch
-        boundaries and costs depend on besides the chunk's lines --
+        boundaries and costs depend on besides the chunk's rows --
         where each array of the host image lives (shapes fix every row
         stride ``rows_for_chunk`` uses), where this SPE's buffers live,
         and the machine parameters."""
@@ -480,7 +486,7 @@ class ChunkBuffers:
         self._host = host
         self._host_units = {}
 
-    def _lower(self, host: HostState, lines: list[StagedLine],
+    def _lower(self, host: HostState, ix: DiagonalIndex, rows: slice,
                direction: DMAKind, slots: dict[tuple, int],
                ) -> tuple[ProgramShape, tuple[TransferCost, ...]]:
         """Assemble one direction's command program and lower it;
@@ -498,9 +504,9 @@ class ChunkBuffers:
         """
         mfc = self.spe.mfc
         timing = mfc.timing
-        rows = self.rows_for_chunk(host, lines, direction)
+        specs = self.rows_for_chunk(host, ix, rows, direction)
         tag = GET_TAGS[0] if direction is DMAKind.GET else PUT_TAG
-        commands = self._commands(direction, rows, 0, tag)
+        commands = self._commands(direction, specs, 0, tag)
         labels = {id(b): name for name, b in self._bufs[0].items()}
         batches = [
             commands[i:i + mfc.queue_depth]
@@ -512,7 +518,7 @@ class ChunkBuffers:
             for batch in batches
         )
         moves = []
-        for buffer, n, entries in self._grouped(rows):
+        for buffer, n, entries in self._grouped(specs):
             unit = entries[0][1].nbytes
             first = self._row_offset(buffer, n, entries[0][0]) // unit
             units = tuple(spec.byte_offset // unit for _, spec in entries)
@@ -545,19 +551,17 @@ class ChunkBuffers:
             costs.append(cost)
         return shape, tuple(costs)
 
-    def _plan(self, host: HostState, lines: list[StagedLine]) -> TransferPlan:
+    def _plan(self, host: HostState, ix: DiagonalIndex,
+              rows: slice) -> TransferPlan:
         """The chunk's transfer plan, from the process-global cache."""
         if host is not self._host:
             self._bind(host)
-        key = (
-            self._layout,
-            tuple((ln.mm, ln.kk, ln.j_o, ln.j_g, ln.k_g) for ln in lines),
-        )
+        key = (self._layout, ix.key, rows.start, rows.stop)
         plan = _CACHE.plans.get(key)
         if plan is None:
             slots: dict[tuple, int] = {}
-            get = self._lower(host, lines, DMAKind.GET, slots)
-            put = self._lower(host, lines, DMAKind.PUT, slots)
+            get = self._lower(host, ix, rows, DMAKind.GET, slots)
+            put = self._lower(host, ix, rows, DMAKind.PUT, slots)
             plan = TransferPlan(
                 tuple(np.array(units, dtype=np.intp) for units in slots),
                 *get, *put,
@@ -568,7 +572,7 @@ class ChunkBuffers:
             _CACHE.built += 1
         return plan
 
-    def _transfer(self, host: HostState, lines: list[StagedLine],
+    def _transfer(self, host: HostState, ix: DiagonalIndex, rows: slice,
                   direction: DMAKind, s: int, tag: int) -> None:
         """Issue and complete one chunk program under ``tag``."""
         mfc = self.spe.mfc
@@ -576,10 +580,10 @@ class ChunkBuffers:
             # commands of another program are in flight (or a test asked
             # for the referee): queue depth and drain order are no longer
             # the plan's, so take the command path
-            self.issue(self._program(host, lines, direction, s, tag), tag)
+            self.issue(self._program(host, ix, rows, direction, s, tag), tag)
             mfc.drain_tag(tag)
             return
-        plan = self._plan(host, lines)
+        plan = self._plan(host, ix, rows)
         get = direction is DMAKind.GET
         shape, costs = (
             (plan.get, plan.get_costs) if get else (plan.put, plan.put_costs)
@@ -616,9 +620,11 @@ class ChunkBuffers:
                 mfc.timing.observe(cost, len(enqueues))
             mfc.retire(delta, cost, [tag])
 
-    def stage_in(self, host: HostState, lines: list[StagedLine], s: int = 0) -> None:
-        """Issue and complete the GET program for a chunk."""
-        self._check_capacity(lines)
+    def stage_in(self, host: HostState, ix: DiagonalIndex, rows: slice,
+                 s: int = 0) -> None:
+        """Issue and complete the GET program for the chunk of diagonal
+        ``ix`` at ``rows``."""
+        lines = self._check_capacity(rows)
         tag = GET_TAGS[s]
         if self.spe.metrics.enabled:
             self.spe.metrics.count("stream.chunks_staged")
@@ -629,18 +635,23 @@ class ChunkBuffers:
         if self.spe.trace.enabled:
             self.spe.trace.instant(
                 spe_track(self.spe.spe_id), "BufferSwap", set=s, tag=tag,
-                lines=len(lines), sets=self.sets,
+                lines=lines, sets=self.sets,
                 ls_used=self.spe.local_store.used_bytes,
             )
-        self._transfer(host, lines, DMAKind.GET, s, tag)
+        self._transfer(host, ix, rows, DMAKind.GET, s, tag)
 
-    def stage_out(self, host: HostState, lines: list[StagedLine], s: int = 0) -> None:
-        """Issue and complete the PUT program for a chunk."""
-        self._check_capacity(lines)
-        self._transfer(host, lines, DMAKind.PUT, s, PUT_TAG)
+    def stage_out(self, host: HostState, ix: DiagonalIndex, rows: slice,
+                  s: int = 0) -> None:
+        """Issue and complete the PUT program for the chunk of diagonal
+        ``ix`` at ``rows``."""
+        self._check_capacity(rows)
+        self._transfer(host, ix, rows, DMAKind.PUT, s, PUT_TAG)
 
-    def _check_capacity(self, lines: list[StagedLine]) -> None:
-        if len(lines) > self.L:
+    def _check_capacity(self, rows: slice) -> int:
+        """The chunk's line count, which must fit the buffers."""
+        lines = rows.stop - rows.start
+        if lines > self.L:
             raise ConfigurationError(
-                f"chunk of {len(lines)} lines exceeds buffer capacity {self.L}"
+                f"chunk of {lines} lines exceeds buffer capacity {self.L}"
             )
+        return lines

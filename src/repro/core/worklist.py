@@ -10,50 +10,54 @@ of the "minor dents" in Figure 9.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, TypeVar
 
 from ..errors import SchedulerError
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
 class Chunk:
-    """A contiguous run of I-lines scheduled as one unit."""
+    """A contiguous run of a diagonal's I-lines, its rows
+    ``start:stop``, scheduled as one unit."""
 
     index: int        # chunk number within the diagonal
     spe: int          # owning SPE
-    lines: tuple      # the line descriptors (opaque to the scheduler)
+    start: int        # first row
+    stop: int         # past the last row
 
     @property
     def num_lines(self) -> int:
-        return len(self.lines)
+        return self.stop - self.start
+
+    @property
+    def rows(self) -> slice:
+        return slice(self.start, self.stop)
 
 
-def make_chunks(lines: Sequence[T], chunk_lines: int) -> list[tuple[T, ...]]:
-    """Split a diagonal's lines into chunks of at most ``chunk_lines``."""
+def make_chunks(num_lines: int, chunk_lines: int) -> list[range]:
+    """Cut a diagonal's ``num_lines`` rows into runs of at most
+    ``chunk_lines``."""
     if chunk_lines < 1:
         raise SchedulerError(f"chunk_lines must be >= 1, got {chunk_lines}")
     return [
-        tuple(lines[i : i + chunk_lines])
-        for i in range(0, len(lines), chunk_lines)
+        range(i, min(i + chunk_lines, num_lines))
+        for i in range(0, num_lines, chunk_lines)
     ]
 
 
 def assign_cyclic(
-    lines: Sequence[T], chunk_lines: int, num_spes: int
+    num_lines: int, chunk_lines: int, num_spes: int
 ) -> list[Chunk]:
     """Cyclic chunk assignment: chunk ``c`` goes to SPE ``c mod num_spes``."""
     if num_spes < 1:
         raise SchedulerError(f"num_spes must be >= 1, got {num_spes}")
     return [
-        Chunk(index=c, spe=c % num_spes, lines=chunk)
-        for c, chunk in enumerate(make_chunks(lines, chunk_lines))
+        Chunk(c, c % num_spes, rows.start, rows.stop)
+        for c, rows in enumerate(make_chunks(num_lines, chunk_lines))
     ]
 
 
 def assign_block(
-    lines: Sequence[T], chunk_lines: int, num_spes: int
+    num_lines: int, chunk_lines: int, num_spes: int
 ) -> list[Chunk]:
     """Block chunk assignment: consecutive chunks to the same SPE.
 
@@ -63,14 +67,14 @@ def assign_block(
     on, and short diagonals load one SPE only.  Kept as the comparison
     baseline for the scheduling ablation bench.
     """
-    chunks = make_chunks(lines, chunk_lines)
+    chunks = make_chunks(num_lines, chunk_lines)
     if num_spes < 1:
         raise SchedulerError(f"num_spes must be >= 1, got {num_spes}")
     per_spe = -(-len(chunks) // num_spes) if chunks else 0
     return [
-        Chunk(index=c, spe=min(c // per_spe, num_spes - 1) if per_spe else 0,
-              lines=chunk)
-        for c, chunk in enumerate(chunks)
+        Chunk(c, min(c // per_spe, num_spes - 1) if per_spe else 0,
+              rows.start, rows.stop)
+        for c, rows in enumerate(chunks)
     ]
 
 
@@ -78,7 +82,7 @@ def makespan_lines_block(num_lines: int, chunk_lines: int, num_spes: int) -> int
     """Busiest-SPE lines under block assignment (closed form)."""
     if num_lines == 0:
         return 0
-    assignment = assign_block(list(range(num_lines)), chunk_lines, num_spes)
+    assignment = assign_block(num_lines, chunk_lines, num_spes)
     counts = [0] * num_spes
     for chunk in assignment:
         counts[chunk.spe] += chunk.num_lines

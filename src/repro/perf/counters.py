@@ -18,9 +18,9 @@ from ..cell.dma import DMAKind
 from ..cell.mic import MemoryTimingModel, TransferCost
 from ..core.levels import MachineConfig
 from ..core.porting import HostState
-from ..core.streaming import GET_TAGS, PUT_TAG, ChunkBuffers, StagedLine
+from ..core.streaming import GET_TAGS, PUT_TAG, ChunkBuffers
 from ..sweep.input import InputDeck
-from ..sweep.pipelining import diagonal_sizes, num_diagonals
+from ..sweep.pipelining import DiagonalIndex, diagonal_sizes, num_diagonals
 from ..sweep.quadrature import Quadrature
 from . import calibration
 
@@ -77,7 +77,8 @@ def chunk_costs(deck: InputDeck, config: MachineConfig) -> ChunkCosts:
     assembles the GET and PUT command programs for mid-domain chunks of
     every size up to ``config.chunk_lines`` and prices them through the
     shared memory model (bank weight per
-    :data:`~repro.perf.calibration.BANK_CONFLICT_WEIGHT`).
+    :data:`~repro.perf.calibration.BANK_CONFLICT_WEIGHT`).  A chunk of
+    ``size`` lines is the first ``size`` rows of one synthetic index.
     """
     chip = CellBE(num_spes=1)
     host = HostState(deck, config, chip)
@@ -89,24 +90,18 @@ def chunk_costs(deck: InputDeck, config: MachineConfig) -> ChunkCosts:
     mid_j = g.ny // 2
     get: dict[int, TransferCost] = {}
     put: dict[int, TransferCost] = {}
+    ix = DiagonalIndex.of_lines([
+        (l % deck.mmi, min(l, deck.mk - 1), min(mid_j + l, g.ny - 1),
+         min(mid_j + l, g.ny - 1), min(l, g.nz - 1))
+        for l in range(config.chunk_lines)
+    ])
     for size in range(1, config.chunk_lines + 1):
-        lines = [
-            StagedLine(
-                mm=l % deck.mmi,
-                kk=min(l, deck.mk - 1),
-                j_o=min(mid_j + l, g.ny - 1),
-                j_g=min(mid_j + l, g.ny - 1),
-                k_g=min(l, g.nz - 1),
-                angle=l % deck.mmi,
-                reverse_i=False,
-            )
-            for l in range(size)
-        ]
+        rows = slice(0, size)
         get[size] = timing.price(
-            bufs._program(host, lines, DMAKind.GET, 0, GET_TAGS[0])
+            bufs._program(host, ix, rows, DMAKind.GET, 0, GET_TAGS[0])
         )
         put[size] = timing.price(
-            bufs._program(host, lines, DMAKind.PUT, 0, PUT_TAG)
+            bufs._program(host, ix, rows, DMAKind.PUT, 0, PUT_TAG)
         )
     return ChunkCosts(get=get, put=put)
 

@@ -9,8 +9,9 @@ state every tenant shares:
   (:data:`repro.cell.isa_compile._PROGRAM_CACHE` is keyed by stream
   signature, so two tenants submitting the same deck shape share
   programs automatically);
-* the per-solver DMA program caches (rebuilt per solve, but cheap; the
-  expensive caches above are what the daemon exists to keep warm).
+* the process-global transfer-plan and unit-schedule caches of
+  :mod:`repro.core.streaming` (keyed by layout, configuration and deck
+  shape, so every tenant's solve of a shape reuses them).
 
 Solves are synchronous CPU-bound work; the asyncio app runs
 :meth:`run_job` in a worker thread, so everything here must be

@@ -114,7 +114,7 @@ def diagonal_sizes(jt: int, mk: int, mmi: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Work units and lines
+# Work units and diagonal indices
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -141,76 +141,37 @@ def enumerate_block_units(deck: InputDeck, quad: Quadrature) -> list[BlockUnit]:
     return units
 
 
-@dataclass(frozen=True)
-class StagedLine:
-    """One I-line's identity in both oriented and global coordinates."""
-
-    mm: int        # angle index within the block
-    kk: int        # K-plane within the block (oriented)
-    j_o: int       # J row (oriented)
-    j_g: int       # J row (global storage)
-    k_g: int       # K plane (global storage)
-    angle: int     # global ordinate index
-    reverse_i: bool  # sweep direction along the row
-
-
-def staged_lines_for_diagonal(
-    deck: InputDeck, octant: int, globals_: Sequence[int], k0: int, d: int
-) -> list[StagedLine]:
-    """The :class:`StagedLine` descriptors of one jkm diagonal.
-
-    Pure function of the deck geometry and the (octant, angle block,
-    K block, diagonal) coordinates -- the property that lets
-    :mod:`repro.parallel` worker processes rebuild a diagonal's work
-    from a few integers instead of pickling line lists.
-    """
-    g = deck.grid
-    jt, kt = g.ny, g.nz
-    sx, sy, sz = OCTANT_SIGNS[octant]
-    return [
-        StagedLine(
-            mm=mm,
-            kk=kk,
-            j_o=j,
-            j_g=j if sy > 0 else jt - 1 - j,
-            k_g=(k0 + kk) if sz > 0 else kt - 1 - (k0 + kk),
-            angle=globals_[mm],
-            reverse_i=sx < 0,
-        )
-        for (j, kk, mm) in diagonal_lines(jt, deck.mk, deck.mmi, d)
-    ]
-
-
 @dataclass(frozen=True, slots=True)
 class DiagonalIndex:
-    """One jkm diagonal's I-lines as index arrays, a column per
-    :class:`StagedLine` field and an entry per line, in
+    """One jkm diagonal's I-lines as index arrays, an entry per line in
     :func:`diagonal_lines` order: what the traversal gathers and
-    scatters with, one fancy index per array.  Every unit of an octant
-    shares them; a unit's global ordinates are ``ordinates[mm]``."""
+    scatters with, one fancy index per array, and what the simulated
+    machine stages a chunk of rows from.  Every unit of an octant shares
+    them; a unit's global ordinates are ``ordinates[mm]``.
 
-    mm: np.ndarray
-    kk: np.ndarray
-    j_o: np.ndarray
-    j_g: np.ndarray
-    k_g: np.ndarray
-    reverse_i: bool
+    ``key`` names the columns by value (equal keys hold equal columns,
+    see :meth:`SweepShape._build`), so caches keyed by it survive the
+    index object and are inherited by forked pool workers."""
+
+    mm: np.ndarray    # angle index within the block
+    kk: np.ndarray    # K-plane within the block (oriented)
+    j_o: np.ndarray   # J row (oriented)
+    j_g: np.ndarray   # J row (global storage)
+    k_g: np.ndarray   # K plane (global storage)
+    reverse_i: bool   # sweep direction along the rows
+    key: tuple
 
     def __len__(self) -> int:
         return len(self.mm)
 
-    def staged_lines(self, ordinates: Sequence[int]) -> list[StagedLine]:
-        """The same lines of the unit with these global ``ordinates``
-        as :class:`StagedLine` descriptors, the chunk currency of the
-        simulated machine."""
-        rev = self.reverse_i
-        return [
-            StagedLine(mm, kk, j_o, j_g, k_g, ordinates[mm], rev)
-            for mm, kk, j_o, j_g, k_g in zip(
-                self.mm.tolist(), self.kk.tolist(), self.j_o.tolist(),
-                self.j_g.tolist(), self.k_g.tolist(),
-            )
-        ]
+    @classmethod
+    def of_lines(
+        cls, lines: Sequence[tuple[int, int, int, int, int]]
+    ) -> "DiagonalIndex":
+        """An index over hand-picked ``(mm, kk, j_o, j_g, k_g)`` lines,
+        keyed by their values under a tag no shape-built key carries."""
+        columns = np.array(lines, dtype=np.intp).reshape(-1, 5)
+        return cls(*columns.T, False, ("lines", columns.tobytes()))
 
 
 class SweepShape:
@@ -220,10 +181,10 @@ class SweepShape:
     the octant, so they are built once per process (:func:`sweep_shape`)
     instead of once per sweep.  An octant's diagonals are built on its
     first use; the oriented ``(mm, kk, j_o)`` columns are shared by
-    every octant, the storage rows ``j_g``/``k_g`` by every octant of
-    the same signs.  Stores are single dict assignments, so solvers on
-    concurrent threads share a shape safely (a lost race costs one
-    rebuild).
+    every octant, the storage rows ``j_g``/``k_g`` and the diagonals'
+    keys by every octant of the same J and K signs.  Stores are single
+    dict assignments, so solvers on concurrent threads share a shape
+    safely (a lost race costs one rebuild).
     """
 
     def __init__(self, jt: int, kt: int, mk: int, mmi: int) -> None:
@@ -268,10 +229,23 @@ class SweepShape:
                 ("k", sz, k0),
                 lambda mm, kk, j: k0 + kk if sz > 0 else kt - 1 - k0 - kk,
             )
-            blocks.append(tuple(
-                DiagonalIndex(mm, kk, j, jg, kg, sx < 0)
-                for (mm, kk, j), jg, kg in zip(self._base, j_g, k_g)
-            ))
+            diagonals = []
+            for d, ((mm, kk, j), jg, kg) in enumerate(
+                zip(self._base, j_g, k_g)
+            ):
+                # (shape, J sign, K sign, K block, diagonal), a sign the
+                # rows cannot show keyed as +1 so that equal keys are
+                # exactly equal columns: J's when every row is its own
+                # mirror, K's when the diagonal holds one plane of the
+                # block (keyed then by where a +K block puts that plane)
+                key_j = sy if (jg != j).any() else 1
+                key_k = (
+                    (sz, k0) if (kk != kk[0]).any() else (1, int(kg[0] - kk[0]))
+                )
+                diagonals.append(DiagonalIndex(
+                    mm, kk, j, jg, kg, sx < 0, (self.key, key_j, *key_k, d)
+                ))
+            blocks.append(tuple(diagonals))
         return tuple(blocks)
 
 

@@ -50,16 +50,18 @@ def refereed_solve(deck: InputDeck, config: MachineConfig, monkeypatch):
     """Solve with the staging referee armed; returns ``(result, chunks
     checked, ragged chunks checked)``."""
     it = deck.grid.nx
-    state = {"gather": None, "chunk": None, "checked": 0, "ragged": 0}
+    state = {"ix": None, "gather": None, "chunk": None, "checked": 0,
+             "ragged": 0}
     S = solver_mod.CellSweep3D
     T = pipelining.TileSweeper
     real_gather = T.__dict__["_gather_diagonal"]
     real_execute = S.__dict__["_execute_chunk"]
     real_stage_in = streaming.ChunkBuffers.__dict__["stage_in"]
 
-    def gather(self, lines):
-        g = real_gather(self, lines)
+    def gather(self, ix):
+        g = real_gather(self, ix)
         # the kernel updates phij/phik in place: keep what was gathered
+        state["ix"] = ix
         state["gather"] = {
             k: None if v is None else v.copy() for k, v in g.items()
         }
@@ -69,13 +71,15 @@ def refereed_solve(deck: InputDeck, config: MachineConfig, monkeypatch):
         state["chunk"] = chunk
         return real_execute(self, chunk)
 
-    def stage_in(self, host, lines, s=0):
-        real_stage_in(self, host, lines, s)
+    def stage_in(self, host, ix, rows, s=0):
+        real_stage_in(self, host, ix, rows, s)
         chunk, g = state["chunk"], state["gather"]
-        assert list(chunk.lines) == lines
-        L = len(lines)
+        # the chunk staged is the gathered diagonal's, at the chunk's rows
+        assert ix is state["ix"]
+        assert rows == chunk.rows
+        L = chunk.num_lines
         lo = chunk.index * config.chunk_lines
-        rows = slice(lo, lo + L)
+        assert rows == slice(lo, lo + L)
         views = self.views(s)
         np.testing.assert_array_equal(
             views["msrc"][:, :L, :it], g["msrc"][:, rows]
@@ -152,8 +156,8 @@ def test_referee_notices_a_kernel_operand_that_was_not_staged(monkeypatch):
     did not deliver and the first ``stage_in`` trips it."""
     real_gather = pipelining.TileSweeper.__dict__["_gather_diagonal"]
 
-    def shifted(self, lines):
-        g = real_gather(self, lines)
+    def shifted(self, ix):
+        g = real_gather(self, ix)
         g["phii"] = g["phii"] + 1.0
         return g
 

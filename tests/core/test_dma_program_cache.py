@@ -22,10 +22,10 @@ from repro.cell.mfc import MFC
 from repro.core import streaming
 from repro.core.levels import MachineConfig, SyncProtocol
 from repro.core.solver import CellSweep3D
-from repro.core.streaming import StagedLine
 from repro.sweep.geometry import Grid
 from repro.sweep.input import small_deck
 from repro.sweep.moments import build_moment_source
+from repro.sweep.pipelining import DiagonalIndex
 
 
 def config(trace: bool = False) -> MachineConfig:
@@ -59,8 +59,11 @@ def counted_solve(deck, planned: bool):
     return result, calls, [spe.mfc.stats for spe in solver.chip.spes]
 
 
-def line(j: int, k: int = 0) -> StagedLine:
-    return StagedLine(mm=0, kk=k, j_o=j, j_g=j, k_g=k, angle=0, reverse_i=False)
+def lines(*js: int, k: int = 0) -> tuple[DiagonalIndex, slice]:
+    """A hand-built index of angle 0's lines at J rows ``js`` of K plane
+    ``k``, and the chunk of all its rows."""
+    ix = DiagonalIndex.of_lines([(0, k, j, j, k) for j in js])
+    return ix, slice(0, len(js))
 
 
 @pytest.fixture
@@ -115,31 +118,55 @@ class TestProgramMemoization:
     def test_repeat_chunk_reuses_program_objects(self, deck):
         solver = CellSweep3D(deck, config())
         bufs = solver.buffers[0]
-        lines = [line(j) for j in range(2)]
-        first = bufs._plan(solver.host, lines)
-        assert bufs._plan(solver.host, lines) is first
+        chunk = lines(0, 1)
+        first = bufs._plan(solver.host, *chunk)
+        assert bufs._plan(solver.host, *chunk) is first
+        # the key is the index's value: the same lines built again hit
+        assert bufs._plan(solver.host, *lines(0, 1)) is first
         # every SPE lays its local store out alike, and a second solver
         # of the same deck lays main memory out alike: same plan
-        assert solver.buffers[1]._plan(solver.host, lines) is first
+        assert solver.buffers[1]._plan(solver.host, *chunk) is first
         again = CellSweep3D(deck, config())
-        assert again.buffers[2]._plan(again.host, lines) is first
+        assert again.buffers[2]._plan(again.host, *chunk) is first
         # a distinct working set misses
-        other = [line(j, k=1) for j in range(2)]
-        assert bufs._plan(solver.host, other) is not first
+        assert bufs._plan(solver.host, *lines(0, 1, k=1)) is not first
+        # so does another row range of the same index
+        assert bufs._plan(solver.host, chunk[0], slice(0, 1)) is not first
+
+    def test_hand_built_index_never_shares_a_shape_key(self, deck):
+        """A hand-built index holding a real diagonal's rows is keyed
+        apart from it: the two build a plan each, and stage the same
+        bytes."""
+        solver = CellSweep3D(deck, config())
+        bufs = solver.buffers[0]
+        real = solver.shape.octant(0)[0][3]
+        hand = DiagonalIndex.of_lines(np.stack(
+            [real.mm, real.kk, real.j_o, real.j_g, real.k_g], axis=1
+        ).tolist())
+        rows = slice(0, bufs.L)
+        assert len(real) > bufs.L and hand.key != real.key
+        streaming.clear_plan_cache()
+        built = streaming.plan_cache_info()["built"]
+        images = []
+        for ix in (real, hand):
+            bufs.stage_in(solver.host, ix, rows)
+            images.append(bufs.spe.local_store._memory.tobytes())
+        assert streaming.plan_cache_info()["built"] == built + 2
+        assert images[0] == images[1]
 
     def test_cache_disabled_rebuilds(self, deck):
         solver = CellSweep3D(deck, config())
         bufs = solver.buffers[0]
-        lines = [line(0)]
+        chunk = lines(0)
         built = streaming.plan_cache_info()["built"]
         streaming.clear_plan_cache()
         with streaming._command_path():
-            bufs.stage_in(solver.host, lines)
-            bufs.stage_out(solver.host, lines)
+            bufs.stage_in(solver.host, *chunk)
+            bufs.stage_out(solver.host, *chunk)
         assert streaming.plan_cache_info()["built"] == built
         assert streaming.plan_cache_info()["entries"] == 0
-        first = bufs._program(solver.host, lines, DMAKind.GET, 0, 2)
-        again = bufs._program(solver.host, lines, DMAKind.GET, 0, 2)
+        first = bufs._program(solver.host, *chunk, DMAKind.GET, 0, 2)
+        again = bufs._program(solver.host, *chunk, DMAKind.GET, 0, 2)
         assert again is not first
 
     def test_new_host_state_invalidates(self, deck):
@@ -148,22 +175,22 @@ class TestProgramMemoization:
         different layout never hits it."""
         solver = CellSweep3D(deck, config())
         bufs = solver.buffers[0]
-        lines = [line(0)]
+        chunk = lines(0)
         msrc = build_moment_source(deck, np.ones((deck.nm, *deck.grid.shape)))
         solver.host.load_moment_source(msrc)
-        bufs.stage_in(solver.host, lines)
-        first = bufs._plan(solver.host, lines)
+        bufs.stage_in(solver.host, *chunk)
+        first = bufs._plan(solver.host, *chunk)
         np.testing.assert_array_equal(
             bufs.views(0)["msrc"][0, 0, : deck.grid.nx], msrc[0, :, 0, 0]
         )
 
         fresh = CellSweep3D(deck, config())
         fresh.host.load_moment_source(3.0 * msrc)
-        bufs.stage_in(fresh.host, lines)
-        assert bufs._plan(fresh.host, lines) is first
+        bufs.stage_in(fresh.host, *chunk)
+        assert bufs._plan(fresh.host, *chunk) is first
         np.testing.assert_array_equal(
             bufs.views(0)["msrc"][0, 0, : deck.grid.nx], 3.0 * msrc[0, :, 0, 0]
         )
 
         taller = CellSweep3D(deck.with_(grid=Grid(8, 10, 8)), config())
-        assert taller.buffers[0]._plan(taller.host, lines) is not first
+        assert taller.buffers[0]._plan(taller.host, *chunk) is not first

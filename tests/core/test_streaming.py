@@ -11,10 +11,11 @@ from repro.cell.chip import CellBE
 from repro.cell.dma import DMAKind, DMAListCommand
 from repro.core.levels import MachineConfig
 from repro.core.porting import HostState
-from repro.core.streaming import ChunkBuffers, StagedLine
+from repro.core.streaming import ChunkBuffers
 from repro.errors import ConfigurationError, DMAError, LocalStoreError, MFCError
 from repro.sweep.geometry import Grid
 from repro.sweep.input import small_deck
+from repro.sweep.pipelining import DiagonalIndex
 
 
 @pytest.fixture
@@ -29,11 +30,11 @@ def setup(deck, config):
     return chip, host, bufs
 
 
-def lines_for(deck, n=2):
-    return [
-        StagedLine(mm=0, kk=0, j_o=j, j_g=j, k_g=0, angle=0, reverse_i=False)
-        for j in range(n)
-    ]
+def lines_for(deck, n=2, repeat=1):
+    """A chunk of angle 0's lines at J rows ``0..n-1`` of K plane 0,
+    ``repeat`` times over: a hand-built index and all its rows."""
+    ix = DiagonalIndex.of_lines([(0, 0, j, j, 0) for j in range(n)] * repeat)
+    return ix, slice(0, len(ix))
 
 
 class TestHostState:
@@ -126,23 +127,23 @@ class TestChunkBuffers:
         chip, host, bufs = setup(deck, MachineConfig(aligned_rows=True))
         data = rng.random((deck.nm, *deck.grid.shape))
         host.load_moment_source(data)
-        lines = lines_for(deck, 2)
-        bufs.stage_in(host, lines)
+        ix, rows = lines_for(deck, 2)
+        bufs.stage_in(host, ix, rows)
         views = bufs.views(0)
         for n in range(deck.nm):
-            for l, ln in enumerate(lines):
+            for l, (j_g, k_g) in enumerate(zip(ix.j_g[rows], ix.k_g[rows])):
                 np.testing.assert_array_equal(
                     views["msrc"][n, l, : deck.grid.nx],
-                    data[n, :, ln.j_g, ln.k_g],
+                    data[n, :, j_g, k_g],
                 )
 
     def test_stage_out_writes_back(self, deck):
         chip, host, bufs = setup(deck, MachineConfig(aligned_rows=True))
-        lines = lines_for(deck, 2)
-        bufs.stage_in(host, lines)
+        chunk = lines_for(deck, 2)
+        bufs.stage_in(host, *chunk)
         views = bufs.views(0)
         views["flux"][:, :2, :] = 3.5
-        bufs.stage_out(host, lines)
+        bufs.stage_out(host, *chunk)
         for n in range(deck.nm):
             np.testing.assert_array_equal(
                 host.flux_storage[n][0, 0, :], np.full(host.row_len, 3.5)
@@ -152,7 +153,7 @@ class TestChunkBuffers:
         chip, host, bufs = setup(
             deck, MachineConfig(aligned_rows=True, dma_lists=True)
         )
-        rows = bufs.rows_for_chunk(host, lines_for(deck, 2), DMAKind.GET)
+        rows = bufs.rows_for_chunk(host, *lines_for(deck, 2), DMAKind.GET)
         cmds = bufs._commands(DMAKind.GET, rows, 0, 2)
         assert all(isinstance(c, DMAListCommand) for c in cmds)
         # one list per (buffer kind, moment):
@@ -161,20 +162,20 @@ class TestChunkBuffers:
 
     def test_individual_commands_by_default(self, deck):
         chip, host, bufs = setup(deck, MachineConfig(aligned_rows=True))
-        rows = bufs.rows_for_chunk(host, lines_for(deck, 2), DMAKind.GET)
+        rows = bufs.rows_for_chunk(host, *lines_for(deck, 2), DMAKind.GET)
         cmds = bufs._commands(DMAKind.GET, rows, 0, 2)
         assert len(cmds) == len(rows)
 
     def test_oversized_chunk_rejected(self, deck):
         chip, host, bufs = setup(deck, MachineConfig(aligned_rows=True))
         with pytest.raises(ConfigurationError):
-            bufs.stage_in(host, lines_for(deck, 5))
+            bufs.stage_in(host, *lines_for(deck, 5))
 
     def test_traffic_accounted(self, deck):
         chip, host, bufs = setup(deck, MachineConfig(aligned_rows=True))
-        lines = lines_for(deck, 2)
-        bufs.stage_in(host, lines)
-        bufs.stage_out(host, lines)
+        chunk = lines_for(deck, 2)
+        bufs.stage_in(host, *chunk)
+        bufs.stage_out(host, *chunk)
         stats = chip.spes[0].mfc.stats
         assert stats.bytes_get > 0
         assert stats.bytes_put > 0
@@ -203,7 +204,7 @@ class TestStagingErrors:
         chip, host, bufs = setup(deck, self.LISTS)
         chip.address_space["flux0"].ea += 8
         with pytest.raises(DMAError, match="not 16-byte aligned"):
-            bufs.stage_in(host, lines_for(deck, 2))
+            bufs.stage_in(host, *lines_for(deck, 2))
 
     def test_oversize_element_rejected(self, path):
         # a 2050-cell row is 16400 bytes: past the 16 KB transfer limit
@@ -212,7 +213,7 @@ class TestStagingErrors:
         )
         chip, host, bufs = setup(deck, MachineConfig(chunk_lines=1))
         with pytest.raises(DMAError, match="exceeds the 16384-byte maximum"):
-            bufs.stage_in(host, lines_for(deck, 1))
+            bufs.stage_in(host, *lines_for(deck, 1))
 
     def test_overlong_list_rejected(self, path):
         deck = small_deck(n=2, sn=4, nm=1, iterations=1, mk=2)
@@ -220,7 +221,7 @@ class TestStagingErrors:
             deck, MachineConfig(dma_lists=True, chunk_lines=2049)
         )
         with pytest.raises(DMAError, match="2048-element maximum"):
-            bufs.stage_in(host, lines_for(deck, 1) * 2049)
+            bufs.stage_in(host, *lines_for(deck, 1, repeat=2049))
 
     def test_tag_out_of_range_rejected(self, deck, path, monkeypatch):
         from repro.core import streaming
@@ -228,7 +229,7 @@ class TestStagingErrors:
         monkeypatch.setattr(streaming, "PUT_TAG", 32)
         chip, host, bufs = setup(deck, self.LISTS)
         with pytest.raises(DMAError, match="MFC tag must be in"):
-            bufs.stage_out(host, lines_for(deck, 2))
+            bufs.stage_out(host, *lines_for(deck, 2))
 
     def test_local_store_overrun_rejected(self, deck, path, monkeypatch):
         chip, host, bufs = setup(deck, self.LISTS)
@@ -237,12 +238,12 @@ class TestStagingErrors:
             lambda self, kind, n, line: bufs._bufs[0][kind].nbytes,
         )
         with pytest.raises(DMAError, match="overruns"):
-            bufs.stage_in(host, lines_for(deck, 2))
+            bufs.stage_in(host, *lines_for(deck, 2))
 
     def test_oversized_chunk_rejected_on_the_way_out(self, deck, path):
         chip, host, bufs = setup(deck, self.LISTS)
         with pytest.raises(ConfigurationError, match="exceeds buffer capacity"):
-            bufs.stage_out(host, lines_for(deck, 5))
+            bufs.stage_out(host, *lines_for(deck, 5))
 
     def test_queue_full_of_other_tags_is_reported_as_such(self, deck):
         """``issue`` waits on its own tag group only: with the queue
@@ -253,11 +254,11 @@ class TestStagingErrors:
 
         chip, host, bufs = setup(deck, MachineConfig(aligned_rows=True))
         mfc = chip.spes[0].mfc
-        other = bufs._program(host, lines_for(deck, 2), DMAKind.GET, 0, GET_TAGS[1])
+        other = bufs._program(host, *lines_for(deck, 2), DMAKind.GET, 0, GET_TAGS[1])
         for cmd in other[: mfc.queue_depth]:
             mfc.enqueue(cmd)
         assert mfc.pending == mfc.queue_depth
-        mine = bufs._program(host, lines_for(deck, 1), DMAKind.GET, 0, GET_TAGS[0])
+        mine = bufs._program(host, *lines_for(deck, 1), DMAKind.GET, 0, GET_TAGS[0])
         with pytest.raises(MFCError, match="queue full"):
             bufs.issue(mine, GET_TAGS[0])
         assert mfc.pending_tags() == {GET_TAGS[1]}
@@ -267,7 +268,7 @@ class TestStagingErrors:
 
         chip, host, bufs = setup(deck, MachineConfig(aligned_rows=True))
         mfc = chip.spes[0].mfc
-        program = bufs._program(host, lines_for(deck, 3), DMAKind.GET, 0, GET_TAGS[0])
+        program = bufs._program(host, *lines_for(deck, 3), DMAKind.GET, 0, GET_TAGS[0])
         assert len(program) > mfc.queue_depth
         bufs.issue(program, GET_TAGS[0])
         assert mfc.pending == len(program) - mfc.queue_depth

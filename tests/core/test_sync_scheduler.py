@@ -62,8 +62,7 @@ class TestCentralizedScheduler:
     def test_executes_every_chunk_cyclically(self, chip):
         sched = CentralizedScheduler(chip, LSPokeSync(chip))
         seen: list[Chunk] = []
-        lines = list(range(37))
-        chunks = sched.run_diagonal(lines, 4, seen.append)
+        chunks = sched.run_diagonal(37, 4, seen.append)
         assert len(seen) == 10
         assert [c.spe for c in seen] == [i % 8 for i in range(10)]
         assert sum(c.num_lines for c in seen) == 37
@@ -72,8 +71,8 @@ class TestCentralizedScheduler:
     def test_work_content_preserved(self, chip):
         sched = CentralizedScheduler(chip, MailboxSync(chip))
         seen = []
-        sched.run_diagonal(list(range(9)), 4, seen.append)
-        flattened = [x for c in seen for x in c.lines]
+        sched.run_diagonal(9, 4, seen.append)
+        flattened = [x for c in seen for x in range(c.start, c.stop)]
         assert flattened == list(range(9))
 
 
@@ -83,9 +82,9 @@ class TestDistributedScheduler:
         chip.install_metrics(registry)
         sched = DistributedScheduler(chip)
         seen = []
-        sched.run_diagonal(list(range(37)), 4, seen.append)
+        sched.run_diagonal(37, 4, seen.append)
         assert sum(c.num_lines for c in seen) == 37
-        flattened = [x for c in seen for x in c.lines]
+        flattened = [x for c in seen for x in range(c.start, c.stop)]
         assert sorted(flattened) == list(range(37))
         # every claim attempt costs a load-reserve plus a
         # store-conditional, charged to the claiming SPE
@@ -99,16 +98,16 @@ class TestDistributedScheduler:
 
     def test_counter_resets_between_diagonals(self, chip):
         sched = DistributedScheduler(chip)
-        sched.run_diagonal(list(range(8)), 4, lambda c: None)
-        sched.run_diagonal(list(range(8)), 4, lambda c: None)
+        sched.run_diagonal(8, 4, lambda c: None)
+        sched.run_diagonal(8, 4, lambda c: None)
         assert sched.chunks_dispatched == 4
 
     def test_same_work_as_centralized(self, chip):
         central = CentralizedScheduler(chip, LSPokeSync(chip))
         distributed = DistributedScheduler(chip)
         a, b = [], []
-        central.run_diagonal(list(range(21)), 4, a.append)
-        distributed.run_diagonal(list(range(21)), 4, b.append)
-        assert sorted(x for c in a for x in c.lines) == sorted(
-            x for c in b for x in c.lines
+        central.run_diagonal(21, 4, a.append)
+        distributed.run_diagonal(21, 4, b.append)
+        assert sorted(x for c in a for x in range(c.start, c.stop)) == sorted(
+            x for c in b for x in range(c.start, c.stop)
         )

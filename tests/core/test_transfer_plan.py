@@ -42,7 +42,7 @@ from repro.parallel.pool import PersistentPool
 from repro.sweep import SerialSweep3D
 from repro.sweep.geometry import Grid
 from repro.sweep.input import InputDeck, small_deck
-from repro.sweep.pipelining import num_diagonals, staged_lines_for_diagonal
+from repro.sweep.pipelining import num_diagonals, sweep_shape
 from repro.trace.bus import TraceBus
 from repro.trace.export import to_chrome_trace
 from repro.trace.sanitizer import sanitize
@@ -110,20 +110,20 @@ class Machine:
         local store the way a kernel would, and stage it out; returns
         a digest of the local-store image after each ``stage_in``."""
         deck, config = self.deck, self.config
+        g = deck.grid
+        first_block = sweep_shape(g.ny, g.nz, deck.mk, deck.mmi).octant(octant)[0]
         images = []
         s = 0
         for d in diagonals:
-            lines = staged_lines_for_diagonal(
-                deck, octant, list(range(deck.mmi)), 0, d
-            )
-            for chunk in assign_cyclic(lines, config.chunk_lines, config.num_spes):
+            ix = first_block[d]
+            for chunk in assign_cyclic(len(ix), config.chunk_lines, config.num_spes):
                 bufs = self.buffers[chunk.spe]
-                bufs.stage_in(self.host, list(chunk.lines), s)
+                bufs.stage_in(self.host, ix, chunk.rows, s)
                 store = bufs.spe.local_store._memory
                 images.append(hashlib.sha1(store).hexdigest())
                 for view in bufs.views(s).values():
                     view += 1.0
-                bufs.stage_out(self.host, list(chunk.lines), s)
+                bufs.stage_out(self.host, ix, chunk.rows, s)
                 if config.double_buffer:
                     s ^= 1
         return images
@@ -210,14 +210,17 @@ def test_command_path_is_taken_while_commands_are_in_flight():
         with path(planned):
             m = Machine(deck, config)
             bufs = m.buffers[0]
-            first = staged_lines_for_diagonal(deck, 0, [0, 1, 2], 0, 1)[:2]
-            second = staged_lines_for_diagonal(deck, 0, [0, 1, 2], 0, 2)[:2]
+            g = deck.grid
+            diagonals = sweep_shape(g.ny, g.nz, deck.mk, deck.mmi).octant(0)[0]
+            rows = slice(0, 2)
             built = streaming.plan_cache_info()["built"]
             bufs.issue(
-                bufs._program(m.host, first, DMAKind.GET, 1, GET_TAGS[1]),
+                bufs._program(m.host, diagonals[1], rows, DMAKind.GET, 1,
+                              GET_TAGS[1]),
                 GET_TAGS[1],
             )
-            bufs.stage_in(m.host, second, 0)   # queue not empty on entry
+            # queue not empty on entry
+            bufs.stage_in(m.host, diagonals[2], rows, 0)
             assert streaming.plan_cache_info()["built"] == built
             m.chip.spes[0].mfc.drain_tag(GET_TAGS[1])
             runs.append((m.stats(), m.events(),
@@ -310,6 +313,28 @@ class TestPlanCache:
         )
 
     @pytest.mark.parametrize(
+        "deck, plans",
+        [
+            # the benchmark suite's cell_ref deck (cross sections aside)
+            (InputDeck(grid=Grid(16, 16, 16), sn=6, nm=4, mk=16,
+                       iterations=1, fixup=True), 824),
+            (shield_deck(), 480),
+        ],
+        ids=["cell_ref", "cell_shield"],
+    )
+    def test_plans_per_cold_operation(self, deck, plans):
+        """One cold solve of a suite deck lowers one plan per distinct
+        chunk working set: a diagonal's key and a chunk's rows name
+        exactly the rows the chunk stages."""
+        from repro.perf.processors import measured_cell_config
+
+        streaming.clear_plan_cache()
+        before = built()
+        CellSweep3D(deck, measured_cell_config()).solve()
+        assert built() - before == streaming.plan_cache_info()["entries"]
+        assert built() - before == plans
+
+    @pytest.mark.parametrize(
         "change",
         [
             dict(config=dict(bank_offsets=False)),       # other effective addresses
@@ -323,7 +348,7 @@ class TestPlanCache:
              "deck-shape", "ls-offsets"],
     )
     def test_another_layout_never_hits(self, change):
-        """Same line coordinates, different layout: the first chunk of
+        """Same diagonals and rows, different layout: the first chunk of
         the first diagonal is staged by every solver here, so a key
         that ignored the changed part would replay a stale plan -- and
         the flux or the statistics would show it."""

@@ -18,19 +18,20 @@ from repro.errors import SchedulerError
 
 class TestChunking:
     def test_chunks_of_four(self):
-        chunks = make_chunks(list(range(10)), 4)
+        chunks = make_chunks(10, 4)
         assert [len(c) for c in chunks] == [4, 4, 2]
+        assert [r.start for r in chunks] == [0, 4, 8]
 
     def test_invalid_chunk_size(self):
         with pytest.raises(SchedulerError):
-            make_chunks([1], 0)
+            make_chunks(1, 0)
 
     def test_cyclic_assignment(self):
-        chunks = assign_cyclic(list(range(40)), 4, 8)
+        chunks = assign_cyclic(40, 4, 8)
         assert [c.spe for c in chunks] == [0, 1, 2, 3, 4, 5, 6, 7, 0, 1]
 
     def test_empty_diagonal(self):
-        assert assign_cyclic([], 4, 8) == []
+        assert assign_cyclic(0, 4, 8) == []
 
 
 class TestClosedForms:
@@ -42,7 +43,7 @@ class TestClosedForms:
     def test_per_spe_counts_match_assignment(self, n, chunk, spes):
         """The closed form used by the performance model must agree with
         the actual scheduler."""
-        chunks = assign_cyclic(list(range(n)), chunk, spes)
+        chunks = assign_cyclic(n, chunk, spes)
         actual = [0] * spes
         for c in chunks:
             actual[c.spe] += c.num_lines
@@ -74,4 +75,4 @@ class TestClosedForms:
         with pytest.raises(SchedulerError):
             per_spe_line_counts(-1, 4, 8)
         with pytest.raises(SchedulerError):
-            assign_cyclic([1], 1, 0)
+            assign_cyclic(1, 1, 0)

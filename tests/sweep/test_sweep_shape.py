@@ -2,13 +2,16 @@
 
 :class:`~repro.sweep.pipelining.SweepShape` holds every jkm diagonal's
 gather/scatter index arrays (a unit's ordinates are ``ordinates[mm]``);
-``staged_lines_for_diagonal`` builds the same lines one
-:class:`StagedLine` at a time and ``diagonal_sizes`` is the closed form
-of their count.  All three must agree on every unit, K block and
-diagonal, prime extents included.
+``diagonal_lines`` enumerates the same lines in oriented coordinates,
+Figure 3's orientation rules map them to storage rows, and
+``diagonal_sizes`` is the closed form of their count.  All three must
+agree on every unit, K block and diagonal, prime extents included; and
+a diagonal's key must name exactly its columns.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 from hypothesis import given, settings
@@ -17,11 +20,13 @@ from hypothesis import strategies as st
 from repro.sweep.geometry import Grid
 from repro.sweep.input import InputDeck
 from repro.sweep.pipelining import (
+    DiagonalIndex,
     TileSweeper,
+    diagonal_lines,
     diagonal_sizes,
-    staged_lines_for_diagonal,
     sweep_shape,
 )
+from repro.sweep.quadrature import OCTANT_SIGNS
 
 FIELDS = ("mm", "kk", "j_o", "j_g", "k_g")
 
@@ -39,26 +44,71 @@ def geometries(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(geometries())
-def test_index_arrays_are_the_staged_lines(deck):
+def test_index_arrays_are_the_oriented_lines(deck):
+    """Each column holds ``diagonal_lines``' lines with Figure 3's
+    orientation: ``j_g = j`` under a positive J sign and ``jt-1-j``
+    under a negative one, ``k_g = k0+kk`` or ``kt-1-(k0+kk)`` for K."""
     sweeper = TileSweeper(deck)
     shape = sweeper.shape
+    g = deck.grid
+    jt, kt = g.ny, g.nz
     for unit in sweeper.units:
+        sx, sy, sz = OCTANT_SIGNS[unit.octant]
         blocks = shape.octant(unit.octant)
         assert len(blocks) == len(shape.k_starts)
         for k0, diagonals in zip(shape.k_starts, blocks):
             assert len(diagonals) == len(shape.sizes)
             for d, ix in enumerate(diagonals):
-                lines = staged_lines_for_diagonal(
-                    deck, unit.octant, unit.ordinates, k0, d
-                )
-                assert ix.staged_lines(unit.ordinates) == lines
-                for name in FIELDS:
+                lines = [
+                    (mm, kk, j, j if sy > 0 else jt - 1 - j,
+                     k0 + kk if sz > 0 else kt - 1 - (k0 + kk))
+                    for j, kk, mm in diagonal_lines(jt, deck.mk, deck.mmi, d)
+                ]
+                assert len(ix) == len(lines)
+                for f, name in enumerate(FIELDS):
                     column = getattr(ix, name)
                     assert column.dtype == np.intp
-                    assert column.tolist() == [getattr(ln, name) for ln in lines]
+                    assert column.tolist() == [line[f] for line in lines]
+                assert ix.reverse_i == (sx < 0)
                 angle = np.asarray(unit.ordinates)[ix.mm]
-                assert angle.tolist() == [ln.angle for ln in lines]
-                assert {ix.reverse_i} == {ln.reverse_i for ln in lines}
+                assert angle.tolist() == [
+                    unit.ordinates[line[0]] for line in lines
+                ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(geometries())
+def test_equal_keys_are_equal_columns(deck):
+    """The key transfer plans are cached under is sound and complete:
+    over every pair of a shape's diagonals (all octants, all K blocks),
+    two keys are equal exactly when the five columns are."""
+    g = deck.grid
+    shape = sweep_shape(g.ny, g.nz, deck.mk, deck.mmi)
+    diagonals = [
+        ix for octant in range(8)
+        for block in shape.octant(octant) for ix in block
+    ]
+    for a, b in itertools.combinations_with_replacement(diagonals, 2):
+        same_columns = all(
+            np.array_equal(getattr(a, name), getattr(b, name))
+            for name in FIELDS
+        )
+        assert (a.key == b.key) == same_columns, (a.key, b.key)
+
+
+def test_hand_built_keys_are_apart_from_the_shapes():
+    """An index built from lines is keyed by them, under a tag no
+    shape-built key carries."""
+    shape = sweep_shape(4, 4, 2, 1)
+    for ix in (ix for block in shape.octant(0) for ix in block):
+        lines = np.stack([getattr(ix, name) for name in FIELDS], axis=1)
+        hand = DiagonalIndex.of_lines(lines.tolist())
+        for name in FIELDS:
+            np.testing.assert_array_equal(getattr(hand, name), getattr(ix, name))
+        assert hand.key != ix.key
+        assert hand.key == DiagonalIndex.of_lines(lines.tolist()).key
+    assert (DiagonalIndex.of_lines([(0, 0, 0, 0, 0)]).key
+            != DiagonalIndex.of_lines([(0, 0, 0, 0, 1)]).key)
 
 
 @settings(max_examples=60, deadline=None)

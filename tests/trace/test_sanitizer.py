@@ -158,7 +158,7 @@ class TestRealSolverInjection:
         from repro.cell.dma import DMAKind
         from repro.core.levels import MachineConfig, SyncProtocol
         from repro.core.solver import CellSweep3D
-        from repro.core.streaming import GET_TAGS, StagedLine
+        from repro.core.streaming import GET_TAGS
         from repro.sweep.input import small_deck
 
         deck = small_deck(n=6, sn=4, nm=1, iterations=1, mk=2)
@@ -170,20 +170,19 @@ class TestRealSolverInjection:
         solver = CellSweep3D(deck, config)
         bufs = solver.buffers[0]
 
-        def mk_lines(k):
-            return [
-                StagedLine(mm=0, kk=k, j_o=j, j_g=j, k_g=k, angle=0,
-                           reverse_i=False)
-                for j in range(2)
-            ]
+        # two lines of each of two diagonals of the sweep
+        diagonals = solver.shape.octant(0)[0]
+        rows = slice(0, 2)
 
         bufs.issue(
-            bufs._program(solver.host, mk_lines(0), DMAKind.GET, 0, GET_TAGS[0]),
+            bufs._program(solver.host, diagonals[1], rows, DMAKind.GET, 0,
+                          GET_TAGS[0]),
             GET_TAGS[0],
         )
         # second GET into buffer set 0 under a new tag, first still in flight
         bufs.issue(
-            bufs._program(solver.host, mk_lines(1), DMAKind.GET, 0, GET_TAGS[1]),
+            bufs._program(solver.host, diagonals[2], rows, DMAKind.GET, 0,
+                          GET_TAGS[1]),
             GET_TAGS[1],
         )
         hazards = sanitize(solver.trace)
